@@ -1,0 +1,76 @@
+"""Byte-for-byte pins of every artifact the CLI writes.
+
+Each case runs one small fixed-seed command and compares every file it
+writes with tests/golden/<case>/, except run.log, which carries wall times.
+After an intended change of the artifacts, regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change which files moved and why.
+"""
+
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from levelgeo.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SMALL_ARC = ["--p", "1,0,0", "--q", "0,1,0", "--m", "16"]
+
+# case -> (argv without --out, expected exit code)
+CASES = {
+    "run": (["run", "--init", "randomized", "--seed", "1", "--m", "24",
+             "--iters", "60", "--record-every", "10",
+             "--reference", "sphere-exact"], 0),
+    "run-diverged": (["run", *SMALL_ARC, "--iters", "50", "--tau-gamma", "0.5",
+                      "--record-every", "4"], 2),
+    "sweep": (["sweep", *SMALL_ARC, "--iters", "25", "--record-every", "5",
+               "--reference", "sphere-exact", "--parameter", "tau-gamma",
+               "--values", "1e-5,0.5,1e-4"], 0),
+    "benchmark": (["benchmark", "--pairs", "3", "--checkpoints", "20,5,40",
+                   "--m", "16", "--seed", "3"], 0),
+    "benchmark-randomized": (["benchmark", "--pairs", "2", "--checkpoints",
+                              "10,30", "--m", "12", "--seed", "5", "--init",
+                              "randomized", "--tau-r", "1.0",
+                              "--scheme", "var2", "--alpha", "10"], 0),
+    "compare": (["compare", *SMALL_ARC, "--iters", "40", "--reference",
+                 "sphere-exact", "--schemes",
+                 "gda,regularized,base-pdhg,var1,var2"], 0),
+    "planar": (["planar", "--m", "20", "--iters", "64"], 0),
+}
+
+
+def artifacts(root: Path) -> dict:
+    """relative path -> bytes of every deterministic file under root."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "run.log"
+    }
+
+
+def produce(case: str, out: Path) -> None:
+    argv, code = CASES[case]
+    assert main(argv + ["--out", str(out)]) == code
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifacts_match_golden(case, tmp_path):
+    out = tmp_path / case
+    produce(case, out)
+    got, want = artifacts(out), artifacts(GOLDEN / case)
+    assert want, f"no golden files for {case}"
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], f"{case}/{name} differs from the golden"
+
+
+if __name__ == "__main__":
+    for case in sys.argv[1:] or sorted(CASES):
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        produce(case, GOLDEN / case)
+        (GOLDEN / case / "run.log").unlink(missing_ok=True)
