@@ -18,124 +18,4 @@ Layout:
 * :mod:`levelgeo.cli`         the ``levelgeo`` command
 """
 
-from .curve import (
-    DiscreteCurve,
-    MultiplierField,
-    curve_from_json,
-    curve_length,
-    curve_to_json,
-    init_randomized,
-    init_straight_line,
-    second_difference,
-    speed_profile,
-)
-from .diagnostics import (
-    IterationTrace,
-    TraceRow,
-    absolute_error,
-    equilibrium_residuals,
-    geodesic_defect,
-    lyapunov,
-    read_trace_csv,
-    surface_error,
-    tangency_defect,
-    trace_row,
-    write_trace_csv,
-)
-from .harness import ConfigError, ExperimentSpec
-from .levelset import (
-    AssumptionAReport,
-    LevelSet,
-    Plane,
-    PointCloud,
-    PointCloudFormatError,
-    SamplingError,
-    SingularityError,
-    SphereQuadratic,
-    SphereSDF,
-    Torus,
-    check_assumption_a,
-    load_point_cloud,
-)
-from .planar import (
-    ErgodicRecord,
-    PlanarProblem,
-    greens_function,
-    implicit_gamma_solve,
-    lagrangian_eps,
-    read_ergodic_csv,
-    run_planar,
-    thomas,
-    write_ergodic_csv,
-)
-from .schemes import (
-    DivergenceError,
-    Scheme,
-    SolverConfig,
-    SolverState,
-    run,
-    step,
-    step_base,
-    step_gda,
-    step_var1,
-    step_var2,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DiscreteCurve",
-    "MultiplierField",
-    "curve_from_json",
-    "curve_length",
-    "curve_to_json",
-    "init_randomized",
-    "init_straight_line",
-    "second_difference",
-    "speed_profile",
-    "IterationTrace",
-    "TraceRow",
-    "absolute_error",
-    "equilibrium_residuals",
-    "geodesic_defect",
-    "lyapunov",
-    "read_trace_csv",
-    "surface_error",
-    "tangency_defect",
-    "trace_row",
-    "write_trace_csv",
-    "ConfigError",
-    "ExperimentSpec",
-    "AssumptionAReport",
-    "LevelSet",
-    "Plane",
-    "PointCloud",
-    "PointCloudFormatError",
-    "SamplingError",
-    "SingularityError",
-    "SphereQuadratic",
-    "SphereSDF",
-    "Torus",
-    "check_assumption_a",
-    "load_point_cloud",
-    "ErgodicRecord",
-    "PlanarProblem",
-    "greens_function",
-    "implicit_gamma_solve",
-    "lagrangian_eps",
-    "read_ergodic_csv",
-    "run_planar",
-    "thomas",
-    "write_ergodic_csv",
-    "DivergenceError",
-    "Scheme",
-    "SolverConfig",
-    "SolverState",
-    "run",
-    "step",
-    "step_base",
-    "step_gda",
-    "step_var1",
-    "step_var2",
-    "__version__",
-]

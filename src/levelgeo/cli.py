@@ -4,7 +4,8 @@ Subcommands: run, sweep, benchmark, compare, planar, check-surface.
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
 unusable surface or endpoints), 2 divergence of a single requested run.
-Sweeps and comparisons record divergence per value instead of failing.
+Sweeps, benchmarks and comparisons record divergence per value, pair or
+scheme instead of failing.
 
 A flat ``key = value`` config file (--config) can supply any flag of the
 chosen subcommand, with '#' comments; explicit command line flags win.
@@ -46,7 +47,6 @@ _DEFAULTS_COMMON = {
     "tau_r": 4.0,
     "seed": 0,
     "out": "out",
-    "jobs": 1,
     "record_every": 10,
     "reference": None,
 }
@@ -77,7 +77,6 @@ _CONVERTERS = {
     "m": int,
     "iters": int,
     "seed": int,
-    "jobs": int,
     "record_every": int,
     "pairs": int,
     "samples": int,
@@ -124,7 +123,6 @@ def _add_common_flags(p):
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="worker threads for batch commands")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +254,6 @@ def _experiment_spec(args) -> ExperimentSpec:
         solver=_solver_config(args),
         reference=getattr(args, "reference", None),
         out_dir=args.out,
-        jobs=args.jobs,
     )
 
 

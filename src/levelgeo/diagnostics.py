@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import schemes
 from .curve import DiscreteCurve, curve_length, second_difference
 
 __all__ = [
@@ -49,6 +50,7 @@ __all__ = [
     "tangency_defect",
     "first_difference",
     "trace_row",
+    "write_csv",
     "write_trace_csv",
     "read_trace_csv",
     "TRACE_CSV_HEADER",
@@ -71,9 +73,6 @@ class TraceRow:
     lambda_residual: float
     gamma_residual: float
     geodesic_defect: float
-    # raw max |gamma'' . gamma'| without the (1 + |gamma'|^2) normalization;
-    # kept in memory, not part of the CSV schema
-    geodesic_defect_raw: float = math.nan
 
 
 class IterationTrace:
@@ -130,12 +129,11 @@ def surface_error(state, surface) -> float:
 
 def effective_alpha(cfg) -> float:
     """Relaxation alpha implied by a config: cfg.alpha for Var2, else (1+omega)*tau_gamma."""
-    name = getattr(cfg.scheme, "value", cfg.scheme)
-    if name == "var2":
+    if cfg.scheme is schemes.Scheme.VAR2:
         return cfg.alpha
-    if name == "gda":
+    if cfg.scheme is schemes.Scheme.GDA:
         return cfg.tau_gamma
-    omega = 0.0 if name == "regularized" else cfg.omega
+    omega = 0.0 if cfg.scheme is schemes.Scheme.REGULARIZED else cfg.omega
     return (1.0 + omega) * cfg.tau_gamma
 
 
@@ -239,33 +237,37 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None) -> T
         lambda_residual=norm_l,
         gamma_residual=norm_g,
         geodesic_defect=geodesic_defect(state.curve),
-        geodesic_defect_raw=geodesic_defect(state.curve, normalized=False),
     )
 
 
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
+def _csv_field(value) -> str:
+    """One artifact CSV field: None empty, bools lowercase, ints and strings as
+    they are, other numbers as the repr of a float (exact round-trip)."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_csv(path, header: str, rows):
+    """Write header and rows, every field through _csv_field."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows([_csv_field(v) for v in row] for row in rows)
 
 
 def write_trace_csv(trace: IterationTrace, path):
     """Write the pinned CSV schema; optional columns serialize as empty fields."""
-    with open(path, "w", newline="") as fh:
-        fh.write(TRACE_CSV_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in trace:
-            writer.writerow(
-                [
-                    r.iteration,
-                    _fmt(r.length),
-                    _fmt(r.absolute_error),
-                    _fmt(r.relative_error),
-                    _fmt(r.surface_error),
-                    _fmt(r.lyapunov_J),
-                    _fmt(r.lambda_residual),
-                    _fmt(r.gamma_residual),
-                    _fmt(r.geodesic_defect),
-                ]
-            )
+    write_csv(path, TRACE_CSV_HEADER, (
+        [r.iteration, r.length, r.absolute_error, r.relative_error,
+         r.surface_error, r.lyapunov_J, r.lambda_residual, r.gamma_residual,
+         r.geodesic_defect]
+        for r in trace
+    ))
 
 
 def read_trace_csv(path) -> IterationTrace:

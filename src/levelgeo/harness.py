@@ -2,8 +2,8 @@
 
 Commands here return process exit codes: 0 for success (budget reached or
 convergence), 1 for configuration problems, 2 for divergence of a single
-requested run.  Sweeps tolerate divergence of individual values (fault
-isolation) and record it instead.
+requested run.  Sweeps, benchmarks and comparisons tolerate divergence of
+individual runs (fault isolation) and record it instead.
 
 Determinism contract: every CSV/JSON artifact is byte-identical across
 re-runs with the same inputs.  Wall-clock times therefore never enter those
@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,12 +72,6 @@ SWEEPABLE_PARAMETERS = ("epsilon", "tau_lambda", "tau_gamma", "omega", "alpha")
 
 class ConfigError(ValueError):
     """A spec or config file could not be turned into a runnable experiment."""
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
 
 
 def parse_surface(descriptor: str, points_path=None) -> LevelSet:
@@ -157,7 +150,6 @@ class ExperimentSpec:
     solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
     reference: str | float | None = None
     out_dir: str = "out"
-    jobs: int = 1
 
     def build(self):
         """Materialize (surface, p, q, reference_distance, init pair).
@@ -282,72 +274,58 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _execute(spec) -> tuple[dict, float]:
-    """Run one spec without touching the filesystem.
+def _solve(cfg, surface, init, reference):
+    """run() with divergence recorded instead of raised; touches no file.
 
-    Returns ({state, trace, init, reference, diverged}, elapsed seconds).
+    Returns (state, trace, failure, seconds): failure is the DivergenceError
+    or None, and on divergence state and trace are the last finite ones.
     """
-    surface, p, q, reference, init = spec.build()
     start = time.monotonic()
     try:
-        state, trace = run(spec.solver, surface, init, reference_distance=reference)
-        diverged = False
+        state, trace = run(cfg, surface, init, reference_distance=reference)
+        failure = None
     except DivergenceError as exc:
-        state, trace, diverged = exc.state, exc.trace, True
-    elapsed = time.monotonic() - start
-    return (
-        {
-            "state": state,
-            "trace": trace,
-            "init": init,
-            "reference": reference,
-            "diverged": diverged,
-        },
-        elapsed,
-    )
+        state, trace, failure = exc.state, exc.trace, exc
+    return state, trace, failure, time.monotonic() - start
 
 
 def cmd_run(spec) -> int:
     """Single run: writes trace.csv, curve_init.json, curve_final.json, summary.json."""
     try:
         spec.solver.validate_strict()
-        result, elapsed = _execute(spec)
+        surface, _, _, reference, init = spec.build()
+        state, trace, failure, elapsed = _solve(spec.solver, surface, init, reference)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 1
+    diverged = failure is not None
 
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    init_curve = result["init"][0]
-    (out / "curve_init.json").write_text(curve_to_json(init_curve) + "\n")
-    (out / "curve_final.json").write_text(
-        curve_to_json(result["state"].curve) + "\n"
-    )
-    diagnostics.write_trace_csv(result["trace"], out / "trace.csv")
-    _write_json(
-        out / "summary.json",
-        _summary_payload(spec, result["state"], result["trace"], result["diverged"]),
-    )
+    (out / "curve_init.json").write_text(curve_to_json(init[0]) + "\n")
+    (out / "curve_final.json").write_text(curve_to_json(state.curve) + "\n")
+    diagnostics.write_trace_csv(trace, out / "trace.csv")
+    _write_json(out / "summary.json", _summary_payload(spec, state, trace, diverged))
     with open(out / "run.log", "a") as fh:
         fh.write(
             f"{time.strftime('%Y-%m-%dT%H:%M:%S')} iterations="
-            f"{result['state'].iteration} wall_time={elapsed:.3f}s "
-            f"diverged={result['diverged']}\n"
+            f"{state.iteration} wall_time={elapsed:.3f}s "
+            f"diverged={diverged}\n"
         )
 
-    final = result["trace"].final
-    status = "diverged" if result["diverged"] else "done"
+    final = trace.final
+    status = "diverged" if diverged else "done"
     abs_part = (
         f" absolute_error={final.absolute_error:.6g}"
         if final.absolute_error is not None
         else ""
     )
     print(
-        f"{status}: {result['state'].iteration} iterations in {elapsed:.3f}s, "
+        f"{status}: {state.iteration} iterations in {elapsed:.3f}s, "
         f"length={final.length:.6g}{abs_part} "
         f"surface_error={final.surface_error:.6g} -> {out}"
     )
-    return 2 if result["diverged"] else 0
+    return 2 if diverged else 0
 
 
 def _first_positive_surface_error(trace) -> float:
@@ -376,72 +354,44 @@ def cmd_sweep(spec, parameter: str, values) -> int:
 
     out = Path(spec.out_dir)
     try:
-        specs = []
-        for value in values:
-            solver = dataclasses.replace(spec.solver, **{parameter: value})
-            sub = dataclasses.replace(
-                spec, solver=solver, out_dir=str(out / f"{parameter}={value:g}")
-            )
-            specs.append((value, sub))
-        # Build once up front so a bad base spec fails before any run starts.
-        spec.build()
+        solvers = [dataclasses.replace(spec.solver, **{parameter: value})
+                   for value in values]
+        surface, _, _, reference, init = spec.build()
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         return 1
 
-    def one(pair):
-        value, sub = pair
-        try:
-            result, elapsed = _execute(sub)
-            return value, sub, result, elapsed, None
-        except (ConfigError, ValueError) as exc:
-            return value, sub, None, 0.0, str(exc)
-
-    with ThreadPoolExecutor(max_workers=max(1, spec.jobs)) as pool:
-        outcomes = list(pool.map(one, specs))
-
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value, sub, result, elapsed, failure in outcomes:
-        if failure is not None:
-            print(f"{parameter}={value:g}: error: {failure}")
-            rows.append((value, None, None, None, True, True))
+    for value, solver in zip(values, solvers):
+        # repr, as in the value column: distinct values never share a directory
+        label = f"{parameter}={value!r}"
+        try:
+            state, trace, failure, elapsed = _solve(solver, surface, init, reference)
+        except ValueError as exc:
+            print(f"{label}: error: {exc}")
+            rows.append([value, None, None, None, True, True])
             continue
-        sub_out = Path(sub.out_dir)
+        diverged = failure is not None
+        sub_out = out / label
         sub_out.mkdir(parents=True, exist_ok=True)
-        diagnostics.write_trace_csv(result["trace"], sub_out / "trace.csv")
+        diagnostics.write_trace_csv(trace, sub_out / "trace.csv")
         _write_json(
             sub_out / "summary.json",
-            _summary_payload(sub, result["state"], result["trace"], result["diverged"]),
+            _summary_payload(dataclasses.replace(spec, solver=solver), state,
+                             trace, diverged),
         )
-        final = result["trace"].final
-        baseline = _first_positive_surface_error(result["trace"])
-        unstable = result["diverged"] or (
-            baseline > 0 and final.surface_error > baseline
-        )
-        rows.append(
-            (
-                value,
-                final.absolute_error,
-                final.relative_error,
-                final.surface_error,
-                result["diverged"],
-                unstable,
-            )
-        )
+        final = trace.final
+        baseline = _first_positive_surface_error(trace)
+        unstable = diverged or (baseline > 0 and final.surface_error > baseline)
+        rows.append([value, final.absolute_error, final.relative_error,
+                     final.surface_error, diverged, unstable])
         print(
-            f"{parameter}={value:g}: "
-            f"{'diverged' if result['diverged'] else 'done'} in {elapsed:.3f}s, "
+            f"{label}: {'diverged' if diverged else 'done'} in {elapsed:.3f}s, "
             f"surface_error={final.surface_error:.6g}"
         )
 
-    with open(out / "sweep_summary.csv", "w", newline="") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for value, abs_err, rel_err, surf_err, diverged, unstable in rows:
-            fh.write(
-                f"{value!r},{_fmt(abs_err)},{_fmt(rel_err)},{_fmt(surf_err)},"
-                f"{str(diverged).lower()},{str(unstable).lower()}\n"
-            )
+    out.mkdir(parents=True, exist_ok=True)
+    diagnostics.write_csv(out / "sweep_summary.csv", SWEEP_CSV_HEADER, rows)
     return 0
 
 
@@ -467,9 +417,11 @@ def sample_endpoint_pairs(surface, n_pairs: int, seed: int, min_angle: float = 0
 def cmd_benchmark(spec, n_pairs: int = 10, checkpoints=(100, 1000, 2000)) -> int:
     """Multi-pair sphere benchmark; writes benchmark.csv of per-checkpoint averages.
 
-    Each (pair, checkpoint) run restarts from the same init so the reported
-    wall time is honestly the cost of that iteration budget.  Times go to
-    stdout only; benchmark.csv depends only on the seed.
+    Each pair runs once, resumed from one checkpoint to the next, and the
+    time printed for a checkpoint is the average time to reach it.  A pair
+    that diverges is reported and counts only at the checkpoints it reached;
+    a checkpoint no pair reached gets empty averages.  Times go to stdout
+    only; benchmark.csv depends only on the seed.
     """
     try:
         surface = parse_surface(spec.surface, spec.points_path)
@@ -484,7 +436,8 @@ def cmd_benchmark(spec, n_pairs: int = 10, checkpoints=(100, 1000, 2000)) -> int
         print(f"error: {exc}")
         return 1
 
-    jobs = []
+    # checkpoint -> [(final trace row, seconds to reach it)] of the pairs that did
+    reached = {checkpoint: [] for checkpoint in checkpoints}
     for pair_index, (p, q) in enumerate(pairs):
         cosang = float(np.dot(p, q)) / radius**2
         d = radius * math.acos(max(-1.0, min(1.0, cosang)))
@@ -495,39 +448,38 @@ def cmd_benchmark(spec, n_pairs: int = 10, checkpoints=(100, 1000, 2000)) -> int
             )
         else:
             init = init_straight_line(p, q, spec.m)
+        done, seconds = 0, 0.0
         for checkpoint in checkpoints:
-            cfg = dataclasses.replace(spec.solver, max_iters=checkpoint,
-                                      record_every=max(1, checkpoint))
-            jobs.append((checkpoint, cfg, init, d))
+            leg = checkpoint - done
+            cfg = dataclasses.replace(spec.solver, max_iters=leg, record_every=leg)
+            state, trace, failure, elapsed = _solve(cfg, surface, init, d)
+            seconds += elapsed
+            if failure is not None:
+                print(f"pair {pair_index}: diverged at iteration "
+                      f"{done + failure.iteration}")
+                break
+            reached[checkpoint].append((trace.final, seconds))
+            init, done = (state.curve, state.multiplier), checkpoint
 
-    def one(job):
-        checkpoint, cfg, init, d = job
-        start = time.monotonic()
-        state, trace = run(cfg, surface, init, reference_distance=d)
-        return checkpoint, trace.final, time.monotonic() - start
-
-    with ThreadPoolExecutor(max_workers=max(1, spec.jobs)) as pool:
-        results = list(pool.map(one, jobs))
-
+    rows = []
+    for checkpoint, finals in reached.items():
+        if not finals:
+            rows.append([checkpoint, 0, None, None, None])
+            print(f"checkpoint {checkpoint}: n=0")
+            continue
+        avg_abs, avg_rel, avg_surf = (
+            float(np.mean([getattr(f, name) for f, _ in finals]))
+            for name in ("absolute_error", "relative_error", "surface_error")
+        )
+        rows.append([checkpoint, len(finals), avg_abs, avg_rel, avg_surf])
+        print(
+            f"checkpoint {checkpoint}: n={len(finals)} "
+            f"avg_absolute_error={avg_abs:.6g} avg_relative_error={avg_rel:.6g} "
+            f"avg_time={np.mean([t for _, t in finals]):.3f}s"
+        )
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "benchmark.csv", "w", newline="") as fh:
-        fh.write(BENCHMARK_CSV_HEADER + "\n")
-        for checkpoint in checkpoints:
-            finals = [f for c, f, _ in results if c == checkpoint]
-            times = [t for c, _, t in results if c == checkpoint]
-            avg_abs = float(np.mean([f.absolute_error for f in finals]))
-            avg_rel = float(np.mean([f.relative_error for f in finals]))
-            avg_surf = float(np.mean([f.surface_error for f in finals]))
-            fh.write(
-                f"{checkpoint},{len(finals)},{_fmt(avg_abs)},{_fmt(avg_rel)},"
-                f"{_fmt(avg_surf)}\n"
-            )
-            print(
-                f"checkpoint {checkpoint}: n={len(finals)} "
-                f"avg_absolute_error={avg_abs:.6g} avg_relative_error={avg_rel:.6g} "
-                f"avg_time={np.mean(times):.3f}s"
-            )
+    diagnostics.write_csv(out / "benchmark.csv", BENCHMARK_CSV_HEADER, rows)
     return 0
 
 
@@ -542,42 +494,26 @@ def cmd_compare_schemes(spec, schemes) -> int:
         print(f"error: {exc}")
         return 1
 
-    def one(scheme):
+    rows = []
+    for scheme in scheme_list:
         cfg = dataclasses.replace(spec.solver, scheme=scheme)
-        start = time.monotonic()
-        try:
-            state, trace = run(
-                cfg, surface, (init[0].copy(), init[1].copy()),
-                reference_distance=reference,
-            )
-            diverged = False
-        except DivergenceError as exc:
-            trace, diverged = exc.trace, True
-        return scheme, trace.final, diverged, time.monotonic() - start
-
-    with ThreadPoolExecutor(max_workers=max(1, spec.jobs)) as pool:
-        results = list(pool.map(one, scheme_list))
-
+        _, trace, failure, elapsed = _solve(cfg, surface, init, reference)
+        final, diverged = trace.final, failure is not None
+        rows.append([scheme.value, final.absolute_error, final.relative_error,
+                     final.surface_error, diverged])
+        abs_part = (
+            f"absolute_error={final.absolute_error:.6g} "
+            if final.absolute_error is not None
+            else ""
+        )
+        print(
+            f"{scheme.value}: {'diverged' if diverged else 'done'} "
+            f"in {elapsed:.3f}s {abs_part}"
+            f"surface_error={final.surface_error:.6g}"
+        )
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        fh.write(COMPARISON_CSV_HEADER + "\n")
-        for scheme, final, diverged, elapsed in results:
-            fh.write(
-                f"{scheme.value},{_fmt(final.absolute_error)},"
-                f"{_fmt(final.relative_error)},{_fmt(final.surface_error)},"
-                f"{str(diverged).lower()}\n"
-            )
-            abs_part = (
-                f"absolute_error={final.absolute_error:.6g} "
-                if final.absolute_error is not None
-                else ""
-            )
-            print(
-                f"{scheme.value}: {'diverged' if diverged else 'done'} "
-                f"in {elapsed:.3f}s {abs_part}"
-                f"surface_error={final.surface_error:.6g}"
-            )
+    diagnostics.write_csv(out / "comparison.csv", COMPARISON_CSV_HEADER, rows)
     return 0
 
 

@@ -32,17 +32,19 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .curve import DiscreteCurve, MultiplierField, init_straight_line
+from .diagnostics import write_csv
+from .levelset import Plane
 from .schemes import SolverState, DivergenceError
 
 __all__ = [
     "PlanarProblem",
     "ErgodicRecord",
-    "thomas",
     "implicit_gamma_solve",
     "greens_function",
     "run_planar",
@@ -56,41 +58,12 @@ __all__ = [
 ERGODIC_CSV_HEADER = "k,gap,bound"
 
 
-def thomas(lower, diag, upper, rhs):
-    """Solve a tridiagonal system by forward elimination and back substitution.
-
-    lower/upper have length n-1, diag length n; rhs is (n,) or (n, k).
-    No pivoting: intended for the diagonally dominant systems arising here.
-    """
-    a = np.asarray(lower, dtype=float)
-    b = np.asarray(diag, dtype=float)
-    c = np.asarray(upper, dtype=float)
-    d = np.asarray(rhs, dtype=float)
-    n = len(b)
-    if len(a) != n - 1 or len(c) != n - 1:
-        raise ValueError("off-diagonals must have length n-1")
-    if d.shape[0] != n:
-        raise ValueError("rhs length does not match the diagonal")
-    cp = np.empty(n - 1) if n > 1 else np.empty(0)
-    dp = d.copy()
-    bp = b.copy()
-    for i in range(1, n):
-        w = a[i - 1] / bp[i - 1]
-        bp[i] = b[i] - w * c[i - 1]
-        dp[i] = dp[i] - w * dp[i - 1]
-    x = np.empty_like(dp)
-    x[n - 1] = dp[n - 1] / bp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (dp[i] - c[i] * x[i + 1]) / bp[i]
-    return x
-
-
 def implicit_gamma_solve(rhs, tau_gamma: float):
     """Solve (I - tau_gamma * D^2) x = rhs with Dirichlet data rhs[0], rhs[-1].
 
     rhs is (m+1,) or (m+1, k) grid data whose first and last entries are the
     boundary values of the solution.  The system is symmetric positive
-    definite for tau_gamma > 0; solved exactly by the Thomas algorithm.
+    definite for tau_gamma > 0; solved by LAPACK's tridiagonal solver.
     """
     if not tau_gamma > 0:
         raise ValueError("tau_gamma must be positive")
@@ -105,16 +78,14 @@ def implicit_gamma_solve(rhs, tau_gamma: float):
     interior = b[1:-1].copy()
     interior[0] += c * b[0]
     interior[-1] += c * b[-1]
-    n = m - 1
-    x = thomas(
-        np.full(n - 1, -c),
-        np.full(n, 1.0 + 2.0 * c),
-        np.full(n - 1, -c),
-        interior,
-    )
+    bands = np.empty((3, m - 1))
+    bands[0] = bands[2] = -c
+    bands[1] = 1.0 + 2.0 * c
     out = np.empty_like(b)
     out[0], out[-1] = b[0], b[-1]
-    out[1:-1] = x
+    # check_finite=False: a diverging iterate must come back non-finite, not raise
+    out[1:-1] = solve_banded((1, 1), bands, interior, overwrite_b=True,
+                             check_finite=False)
     return out[:, 0] if squeeze else out
 
 
@@ -242,16 +213,6 @@ def _a_norm_sq(problem: PlanarProblem, d_lam: np.ndarray, d_gam: np.ndarray) -> 
     )
 
 
-class _PlaneField:
-    """Minimal phi(x) = a.x used for Lagrangian evaluation inside this module."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-
-    def value(self, x):
-        return np.asarray(x, dtype=float) @ self.a
-
-
 def run_planar(problem: PlanarProblem, max_iters: int, init=None, comparison=None):
     """Iterate the semi-implicit planar scheme, recording the ergodic gap.
 
@@ -284,7 +245,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None, comparison=Non
     if comparison is None:
         comparison = init_straight_line(problem.p, problem.q, problem.m)
     ref_curve, ref_mult = comparison
-    field = _PlaneField(problem.a)
+    field = Plane(problem.a)
 
     bound_base = _a_norm_sq(
         problem,
@@ -334,11 +295,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None, comparison=Non
 
 
 def write_ergodic_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(ERGODIC_CSV_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in records:
-            writer.writerow([r.k, repr(float(r.gap)), repr(float(r.bound))])
+    write_csv(path, ERGODIC_CSV_HEADER, ([r.k, r.gap, r.bound] for r in records))
 
 
 def read_ergodic_csv(path):

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .curve import DiscreteCurve, MultiplierField, curve_length
+from .curve import DiscreteCurve, MultiplierField, curve_length, second_difference
 from . import diagnostics
 
 logger = logging.getLogger(__name__)
@@ -45,10 +45,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "DivergenceError",
-    "step_gda",
-    "step_base",
-    "step_var1",
-    "step_var2",
     "step",
     "run",
 ]
@@ -137,14 +133,9 @@ class DivergenceError(RuntimeError):
         self.state = state
 
 
-def _second_diff_interior(pts: np.ndarray, m: int) -> np.ndarray:
-    return (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) * (m * m)
-
-
-def _step_arrays(pts, lam, cfg: SolverConfig, surface):
+def _step_arrays(curve: DiscreteCurve, lam, cfg: SolverConfig, surface):
     """One iteration on raw arrays; returns (new interior points, new lambda)."""
-    m = len(pts) - 1
-    interior = pts[1:-1]
+    interior = curve.interior
     phi = surface.value(interior)
     grad = surface.grad(interior)
 
@@ -165,58 +156,37 @@ def _step_arrays(pts, lam, cfg: SolverConfig, surface):
             else:
                 lam_new = lam_plus
 
-    force = -_second_diff_interior(pts, m) + lam_tilde[:, None] * grad
+    force = -second_difference(curve) + lam_tilde[:, None] * grad
     return interior - cfg.tau_gamma * force, lam_new
 
 
-def _advance(state: SolverState, cfg: SolverConfig, surface) -> SolverState:
-    pts = state.curve.points
-    new_interior, lam_new = _step_arrays(pts, state.multiplier.values, cfg, surface)
-    new_pts = pts.copy()
+def _length_cap(curve: DiscreteCurve) -> float:
+    return DIVERGENCE_LENGTH_FACTOR * max(float(np.linalg.norm(curve.q - curve.p)), 1e-6)
+
+
+def _advance(state: SolverState, cfg: SolverConfig, surface,
+             length_cap: float, trace=None) -> SolverState:
+    """The next state; DivergenceError (carrying state and trace) if it diverged."""
+    new_interior, lam_new = _step_arrays(state.curve, state.multiplier.values, cfg, surface)
+    new_pts = state.curve.points.copy()
     new_pts[1:-1] = new_interior
-    return SolverState(
+    new = SolverState(
         curve=DiscreteCurve(new_pts),
         multiplier=MultiplierField(lam_new, state.multiplier.m),
         iteration=state.iteration + 1,
     )
-
-
-def _checked_step(state, cfg, surface, expected: Scheme) -> SolverState:
-    if cfg.scheme is not expected:
-        raise ValueError(f"config selects {cfg.scheme.value}, not {expected.value}")
-    new = _advance(state, cfg, surface)
-    if not (
-        np.isfinite(new.curve.interior).all()
-        and np.isfinite(new.multiplier.values).all()
-    ):
-        raise DivergenceError(new.iteration, "non-finite value in update")
+    finite = np.isfinite(new_interior).all() and np.isfinite(lam_new).all()
+    if not finite or curve_length(new.curve) > length_cap:
+        reason = "non-finite value in update" if not finite else (
+            f"curve length exceeded {length_cap:.3g}"
+        )
+        raise DivergenceError(new.iteration, reason, trace=trace, state=state)
     return new
 
 
-def step_gda(state, cfg, surface):
-    """Plain gradient ascent-descent step (no regularization shrink)."""
-    return _checked_step(state, cfg, surface, Scheme.GDA)
-
-
-def step_base(state, cfg, surface):
-    """Regularized step with relaxation omega; omega=0 is the Regularized scheme."""
-    expected = Scheme.REGULARIZED if cfg.scheme is Scheme.REGULARIZED else Scheme.BASE_PDHG
-    return _checked_step(state, cfg, surface, expected)
-
-
-def step_var1(state, cfg, surface):
-    """Base step plus a second multiplier update; commits the re-updated value."""
-    return _checked_step(state, cfg, surface, Scheme.VAR1)
-
-
-def step_var2(state, cfg, surface):
-    """Euler-style step: lam~ = (1 - alpha eps) lam+ + alpha phi."""
-    return _checked_step(state, cfg, surface, Scheme.VAR2)
-
-
 def step(state, cfg, surface) -> SolverState:
-    """Dispatch one iteration of whichever scheme cfg selects."""
-    return _checked_step(state, cfg, surface, cfg.scheme)
+    """One iteration of whichever scheme cfg selects, with run()'s divergence check."""
+    return _advance(state, cfg, surface, _length_cap(state.curve))
 
 
 def run(cfg: SolverConfig, surface, init, reference_distance: float | None = None):
@@ -259,22 +229,9 @@ def run(cfg: SolverConfig, surface, init, reference_distance: float | None = Non
     trace = diagnostics.IterationTrace()
     trace.append(diagnostics.trace_row(state, cfg, surface, reference_distance))
 
-    length_cap = DIVERGENCE_LENGTH_FACTOR * max(
-        float(np.linalg.norm(curve0.q - curve0.p)), 1e-6
-    )
-
+    length_cap = _length_cap(curve0)
     for k in range(1, cfg.max_iters + 1):
-        new = _advance(state, cfg, surface)
-        finite = (
-            np.isfinite(new.curve.interior).all()
-            and np.isfinite(new.multiplier.values).all()
-        )
-        if not finite or curve_length(new.curve) > length_cap:
-            reason = "non-finite value in update" if not finite else (
-                f"curve length exceeded {length_cap:.3g}"
-            )
-            raise DivergenceError(k, reason, trace=trace, state=state)
-        state = new
+        state = _advance(state, cfg, surface, length_cap, trace)
         if k % cfg.record_every == 0 or k == cfg.max_iters:
             trace.append(diagnostics.trace_row(state, cfg, surface, reference_distance))
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levelgeo.cli import main
-from levelgeo.curve import curve_from_json
+from levelgeo.curve import curve_from_json, init_straight_line
 from levelgeo.diagnostics import read_trace_csv
 from levelgeo.harness import (
     ConfigError,
@@ -29,6 +29,7 @@ from levelgeo.levelset import (
     Torus,
 )
 from levelgeo.planar import read_ergodic_csv
+from levelgeo.schemes import DivergenceError, SolverConfig, run
 
 
 def write_cloud(path, n=200, seed=0):
@@ -359,6 +360,18 @@ def test_config_file_bad_value(tmp_path, capsys):
     assert "line 1" in err and "bad value 'soon'" in err
 
 
+def test_jobs_flag_and_key_are_unknown(tmp_path, capsys):
+    sweep = ["sweep", "--parameter", "epsilon", "--values", "0.01",
+             "--iters", "5", "--m", "8", "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(sweep + ["--jobs", "2"])
+    assert exc.value.code == 1
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("jobs = 2\n")
+    assert main(sweep + ["--config", str(conf)]) == 1
+    assert "unknown key 'jobs'" in capsys.readouterr().err
+
+
 def test_config_file_validates_choices(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("scheme = newton\n")
@@ -399,6 +412,22 @@ def test_sweep_artifacts_and_divergence_isolation(tmp_path, capsys):
 
     bad = json.loads((out / "tau_gamma=0.5" / "summary.json").read_text())
     assert bad["diverged"] is True
+
+
+def test_sweep_close_values_get_their_own_directories(tmp_path, capsys):
+    # both values print as 0.0123457 under {:g}; repr keeps them apart
+    out = tmp_path / "sweep"
+    rc = main(["sweep", *RUN_ARGS[1:], "--iters", "10", "--parameter", "epsilon",
+               "--values", "0.01234567,0.01234568", "--out", str(out)])
+    assert rc == 0
+    summaries = [(out / f"epsilon={v}" / "summary.json").read_text()
+                 for v in ("0.01234567", "0.01234568")]
+    assert summaries[0] != summaries[1]
+    assert [json.loads(s)["config"]["epsilon"] for s in summaries] == \
+        [0.01234567, 0.01234568]
+    stdout = capsys.readouterr().out
+    assert "epsilon=0.01234567: done" in stdout
+    assert "epsilon=0.01234568: done" in stdout
 
 
 def test_sweep_bad_parameter(tmp_path, capsys):
@@ -451,6 +480,43 @@ def test_benchmark_csv_deterministic(tmp_path):
     assert lines[2].startswith("10,2,")
     assert (out_a / "benchmark.csv").read_bytes() == \
         (out_b / "benchmark.csv").read_bytes()
+
+
+def test_benchmark_isolates_diverged_pairs(tmp_path, capsys):
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--pairs", "2", "--checkpoints", "10,50",
+               "--tau-gamma", "0.5", "--out", str(out)])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    assert "Traceback" not in stdout
+    assert [line.split(":")[0] for line in stdout.splitlines()
+            if "diverged at iteration" in line] == ["pair 0", "pair 1"]
+    assert (out / "benchmark.csv").read_text().splitlines() == [
+        "checkpoint,n_pairs,avg_absolute_error,avg_relative_error,"
+        "avg_surface_error",
+        "10,0,,,",
+        "50,0,,,",
+    ]
+
+
+def test_benchmark_counts_pairs_per_checkpoint_reached(tmp_path, capsys):
+    # at this step size pair 1 diverges between the checkpoints, the others
+    # after the last one
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--pairs", "3", "--checkpoints", "10,50",
+               "--m", "16", "--tau-gamma", "0.0025", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 0
+    p, q = sample_endpoint_pairs(SphereSDF(1.0), 3, seed=0)[1]
+    with pytest.raises(DivergenceError) as exc:
+        run(SolverConfig(tau_gamma=0.0025, max_iters=50), SphereSDF(1.0),
+            init_straight_line(p, q, 16))
+    assert 10 < exc.value.iteration <= 50
+    stdout = capsys.readouterr().out
+    assert f"pair 1: diverged at iteration {exc.value.iteration}\n" in stdout
+    assert "pair 0: diverged" not in stdout and "pair 2: diverged" not in stdout
+    rows = (out / "benchmark.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["10", "3"], ["50", "2"]]
 
 
 def test_benchmark_requires_sphere(tmp_path, capsys):

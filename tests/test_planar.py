@@ -1,4 +1,4 @@
-"""Planar-surface machinery: tridiagonal solve, kernel, ergodic gap bound.
+"""Planar-surface machinery: implicit solve, kernel, ergodic gap bound.
 
 The tolerances on the implicit solve were measured against the closed-form
 solutions before being frozen here; they sit a factor ~1.3 above the observed
@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.planar import (
@@ -24,38 +26,39 @@ from levelgeo.planar import (
     lagrangian_eps,
     read_ergodic_csv,
     run_planar,
-    thomas,
     write_ergodic_csv,
 )
 from levelgeo.levelset import Plane
 
 
-def test_thomas_matches_dense_solve():
-    rng = np.random.default_rng(2)
-    for n in (1, 2, 5, 40):
-        diag = 4.0 + rng.uniform(0, 1, n)
-        lower = rng.uniform(-1, 1, n - 1)
-        upper = rng.uniform(-1, 1, n - 1)
-        rhs = rng.normal(size=n)
-        A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        x = thomas(lower, diag, upper, rhs)
-        assert np.allclose(x, np.linalg.solve(A, rhs), atol=1e-12)
-
-
-def test_implicit_solve_satisfies_the_difference_equation():
-    rng = np.random.default_rng(3)
-    m, tau = 64, 0.02
-    rhs = rng.normal(size=m + 1)
+@settings(max_examples=50, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=80),
+    log_tau=st.floats(min_value=-6.0, max_value=2.0),
+    columns=st.sampled_from([None, 1, 3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_implicit_solve_satisfies_the_difference_equation(m, log_tau, columns, seed):
+    # (I - tau D^2) x = rhs on the interior, x = rhs on the boundary, for 1-D
+    # and (m+1, k) right-hand sides, against a dense solve of the same system
+    tau = 10.0**log_tau
+    shape = (m + 1,) if columns is None else (m + 1, columns)
+    rhs = np.random.default_rng(seed).normal(size=shape)
     x = implicit_gamma_solve(rhs, tau)
-    assert x[0] == rhs[0] and x[-1] == rhs[-1]
-    lap = (x[2:] - 2 * x[1:-1] + x[:-2]) * m * m
-    assert np.allclose(x[1:-1] - tau * lap, rhs[1:-1], atol=1e-10)
+    assert x.shape == rhs.shape
+    assert np.array_equal(x[0], rhs[0]) and np.array_equal(x[-1], rhs[-1])
 
-    # vector-valued right-hand sides solve column by column
-    rhs2 = rng.normal(size=(m + 1, 3))
-    x2 = implicit_gamma_solve(rhs2, tau)
-    for c in range(3):
-        assert np.allclose(x2[:, c], implicit_gamma_solve(rhs2[:, c], tau))
+    c = tau * m * m
+    A = (np.diag(np.full(m - 1, 1.0 + 2.0 * c))
+         + np.diag(np.full(m - 2, -c), -1) + np.diag(np.full(m - 2, -c), 1))
+    b = rhs[1:-1].copy()
+    b[0] += c * rhs[0]
+    b[-1] += c * rhs[-1]
+    scale = 1.0 + np.max(np.abs(rhs))
+    assert np.allclose(x[1:-1], np.linalg.solve(A, b), rtol=0, atol=1e-12 * scale)
+    lap = (x[2:] - 2 * x[1:-1] + x[:-2]) * m * m
+    residual = x[1:-1] - tau * lap - rhs[1:-1]
+    assert np.max(np.abs(residual)) <= 1e-12 * (1.0 + 4.0 * c) * scale
 
 
 def test_implicit_solve_validates_arguments():

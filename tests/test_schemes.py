@@ -12,10 +12,6 @@ from levelgeo.schemes import (
     SolverState,
     run,
     step,
-    step_base,
-    step_gda,
-    step_var1,
-    step_var2,
 )
 
 
@@ -84,7 +80,7 @@ def test_multiplier_stays_inside_regularization_bound():
     state = make_state(p, q, m=50, surface=surface, tau_r=3.0, seed=1)
     phi_running_max = float(np.max(np.abs(surface.value(state.curve.interior))))
     for _ in range(300):
-        state = step_base(state, cfg, surface)
+        state = step(state, cfg, surface)
         phi_running_max = max(
             phi_running_max, float(np.max(np.abs(surface.value(state.curve.interior))))
         )
@@ -108,6 +104,14 @@ def test_divergence_raises_with_context():
     assert err.state is not None and err.trace is not None
     assert np.isfinite(err.state.curve.points).all()
     assert len(err.trace) >= 1
+
+    # step() applies the same check: stepping by hand fails at the same iteration
+    state = SolverState(curve=init[0], multiplier=init[1])
+    with pytest.raises(DivergenceError) as by_step:
+        for _ in range(cfg.max_iters):
+            state = step(state, cfg, surface)
+    assert by_step.value.iteration == err.iteration
+    assert np.array_equal(by_step.value.state.curve.points, err.state.curve.points)
 
 
 def test_run_is_deterministic():
@@ -147,19 +151,6 @@ def test_trace_records_expected_iterations():
 
     _, trace0 = run(SolverConfig(max_iters=0), surface, init)
     assert [r.iteration for r in trace0] == [0]
-
-
-def test_step_dispatch_enforces_scheme():
-    surface = SphereQuadratic()
-    state = make_state(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    base_cfg = SolverConfig(scheme="base-pdhg")
-    with pytest.raises(ValueError):
-        step_gda(state, base_cfg, surface)
-    with pytest.raises(ValueError):
-        step_var1(state, base_cfg, surface)
-    with pytest.raises(ValueError):
-        step_var2(state, base_cfg, surface)
-    assert step_base(state, base_cfg, surface).iteration == 1
 
 
 def test_var1_second_update_differs_from_base():
