@@ -131,7 +131,10 @@ def second_difference(curve: DiscreteCurve, i: int | None = None):
 
 def curve_length(curve: DiscreteCurve) -> float:
     """Piecewise-linear length: sum of chord lengths."""
-    return float(np.linalg.norm(np.diff(curve.points, axis=0), axis=1).sum())
+    pts = curve.points
+    chords = pts[1:] - pts[:-1]
+    # np.linalg.norm(chords, axis=1) without its argument handling
+    return float(np.sqrt(np.add.reduce(chords * chords, axis=1)).sum())
 
 
 def speed_profile(curve: DiscreteCurve):

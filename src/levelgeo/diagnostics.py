@@ -137,26 +137,25 @@ def effective_alpha(cfg) -> float:
     return (1.0 + omega) * cfg.tau_gamma
 
 
-def _residual_fields(state, cfg, surface):
-    interior = state.curve.interior
+def _residual_terms(state, cfg, phi, grad):
+    """(norm R_lambda, norm R_gamma, J) from the field at the interior nodes;
+    J is nan outside the regime alpha*eps < 1."""
     lam = state.multiplier.values
-    phi = surface.value(interior)
-    grad = surface.grad(interior)
     alpha = effective_alpha(cfg)
     eps = cfg.epsilon
     r_lambda = -eps * lam + phi
     coeff = (1.0 - alpha * eps) * lam + alpha * phi
     r_gamma = second_difference(state.curve) - coeff[:, None] * grad
-    return r_lambda, r_gamma, alpha
+    sum_l = float(np.dot(r_lambda, r_lambda))
+    sum_g = float(np.einsum("ij,ij->", r_gamma, r_gamma))
+    dt, ae = state.curve.dt, alpha * eps
+    J = dt * sum_l + 1.0 / (1.0 - ae) * dt * sum_g if ae < 1.0 else math.nan
+    return math.sqrt(dt * sum_l), math.sqrt(dt * sum_g), J
 
 
 def equilibrium_residuals(state, cfg, surface) -> tuple[float, float]:
     """Discrete L2 norms (sqrt(dt * sum .^2)) of the two stationarity residuals."""
-    r_lambda, r_gamma, _ = _residual_fields(state, cfg, surface)
-    dt = state.curve.dt
-    norm_l = math.sqrt(dt * float(np.dot(r_lambda, r_lambda)))
-    norm_g = math.sqrt(dt * float(np.einsum("ij,ij->", r_gamma, r_gamma)))
-    return norm_l, norm_g
+    return _residual_terms(state, cfg, *surface.value_and_grad(state.curve.interior))[:2]
 
 
 def lyapunov(state, cfg, surface) -> float:
@@ -165,15 +164,11 @@ def lyapunov(state, cfg, surface) -> float:
     Raises ValueError outside the regime alpha*eps < 1 where mu is undefined
     or negative.
     """
-    r_lambda, r_gamma, alpha = _residual_fields(state, cfg, surface)
-    ae = alpha * cfg.epsilon
+    J = _residual_terms(state, cfg, *surface.value_and_grad(state.curve.interior))[2]
+    ae = effective_alpha(cfg) * cfg.epsilon
     if ae >= 1.0:
         raise ValueError(f"Lyapunov functional needs alpha*eps < 1, got {ae:g}")
-    mu = 1.0 / (1.0 - ae)
-    dt = state.curve.dt
-    return dt * float(np.dot(r_lambda, r_lambda)) + mu * dt * float(
-        np.einsum("ij,ij->", r_gamma, r_gamma)
-    )
+    return J
 
 
 def first_difference(curve: DiscreteCurve) -> np.ndarray:
@@ -222,17 +217,15 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None) -> T
         rel_err = abs_err / reference_distance
     else:
         abs_err = rel_err = None
-    norm_l, norm_g = equilibrium_residuals(state, cfg, surface)
-    try:
-        J = lyapunov(state, cfg, surface)
-    except ValueError:
-        J = math.nan
+    # one field evaluation feeds the residuals, J and the surface error
+    phi, grad = surface.value_and_grad(state.curve.interior)
+    norm_l, norm_g, J = _residual_terms(state, cfg, phi, grad)
     return TraceRow(
         iteration=state.iteration,
         length=length,
         absolute_error=abs_err,
         relative_error=rel_err,
-        surface_error=surface_error(state, surface),
+        surface_error=surface_error_values(state.multiplier.values, phi),
         lyapunov_J=J,
         lambda_residual=norm_l,
         gamma_residual=norm_g,

@@ -3,7 +3,8 @@
 Commands here return process exit codes: 0 for success (budget reached or
 convergence), 1 for configuration problems, 2 for divergence of a single
 requested run.  Sweeps, benchmarks and comparisons tolerate divergence of
-individual runs (fault isolation) and record it instead.
+individual runs (fault isolation), sweeps and comparisons a field singularity
+too, and record it instead.
 
 Determinism contract: every CSV/JSON artifact is byte-identical across
 re-runs with the same inputs.  Wall-clock times therefore never enter those
@@ -497,7 +498,12 @@ def cmd_compare_schemes(spec, schemes) -> int:
     rows = []
     for scheme in scheme_list:
         cfg = dataclasses.replace(spec.solver, scheme=scheme)
-        _, trace, failure, elapsed = _solve(cfg, surface, init, reference)
+        try:
+            _, trace, failure, elapsed = _solve(cfg, surface, init, reference)
+        except ValueError as exc:
+            print(f"{scheme.value}: error: {exc}")
+            rows.append([scheme.value, None, None, None, True])
+            continue
         final, diverged = trace.final, failure is not None
         rows.append([scheme.value, final.absolute_error, final.relative_error,
                      final.surface_error, diverged])

@@ -4,7 +4,8 @@ A surface is the zero set {x in R^3 : phi(x) = 0} of a scalar field phi.
 Every surface here exposes the field value, its gradient and its Hessian,
 which is all the curve solvers need: the constraint force is lambda * grad(phi)
 and the convergence theory constrains |grad phi|^2 and ||D^2 phi|| on a band
-around the surface.
+around the surface.  value_and_grad(x) returns phi and grad phi from one
+evaluation that shares their intermediate results.
 
 Analytic kinds
 --------------
@@ -56,6 +57,11 @@ class PointCloudFormatError(ValueError):
         self.line_number = line_number
 
 
+def _row_norms(pts):
+    """Euclidean norm of each row: np.linalg.norm(axis=1) without its argument handling."""
+    return np.sqrt(np.add.reduce(pts * pts, axis=1))
+
+
 def _as_points(x):
     """Coerce to an (n, 3) float array; report whether the input was a single point."""
     arr = np.asarray(x, dtype=float)
@@ -79,6 +85,10 @@ class LevelSet:
 
     def grad(self, x):
         """grad phi(x); vectorized like value()."""
+        return self.value_and_grad(x)[1]
+
+    def value_and_grad(self, x):
+        """(value(x), grad(x)) bit for bit, from one evaluation; raises where grad() does."""
         raise NotImplementedError
 
     def hessian(self, x):
@@ -112,10 +122,11 @@ class SphereQuadratic(LevelSet):
         out = 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2)
         return out[0] if single else out
 
-    def grad(self, x):
+    def value_and_grad(self, x):
         pts, single = _as_points(x)
-        out = pts.copy()
-        return out[0] if single else out
+        phi = 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2)
+        grad = pts.copy()
+        return (phi[0], grad[0]) if single else (phi, grad)
 
     def hessian(self, x):
         pts, single = _as_points(x)
@@ -147,20 +158,21 @@ class SphereSDF(LevelSet):
 
     def value(self, x):
         pts, single = _as_points(x)
-        out = self.radius - np.linalg.norm(pts, axis=1)
+        out = self.radius - _row_norms(pts)
         return out[0] if single else out
 
-    def grad(self, x):
+    def value_and_grad(self, x):
         pts, single = _as_points(x)
-        r = np.linalg.norm(pts, axis=1)
-        if np.any(r == 0.0):
+        r = _row_norms(pts)
+        if not r.all():
             raise SingularityError("gradient of R - |x| undefined at the origin")
-        out = -pts / r[:, None]
-        return out[0] if single else out
+        phi = self.radius - r
+        grad = -pts / r[:, None]
+        return (phi[0], grad[0]) if single else (phi, grad)
 
     def hessian(self, x):
         pts, single = _as_points(x)
-        r = np.linalg.norm(pts, axis=1)
+        r = _row_norms(pts)
         if np.any(r == 0.0):
             raise SingularityError("Hessian of R - |x| undefined at the origin")
         unit = pts / r[:, None]
@@ -205,16 +217,17 @@ class Torus(LevelSet):
         out = w - self.minor_radius
         return out[0] if single else out
 
-    def grad(self, x):
+    def value_and_grad(self, x):
         pts, single = _as_points(x)
         rho, u, w = self._parts(pts)
         if np.any(rho == 0.0) or np.any(w == 0.0):
             raise SingularityError("torus field gradient undefined on the axis or core circle")
+        phi = w - self.minor_radius
         gx = (u / w) * (pts[:, 0] / rho)
         gy = (u / w) * (pts[:, 1] / rho)
         gz = pts[:, 2] / w
-        out = np.stack([gx, gy, gz], axis=1)
-        return out[0] if single else out
+        grad = np.stack([gx, gy, gz], axis=1)
+        return (phi[0], grad[0]) if single else (phi, grad)
 
     def hessian(self, x):
         pts, single = _as_points(x)
@@ -271,10 +284,11 @@ class Plane(LevelSet):
         out = pts @ self.normal
         return out[0] if single else out
 
-    def grad(self, x):
+    def value_and_grad(self, x):
         pts, single = _as_points(x)
-        out = np.broadcast_to(self.normal, (len(pts), 3)).copy()
-        return out[0] if single else out
+        phi = pts @ self.normal
+        grad = np.broadcast_to(self.normal, (len(pts), 3)).copy()
+        return (phi[0], grad[0]) if single else (phi, grad)
 
     def hessian(self, x):
         pts, single = _as_points(x)
@@ -312,8 +326,9 @@ class PointCloud(LevelSet):
         d, _ = self._tree.query(pts)
         return d[0] if single else d
 
-    def grad(self, x):
+    def value_and_grad(self, x):
         pts, single = _as_points(x)
+        # column 0 is the distance value() gets from a one-neighbour query
         d, idx = self._tree.query(pts, k=2)
         near, second = d[:, 0], d[:, 1]
         if np.any(near == 0.0):
@@ -325,9 +340,8 @@ class PointCloud(LevelSet):
         for row in ties:
             cands = self._tree.query_ball_point(pts[row], near[row] * (1.0 + 1e-12))
             index[row] = min(cands)
-        nearest = self.points[index]
-        out = (pts - nearest) / self.value(pts)[:, None]
-        return out[0] if single else out
+        grad = (pts - self.points[index]) / near[:, None]
+        return (near[0], grad[0]) if single else (near, grad)
 
     def hessian(self, x):
         pts, single = _as_points(x)

@@ -24,6 +24,10 @@ and every gamma step is
 with all stencils read from the OLD curve (Jacobi sweep, not Gauss-Seidel)
 and the endpoints never touched.  Regularized is exactly BasePDHG with
 omega = 0 and shares its code path.
+
+step() and run() share one kernel and one divergence check.  It evaluates
+the field once per iteration (value_and_grad) and updates preallocated
+buffers in place; run() copies them into a SolverState only at record points.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curve import DiscreteCurve, MultiplierField, curve_length, second_difference
+from .curve import DiscreteCurve, MultiplierField, curve_length
 from . import diagnostics
 
 logger = logging.getLogger(__name__)
@@ -133,60 +137,78 @@ class DivergenceError(RuntimeError):
         self.state = state
 
 
-def _step_arrays(curve: DiscreteCurve, lam, cfg: SolverConfig, surface):
-    """One iteration on raw arrays; returns (new interior points, new lambda)."""
-    interior = curve.interior
-    phi = surface.value(interior)
-    grad = surface.grad(interior)
+class _Workspace:
+    """Two point and two multiplier buffers that swap after every iteration;
+    only interior rows are written, so the endpoints stay pinned."""
 
-    if cfg.scheme is Scheme.GDA:
-        lam_new = lam + cfg.tau_lambda * phi
-        lam_tilde = lam_new
-    else:
-        shrink = 1.0 / (1.0 + cfg.epsilon * cfg.tau_lambda)
-        lam_plus = (lam + cfg.tau_lambda * phi) * shrink
-        if cfg.scheme is Scheme.VAR2:
-            lam_tilde = (1.0 - cfg.alpha * cfg.epsilon) * lam_plus + cfg.alpha * phi
-            lam_new = lam_plus
+    def __init__(self, state: SolverState, cfg: SolverConfig, surface):
+        self.cfg, self.surface, self.m = cfg, surface, state.multiplier.m
+        pts, lam = state.curve.points, state.multiplier.values
+        self.buffers = [(DiscreteCurve(pts.copy()), lam.copy()),
+                        (DiscreteCurve(pts.copy()), np.empty_like(lam))]
+        self.sd, self.force = np.empty((len(lam), 3)), np.empty((len(lam), 3))
+        self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
+        self.shrink = 1.0 / (1.0 + cfg.epsilon * cfg.tau_lambda)
+        self.length_cap = DIVERGENCE_LENGTH_FACTOR * max(
+            float(np.linalg.norm(pts[-1] - pts[0])), 1e-6)
+
+    def state(self, iteration: int) -> SolverState:
+        curve, lam = self.buffers[0]
+        return SolverState(DiscreteCurve(curve.points.copy()),
+                           MultiplierField(lam.copy(), self.m), iteration)
+
+    def advance(self, iteration: int, trace=None):
+        """Step to `iteration`; on a non-finite update or a runaway curve, raise
+        DivergenceError carrying trace and the state at iteration - 1."""
+        cfg, sd, force, tilde, tmp = self.cfg, self.sd, self.force, self.tilde, self.tmp
+        (curve, lam), (new_curve, new_lam) = self.buffers
+        pts, new_interior = curve.points, new_curve.points[1:-1]
+        phi, grad = self.surface.value_and_grad(pts[1:-1])
+
+        # in place: one ufunc per operation, in the order of (lam + tau_l phi) * shrink
+        np.multiply(phi, cfg.tau_lambda, out=new_lam)
+        np.add(lam, new_lam, out=new_lam)
+        if cfg.scheme is Scheme.GDA:
+            tilde = new_lam
         else:
-            omega = 0.0 if cfg.scheme is Scheme.REGULARIZED else cfg.omega
-            lam_tilde = lam_plus + omega * (lam_plus - lam)
-            if cfg.scheme is Scheme.VAR1:
-                lam_new = (lam_tilde + cfg.tau_lambda * phi) * shrink
+            np.multiply(new_lam, self.shrink, out=new_lam)  # lam+
+            if cfg.scheme is Scheme.VAR2:
+                np.multiply(new_lam, 1.0 - cfg.alpha * cfg.epsilon, out=tilde)
+                np.multiply(phi, cfg.alpha, out=tmp)
+                np.add(tilde, tmp, out=tilde)
             else:
-                lam_new = lam_plus
+                omega = 0.0 if cfg.scheme is Scheme.REGULARIZED else cfg.omega
+                np.subtract(new_lam, lam, out=tilde)
+                np.multiply(tilde, omega, out=tilde)
+                np.add(new_lam, tilde, out=tilde)
+                if cfg.scheme is Scheme.VAR1:  # commit lam_bar
+                    np.multiply(phi, cfg.tau_lambda, out=new_lam)
+                    np.add(tilde, new_lam, out=new_lam)
+                    np.multiply(new_lam, self.shrink, out=new_lam)
 
-    force = -second_difference(curve) + lam_tilde[:, None] * grad
-    return interior - cfg.tau_gamma * force, lam_new
+        np.multiply(pts[1:-1], 2.0, out=sd)  # second difference
+        np.subtract(pts[2:], sd, out=sd)
+        np.add(sd, pts[:-2], out=sd)
+        np.multiply(sd, self.m**2, out=sd)
+        # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
+        np.multiply(tilde[:, None], grad, out=force)
+        np.subtract(force, sd, out=force)
+        np.multiply(force, cfg.tau_gamma, out=force)
+        np.subtract(pts[1:-1], force, out=new_interior)
 
-
-def _length_cap(curve: DiscreteCurve) -> float:
-    return DIVERGENCE_LENGTH_FACTOR * max(float(np.linalg.norm(curve.q - curve.p)), 1e-6)
-
-
-def _advance(state: SolverState, cfg: SolverConfig, surface,
-             length_cap: float, trace=None) -> SolverState:
-    """The next state; DivergenceError (carrying state and trace) if it diverged."""
-    new_interior, lam_new = _step_arrays(state.curve, state.multiplier.values, cfg, surface)
-    new_pts = state.curve.points.copy()
-    new_pts[1:-1] = new_interior
-    new = SolverState(
-        curve=DiscreteCurve(new_pts),
-        multiplier=MultiplierField(lam_new, state.multiplier.m),
-        iteration=state.iteration + 1,
-    )
-    finite = np.isfinite(new_interior).all() and np.isfinite(lam_new).all()
-    if not finite or curve_length(new.curve) > length_cap:
-        reason = "non-finite value in update" if not finite else (
-            f"curve length exceeded {length_cap:.3g}"
-        )
-        raise DivergenceError(new.iteration, reason, trace=trace, state=state)
-    return new
+        finite = np.isfinite(new_interior).all() and np.isfinite(new_lam).all()
+        if not finite or curve_length(new_curve) > self.length_cap:
+            reason = (f"curve length exceeded {self.length_cap:.3g}" if finite
+                      else "non-finite value in update")
+            raise DivergenceError(iteration, reason, trace, self.state(iteration - 1))
+        self.buffers.reverse()
 
 
 def step(state, cfg, surface) -> SolverState:
     """One iteration of whichever scheme cfg selects, with run()'s divergence check."""
-    return _advance(state, cfg, surface, _length_cap(state.curve))
+    work = _Workspace(state, cfg, surface)
+    work.advance(state.iteration + 1)
+    return work.state(state.iteration + 1)
 
 
 def run(cfg: SolverConfig, surface, init, reference_distance: float | None = None):
@@ -229,10 +251,11 @@ def run(cfg: SolverConfig, surface, init, reference_distance: float | None = Non
     trace = diagnostics.IterationTrace()
     trace.append(diagnostics.trace_row(state, cfg, surface, reference_distance))
 
-    length_cap = _length_cap(curve0)
+    work = _Workspace(state, cfg, surface)
     for k in range(1, cfg.max_iters + 1):
-        state = _advance(state, cfg, surface, length_cap, trace)
+        work.advance(k, trace)
         if k % cfg.record_every == 0 or k == cfg.max_iters:
+            state = work.state(k)
             trace.append(diagnostics.trace_row(state, cfg, surface, reference_distance))
 
     return state, trace

@@ -546,6 +546,21 @@ def test_compare_schemes_csv(tmp_path):
     assert all(row.split(",")[4] == "false" for row in lines[1:])
 
 
+def test_compare_records_a_singularity_per_scheme(tmp_path, capsys):
+    # the default straight chord between the poles puts node m/2 on the
+    # origin, where the gradient of R - |x| is undefined
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--m", "16", "--iters", "20", "--out", str(out)])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    lines = (out / "comparison.csv").read_text().splitlines()
+    assert lines[1:] == [f"{scheme},,,,true"
+                         for scheme in ("base-pdhg", "var1", "var2")]
+    for scheme in ("base-pdhg", "var1", "var2"):
+        assert (f"{scheme}: error: gradient of R - |x| undefined at the origin"
+                in stdout)
+
+
 def test_compare_unknown_scheme(tmp_path, capsys):
     rc = main(["compare", "--schemes", "gda,fancy", "--m", "8",
                "--iters", "5", "--out", str(tmp_path / "out")])

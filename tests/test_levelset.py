@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from levelgeo.levelset import (
     LevelSet,
@@ -301,3 +304,112 @@ def test_point_cloud_hessian_flagged_approximate():
     cloud = PointCloud(rng.normal(size=(50, 3)))
     assert cloud.hessian_is_approximate
     assert not SphereSDF().hessian_is_approximate
+
+
+# ------------------------------------------------------------ value_and_grad
+
+FIELDS = ANALYTIC_SURFACES + [
+    PointCloud(np.random.default_rng(5).normal(size=(60, 3))),
+]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(method, x):
+    """method(x), or the message of the SingularityError it raised."""
+    try:
+        return method(x)
+    except SingularityError as exc:
+        return str(exc)
+
+
+def reference_value_and_grad(field, x):
+    """phi and grad phi by the formulas value() and grad() used before the two
+    were fused, one field query each (SingularityError where grad raised)."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    if isinstance(field, SphereQuadratic):
+        phi = 0.5 * (np.einsum("ij,ij->i", pts, pts) - field.radius**2)
+        grad = pts.copy()
+    elif isinstance(field, SphereSDF):
+        phi = field.radius - np.linalg.norm(pts, axis=1)
+        r = np.linalg.norm(pts, axis=1)
+        if np.any(r == 0.0):
+            raise SingularityError("gradient of R - |x| undefined at the origin")
+        grad = -pts / r[:, None]
+    elif isinstance(field, Torus):
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        u = rho - field.major_radius
+        w = np.hypot(u, pts[:, 2])
+        phi = w - field.minor_radius
+        if np.any(rho == 0.0) or np.any(w == 0.0):
+            raise SingularityError(
+                "torus field gradient undefined on the axis or core circle")
+        grad = np.stack([(u / w) * (pts[:, 0] / rho), (u / w) * (pts[:, 1] / rho),
+                         pts[:, 2] / w], axis=1)
+    elif isinstance(field, Plane):
+        phi = pts @ field.normal
+        grad = np.broadcast_to(field.normal, (len(pts), 3)).copy()
+    else:
+        phi, _ = field._tree.query(pts)
+        d, idx = field._tree.query(pts, k=2)
+        near, second = d[:, 0], d[:, 1]
+        if np.any(near == 0.0):
+            raise SingularityError("distance gradient undefined at a cloud point")
+        index = idx[:, 0].copy()
+        for row in np.nonzero(second - near <= 1e-12 * (1.0 + near))[0]:
+            index[row] = min(field._tree.query_ball_point(
+                pts[row], near[row] * (1.0 + 1e-12)))
+        grad = (pts - field.points[index]) / field._tree.query(pts)[0][:, None]
+    return (phi[0], grad[0]) if np.ndim(x) == 1 else (phi, grad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS),
+    pts=arrays(float, st.tuples(st.integers(1, 12), st.just(3)),
+               elements=st.floats(-3.0, 3.0)),
+    single=st.booleans(),
+)
+def test_value_and_grad_equals_value_and_grad_calls(field, pts, single):
+    x = pts[0] if single else pts
+    fused, grad = outcome(field.value_and_grad, x), outcome(field.grad, x)
+    if isinstance(grad, str):
+        assert fused == grad
+        return
+    phi, g = fused
+    assert same_bits(phi, field.value(x))
+    assert same_bits(g, grad)
+    ref_phi, ref_g = reference_value_and_grad(field, x)
+    assert same_bits(phi, ref_phi)
+    assert same_bits(g, ref_g)
+
+
+@pytest.mark.parametrize("field, x", [
+    (SphereSDF(), [0.0, 0.0, 0.0]),
+    (Torus(), [0.0, 0.0, 0.5]),
+    (FIELDS[-1], FIELDS[-1].points[7]),
+], ids=["sphere-origin", "torus-axis", "cloud-sample"])
+def test_value_and_grad_raises_where_grad_does(field, x):
+    batch = np.array([[0.3, -1.1, 0.4], x])
+    for probe in (np.asarray(x), batch):
+        with pytest.raises(SingularityError) as by_grad:
+            field.grad(probe)
+        with pytest.raises(SingularityError) as fused:
+            field.value_and_grad(probe)
+        assert str(fused.value) == str(by_grad.value)
+
+
+@pytest.mark.parametrize("first", [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+def test_point_cloud_value_and_grad_breaks_exact_ties_to_lowest_index(first):
+    # the query is equidistant from samples 0 and 3, in either order
+    pts = np.array([first, [5.0, 5.0, 5.0], [-5.0, 5.0, 5.0],
+                    [-first[0], 0.0, 0.0]])
+    cloud = PointCloud(pts)
+    x = np.array([0.0, 2.0, 0.0])
+    phi, g = cloud.value_and_grad(x)
+    assert phi == np.sqrt(5.0)
+    assert np.allclose(g, (x - pts[0]) / np.sqrt(5.0))
+    assert same_bits(g, cloud.grad(x))

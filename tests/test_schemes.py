@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from levelgeo import schemes
 from levelgeo.curve import init_randomized, init_straight_line
 from levelgeo.levelset import Plane, SphereQuadratic, SphereSDF
 from levelgeo.schemes import (
@@ -195,3 +198,77 @@ def test_state_validates_resolution_match():
 
     with pytest.raises(ValueError):
         SolverState(curve=curve, multiplier=MultiplierField.zeros(20))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    m=st.integers(2, 60),
+    courant=st.floats(0.01, 0.4),
+    n=st.integers(0, 30),
+    record_every=st.integers(1, 10),
+    seed=st.integers(0, 1000),
+    diverge=st.booleans(),
+)
+def test_run_equals_chained_steps(scheme, m, courant, n, record_every, seed,
+                                  diverge):
+    # tau_gamma = courant / m^2 is inside the explicit stability limit
+    # 1 / (2 m^2); tau_gamma = 0.5 is far outside it for every m >= 2
+    surface = SphereQuadratic()
+    p = np.array([0.0, 0.0, 1.0])
+    q = np.array([1.0, 0.0, 0.0])
+    init = init_randomized(p, q, m, surface, tau_r=1.0, seed=seed)
+    init_points = init[0].points.copy()
+    cfg = SolverConfig(scheme=scheme, tau_gamma=0.5 if diverge else courant / m**2,
+                       max_iters=200 if diverge else n, record_every=record_every)
+
+    try:
+        by_run, run_error = run(cfg, surface, init)[0], None
+    except DivergenceError as exc:
+        by_run, run_error = exc.state, exc
+    by_step, step_error = SolverState(curve=init[0], multiplier=init[1]), None
+    try:
+        for _ in range(cfg.max_iters):
+            by_step = step(by_step, cfg, surface)
+    except DivergenceError as exc:
+        by_step, step_error = exc.state, exc
+
+    assert (run_error is not None) == diverge
+    assert (step_error is not None) == diverge
+    if diverge:
+        assert run_error.iteration == step_error.iteration
+        assert str(run_error) == str(step_error)
+        assert by_run.iteration == run_error.iteration - 1
+    assert by_run.iteration == by_step.iteration
+    assert np.array_equal(by_run.curve.points, by_step.curve.points)
+    assert np.array_equal(by_run.multiplier.values, by_step.multiplier.values)
+    for state in (by_run, by_step):
+        assert np.array_equal(state.curve.p, p)
+        assert np.array_equal(state.curve.q, q)
+    assert np.array_equal(init[0].points, init_points)
+
+
+def test_run_builds_states_only_at_record_points(monkeypatch):
+    # the loop steps on preallocated buffers: states are built for the
+    # initial row, at record points and for the return, never per iteration
+    built = {"DiscreteCurve": 0, "SolverState": 0}
+    for name in built:
+        cls = getattr(schemes, name)
+
+        def counted(*args, _cls=cls, _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, name, counted)
+
+    surface = SphereQuadratic()
+    init = init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                           30, surface, tau_r=1.0, seed=0)
+    counts = []
+    for iters in (1000, 2000):
+        built.update(dict.fromkeys(built, 0))
+        run(SolverConfig(max_iters=iters, record_every=iters // 2), surface, init)
+        counts.append(dict(built))
+    assert counts[0] == counts[1]
+    assert counts[0]["DiscreteCurve"] <= 4
+    assert counts[0]["SolverState"] <= 3
