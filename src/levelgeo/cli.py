@@ -7,84 +7,43 @@ unusable surface or endpoints), 2 divergence of a single requested run.
 Sweeps, benchmarks and comparisons record divergence per value, pair or
 scheme instead of failing.
 
-A flat ``key = value`` config file (--config) can supply any flag of the
-chosen subcommand, with '#' comments; explicit command line flags win.
+Each flag is declared once, with its type, choices and default (the
+library's, where it has one); ``levelgeo CMD --help`` lists the defaults.
+A flat ``key = value`` config file (--config, '#' comments) can set any flag
+of the chosen subcommand: each value goes through the action of the flag it
+names (true or false for a switch) and becomes that flag's default, so
+explicit flags still win.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import __version__, harness
-from .harness import ConfigError, ExperimentSpec
+from .harness import INIT_KINDS, SWEEPABLE_PARAMETERS, ConfigError, ExperimentSpec
 from .planar import PlanarProblem
-from .schemes import SolverConfig
+from .schemes import Scheme, SolverConfig
 
-__all__ = ["main", "build_parser"]
-
-_SCHEME_CHOICES = ("gda", "regularized", "base-pdhg", "var1", "var2")
-_INIT_CHOICES = ("straight", "randomized")
-
-# Hard defaults, applied after config-file merging so that file values
-# override them and explicit flags override the file.
-_DEFAULTS_COMMON = {
-    "surface": "sphere-sdf",
-    "points": None,
-    "p": "antipodal-z",
-    "q": "antipodal-z",
-    "scheme": "base-pdhg",
-    "tau_gamma": 1e-5,
-    "tau_lambda": 0.7,
-    "epsilon": 0.01,
-    "omega": 1.0,
-    "alpha": 1.0,
-    "m": 100,
-    "iters": 5000,
-    "init": "straight",
-    "tau_r": 4.0,
-    "seed": 0,
-    "out": "out",
-    "record_every": 10,
-    "reference": None,
-}
-_DEFAULTS_BY_COMMAND = {
-    "benchmark": {"pairs": 10, "checkpoints": "100,1000,2000"},
-    "compare": {"schemes": "base-pdhg,var1,var2"},
-    "planar": {
-        "a": "1,0,0",
-        "p": "0,0,0",
-        "q": "0,1,0",
-        "tau_gamma": 0.01,
-        "tau_lambda": 0.7,
-        "epsilon": 0.01,
-        "m": 100,
-        "iters": 16384,
-    },
-    "check-surface": {"band": 0.25, "samples": 20000},
-}
-
-_CONVERTERS = {
-    "tau_gamma": float,
-    "tau_lambda": float,
-    "epsilon": float,
-    "omega": float,
-    "alpha": float,
-    "tau_r": float,
-    "band": float,
-    "m": int,
-    "iters": int,
-    "seed": int,
-    "record_every": int,
-    "pairs": int,
-    "samples": int,
-}
+__all__ = ["main", "build_parser", "parse_args"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits bad usage with status 2; here that is a config error (1)."""
+    """Lists defaults in --help, keeps each flag's action in ``options`` by
+    dest, and exits bad usage with 1 (a config error) instead of 2."""
+
+    def __init__(self, **kwargs):
+        self.options = {}
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                         **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -92,169 +51,171 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_surface_flags(p):
-    p.add_argument("--surface", help="sphere-sdf[:R], sphere-quadratic[:R], "
+    p.add_argument("--surface", default=ExperimentSpec.surface,
+                   help="sphere-sdf[:R], sphere-quadratic[:R], "
                    "torus[:R,r], plane[:ax,ay,az], or point-cloud")
-    p.add_argument("--points", help="point cloud file (x y z per line)")
+    p.add_argument("--points", default=ExperimentSpec.points_path,
+                   help="point cloud file (x y z per line)")
 
 
-def _add_solver_flags(p):
-    p.add_argument("--scheme", choices=_SCHEME_CHOICES)
-    p.add_argument("--tau-gamma", type=float, dest="tau_gamma")
-    p.add_argument("--tau-lambda", type=float, dest="tau_lambda")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m", type=int, help="curve resolution (m+1 nodes)")
-    p.add_argument("--iters", type=int, help="iteration budget")
-    p.add_argument("--record-every", type=int, dest="record_every")
+def _add_step_flags(p, lib, m):
+    """Step sizes and regularization with lib's defaults, and --m."""
+    p.add_argument("--tau-gamma", type=float, default=lib.tau_gamma,
+                   help="curve step size")
+    p.add_argument("--tau-lambda", type=float, default=lib.tau_lambda,
+                   help="multiplier step size")
+    p.add_argument("--epsilon", type=float, default=lib.epsilon,
+                   help="multiplier regularization")
+    p.add_argument("--m", type=int, default=m, help="curve resolution (m+1 nodes)")
 
 
-def _add_endpoint_flags(p):
-    p.add_argument("--p", help="start point x,y,z (or antipodal-z)")
-    p.add_argument("--q", help="end point x,y,z (or antipodal-z)")
-    p.add_argument("--init", choices=_INIT_CHOICES)
-    p.add_argument("--tau-r", type=float, dest="tau_r",
+def _add_problem_flags(p):
+    """The flags of run, sweep, benchmark and compare."""
+    p.add_argument("--out", default=ExperimentSpec.out_dir, help="output directory")
+    p.add_argument("--seed", type=int, default=ExperimentSpec.seed,
+                   help="seed of the randomized init and the endpoint pairs")
+    _add_surface_flags(p)
+    p.add_argument("--scheme", choices=[s.value for s in Scheme],
+                   default=SolverConfig.scheme.value, help="primal-dual scheme")
+    _add_step_flags(p, SolverConfig, ExperimentSpec.m)
+    p.add_argument("--omega", type=float, default=SolverConfig.omega,
+                   help="extrapolation weight (base-pdhg, var1)")
+    p.add_argument("--alpha", type=float, default=SolverConfig.alpha,
+                   help="constraint weight (var2)")
+    p.add_argument("--init", choices=INIT_KINDS, default=ExperimentSpec.init,
+                   help="initial curve")
+    p.add_argument("--tau-r", type=float, default=ExperimentSpec.tau_r,
                    help="randomized init bump amplitude")
-    p.add_argument("--reference",
+
+
+def _add_run_flags(p):
+    """The flags of run, sweep and compare that benchmark has no use for."""
+    p.add_argument("--iters", type=int, default=SolverConfig.max_iters,
+                   help="iteration budget")
+    p.add_argument("--record-every", type=int, default=SolverConfig.record_every,
+                   help="iterations between trace rows")
+    p.add_argument("--p", default=ExperimentSpec.p,
+                   help="start point x,y,z (or antipodal-z)")
+    p.add_argument("--q", default=ExperimentSpec.q,
+                   help="end point x,y,z (or antipodal-z)")
+    p.add_argument("--reference", default=ExperimentSpec.reference,
                    help="reference distance: a number, sphere-exact, or none")
 
 
-def _add_common_flags(p):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
+    """The levelgeo parser; its ``commands`` maps each subcommand to its parser."""
     parser = _Parser(prog="levelgeo",
                      description="Geodesics on implicit surfaces by "
                                  "relaxed primal-dual iteration.")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    parser.commands = sub.choices
 
-    p_run = sub.add_parser("run", help="single solver run with full artifacts")
-    for add in (_add_common_flags, _add_surface_flags, _add_solver_flags,
-                _add_endpoint_flags):
-        add(p_run)
+    def command(name, help, *add_flags):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="flat key = value config file")
+        for add in add_flags:
+            add(p)
+        return p
 
-    p_sweep = sub.add_parser("sweep", help="repeat a run across one parameter")
-    for add in (_add_common_flags, _add_surface_flags, _add_solver_flags,
-                _add_endpoint_flags):
-        add(p_sweep)
-    p_sweep.add_argument("--parameter", required=True,
-                         help="one of epsilon, tau_lambda, tau_gamma, omega, alpha")
-    p_sweep.add_argument("--values", required=True,
-                         help="comma separated parameter values")
+    command("run", "single solver run with full artifacts",
+            _add_problem_flags, _add_run_flags)
 
-    p_bench = sub.add_parser("benchmark",
-                             help="averaged errors over random sphere endpoint pairs")
-    for add in (_add_common_flags, _add_surface_flags, _add_solver_flags):
-        add(p_bench)
-    p_bench.add_argument("--init", choices=_INIT_CHOICES)
-    p_bench.add_argument("--tau-r", type=float, dest="tau_r")
-    p_bench.add_argument("--pairs", type=int, help="number of endpoint pairs")
-    p_bench.add_argument("--checkpoints",
+    p_sweep = command("sweep", "repeat a run across one parameter",
+                      _add_problem_flags, _add_run_flags)
+    p_sweep.add_argument("--parameter",
+                         help=f"one of {', '.join(SWEEPABLE_PARAMETERS)}")
+    p_sweep.add_argument("--values", help="comma separated parameter values")
+
+    p_bench = command("benchmark",
+                      "averaged errors over random sphere endpoint pairs",
+                      _add_problem_flags)
+    p_bench.add_argument("--pairs", type=int, default=10,
+                         help="number of endpoint pairs")
+    p_bench.add_argument("--checkpoints", default="100,1000,2000",
                          help="comma separated iteration budgets")
 
-    p_cmp = sub.add_parser("compare", help="same problem, several schemes")
-    for add in (_add_common_flags, _add_surface_flags, _add_solver_flags,
-                _add_endpoint_flags):
-        add(p_cmp)
-    p_cmp.add_argument("--schemes", help="comma separated scheme names")
+    p_cmp = command("compare", "same problem, several schemes",
+                    _add_problem_flags, _add_run_flags)
+    p_cmp.add_argument("--schemes", default="base-pdhg,var1,var2",
+                       help="comma separated scheme names")
 
-    p_planar = sub.add_parser("planar",
-                              help="plane-constraint model problem with the "
-                                   "ergodic gap bound")
-    _add_common_flags(p_planar)
-    p_planar.add_argument("--a", help="plane normal ax,ay,az")
-    p_planar.add_argument("--p", help="start point x,y,z in the plane")
-    p_planar.add_argument("--q", help="end point x,y,z in the plane")
-    p_planar.add_argument("--tau-gamma", type=float, dest="tau_gamma")
-    p_planar.add_argument("--tau-lambda", type=float, dest="tau_lambda")
-    p_planar.add_argument("--epsilon", type=float)
-    p_planar.add_argument("--m", type=int)
-    p_planar.add_argument("--iters", type=int)
+    p_planar = command("planar", "plane-constraint model problem with the "
+                                 "ergodic gap bound")
+    p_planar.add_argument("--out", default=ExperimentSpec.out_dir,
+                          help="output directory")
+    p_planar.add_argument("--a", default="1,0,0", help="plane normal ax,ay,az")
+    p_planar.add_argument("--p", default="0,0,0",
+                          help="start point x,y,z in the plane")
+    p_planar.add_argument("--q", default="0,1,0",
+                          help="end point x,y,z in the plane")
+    _add_step_flags(p_planar, PlanarProblem, PlanarProblem.m)
+    p_planar.add_argument("--iters", type=int, default=16384,
+                          help="iteration budget")
     p_planar.add_argument("--saddle-init", action="store_true",
                           help="start exactly at the saddle instead of the "
                                "default perturbed curve")
 
-    p_chk = sub.add_parser("check-surface",
-                           help="sample a band around the surface and check "
-                                "the gradient/curvature assumptions")
-    _add_common_flags(p_chk)
-    _add_surface_flags(p_chk)
-    p_chk.add_argument("--band", type=float, help="band half width")
-    p_chk.add_argument("--samples", type=int, help="band sample count")
+    p_chk = command("check-surface", "sample a band around the surface and "
+                                     "check the gradient/curvature assumptions",
+                    _add_surface_flags)
+    p_chk.add_argument("--seed", type=int, default=ExperimentSpec.seed,
+                       help="band sampling seed")
+    p_chk.add_argument("--band", type=float, default=0.25, help="band half width")
+    p_chk.add_argument("--samples", type=int, default=20000,
+                       help="band sample count")
 
     return parser
 
 
-def _merge_config(args) -> None:
-    """Fill unset flags from --config, then hard defaults.  Mutates args."""
-    ns = vars(args)
+def _config_defaults(command: _Parser, name: str, path) -> dict:
+    """The entries of config file `path`, each parsed by the flag it names."""
+    defaults = {}
+    for key, (text, line) in harness.parse_config_file(path).items():
+        where = f"{path}: line {line}"
+        action = command.options.get(key)
+        if action is None or key in ("help", "config"):
+            raise ConfigError(f"{where}: unknown key {key!r} for command {name}")
+        try:
+            if action.nargs == 0:  # a store_true switch
+                value = {"true": True, "false": False}[text.lower()]
+            else:
+                value = action.type(text) if action.type else text
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}: bad value {text!r} for {key}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(
+                f"{where}: {key} must be one of {', '.join(action.choices)}")
+        defaults[key] = value
+    return defaults
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv; a --config file's entries become the subcommand's defaults.
+
+    Raises ConfigError for an unknown key or a bad value in that file.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        entries = harness.parse_config_file(args.config)
-        for key, (text, line) in entries.items():
-            if key not in ns or key in ("config", "command"):
-                raise ConfigError(
-                    f"{args.config}: line {line}: unknown key {key!r} "
-                    f"for command {args.command}"
-                )
-            if ns[key] is not None:
-                continue  # explicit flag wins
-            conv = _CONVERTERS.get(key, str)
-            try:
-                value = conv(text)
-            except ValueError:
-                raise ConfigError(
-                    f"{args.config}: line {line}: bad value {text!r} for {key}"
-                ) from None
-            if key == "scheme" and value not in _SCHEME_CHOICES:
-                raise ConfigError(
-                    f"{args.config}: line {line}: scheme must be one of "
-                    f"{', '.join(_SCHEME_CHOICES)}"
-                )
-            if key == "init" and value not in _INIT_CHOICES:
-                raise ConfigError(
-                    f"{args.config}: line {line}: init must be one of "
-                    f"{', '.join(_INIT_CHOICES)}"
-                )
-            ns[key] = value
-    defaults = dict(_DEFAULTS_COMMON)
-    defaults.update(_DEFAULTS_BY_COMMAND.get(args.command, {}))
-    for key, value in defaults.items():
-        if key in ns and ns[key] is None:
-            ns[key] = value
+        command = parser.commands[args.command]
+        command.set_defaults(**_config_defaults(command, args.command, args.config))
+        args = parser.parse_args(argv)
+    return args
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        scheme=args.scheme,
-        tau_gamma=args.tau_gamma,
-        tau_lambda=args.tau_lambda,
-        epsilon=args.epsilon,
-        omega=args.omega,
-        alpha=args.alpha,
-        max_iters=args.iters,
-        record_every=args.record_every,
-    )
+def _fields(cls, args, **dests) -> dict:
+    """Dataclass cls's fields set by a flag of args (its own name, or dests[name])."""
+    ns = vars(args)
+    return {f.name: ns[dests.get(f.name, f.name)] for f in dataclasses.fields(cls)
+            if dests.get(f.name, f.name) in ns}
 
 
 def _experiment_spec(args) -> ExperimentSpec:
-    return ExperimentSpec(
-        surface=args.surface,
-        points_path=args.points,
-        p=getattr(args, "p", "antipodal-z"),
-        q=getattr(args, "q", "antipodal-z"),
-        m=args.m,
-        init=args.init,
-        tau_r=args.tau_r,
-        seed=args.seed,
-        solver=_solver_config(args),
-        reference=getattr(args, "reference", None),
-        out_dir=args.out,
-    )
+    solver = SolverConfig(**_fields(SolverConfig, args, max_iters="iters"))
+    return ExperimentSpec(solver=solver, **_fields(
+        ExperimentSpec, args, points_path="points", out_dir="out"))
 
 
 def _float_list(text: str, flag: str):
@@ -273,16 +234,16 @@ def _vector3(text: str, flag: str) -> np.ndarray:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 1
     try:
-        _merge_config(args)
+        args = parse_args(argv)
+        if args.command is None:
+            build_parser().print_help()
+            return 1
         if args.command == "run":
             return harness.cmd_run(_experiment_spec(args))
         if args.command == "sweep":
+            if args.parameter is None or args.values is None:
+                raise ConfigError("sweep needs --parameter and --values")
             parameter = args.parameter.replace("-", "_")
             values = _float_list(args.values, "--values")
             return harness.cmd_sweep(_experiment_spec(args), parameter, values)
@@ -296,15 +257,8 @@ def main(argv=None) -> int:
             schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
             return harness.cmd_compare_schemes(_experiment_spec(args), schemes)
         if args.command == "planar":
-            problem = PlanarProblem(
-                a=_vector3(args.a, "--a"),
-                p=_vector3(args.p, "--p"),
-                q=_vector3(args.q, "--q"),
-                m=args.m,
-                tau_gamma=args.tau_gamma,
-                tau_lambda=args.tau_lambda,
-                epsilon=args.epsilon,
-            )
+            vectors = {k: _vector3(getattr(args, k), f"--{k}") for k in ("a", "p", "q")}
+            problem = PlanarProblem(**{**_fields(PlanarProblem, args), **vectors})
             return harness.cmd_planar(problem, args.iters, args.out,
                                       perturbed=not args.saddle_init)
         if args.command == "check-surface":

@@ -69,6 +69,7 @@ COMPARISON_CSV_HEADER = (
 )
 
 SWEEPABLE_PARAMETERS = ("epsilon", "tau_lambda", "tau_gamma", "omega", "alpha")
+INIT_KINDS = ("straight", "randomized")
 
 
 class ConfigError(ValueError):
@@ -142,7 +143,7 @@ class ExperimentSpec:
 
     surface: str = "sphere-sdf"
     points_path: str | None = None
-    p: str = "0,0,1"
+    p: str = "antipodal-z"
     q: str = "antipodal-z"
     m: int = 100
     init: str = "straight"
@@ -163,8 +164,8 @@ class ExperimentSpec:
         q = parse_point(self.q, surface, role="q")
         if self.m < 2:
             raise ConfigError(f"m must be at least 2, got {self.m}")
-        if self.init not in ("straight", "randomized"):
-            raise ConfigError(f"init must be straight or randomized, got {self.init!r}")
+        if self.init not in INIT_KINDS:
+            raise ConfigError(f"init must be one of {', '.join(INIT_KINDS)}, got {self.init!r}")
         if not isinstance(surface, PointCloud):
             for name, pt in (("p", p), ("q", q)):
                 off = abs(float(surface.value(pt)))
@@ -415,7 +416,7 @@ def sample_endpoint_pairs(surface, n_pairs: int, seed: int, min_angle: float = 0
     return pairs
 
 
-def cmd_benchmark(spec, n_pairs: int = 10, checkpoints=(100, 1000, 2000)) -> int:
+def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
     """Multi-pair sphere benchmark; writes benchmark.csv of per-checkpoint averages.
 
     Each pair runs once, resumed from one checkpoint to the next, and the
@@ -568,8 +569,8 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
     return 0
 
 
-def cmd_check_surface(surface_desc: str, points_path=None, band: float = 0.25,
-                      n_samples: int = 20000, seed: int = 0) -> int:
+def cmd_check_surface(surface_desc: str, points_path, band: float,
+                      n_samples: int, seed: int) -> int:
     """Print the band-sampling report for the convergence assumptions."""
     try:
         surface = parse_surface(surface_desc, points_path)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from levelgeo.cli import main
+from levelgeo.cli import build_parser, main, parse_args
 from levelgeo.curve import curve_from_json, init_straight_line
 from levelgeo.diagnostics import read_trace_csv
 from levelgeo.harness import (
@@ -175,6 +175,12 @@ def test_spec_build_validation():
         ExperimentSpec(m=1).build()
     with pytest.raises(ConfigError, match="init must be"):
         ExperimentSpec(init="zigzag").build()
+
+
+def test_spec_default_endpoints_are_antipodal_on_any_sphere():
+    _, p, q, _, _ = ExperimentSpec(surface="sphere-sdf:2").build()
+    assert np.array_equal(p, [0.0, 0.0, 2.0])
+    assert np.array_equal(q, [0.0, 0.0, -2.0])
 
 
 def test_spec_build_rejects_off_surface_endpoint():
@@ -360,16 +366,81 @@ def test_config_file_bad_value(tmp_path, capsys):
     assert "line 1" in err and "bad value 'soon'" in err
 
 
-def test_jobs_flag_and_key_are_unknown(tmp_path, capsys):
-    sweep = ["sweep", "--parameter", "epsilon", "--values", "0.01",
-             "--iters", "5", "--m", "8", "--out", str(tmp_path / "out")]
+@pytest.mark.parametrize("argv,flag,value", [
+    pytest.param(["sweep", "--parameter", "epsilon", "--values", "0.01",
+                  "--iters", "5", "--m", "8"], "--jobs", "2", id="sweep-jobs"),
+    pytest.param(["benchmark", "--pairs", "1", "--checkpoints", "5", "--m", "8"],
+                 "--iters", "3", id="benchmark-iters"),
+    pytest.param(["benchmark", "--pairs", "1", "--checkpoints", "5", "--m", "8"],
+                 "--record-every", "7", id="benchmark-record-every"),
+    pytest.param(["planar", "--m", "8", "--iters", "4"], "--seed", "1",
+                 id="planar-seed"),
+    pytest.param(["check-surface", "--samples", "100"], "--out", "x",
+                 id="check-surface-out"),
+])
+def test_jobs_flag_and_key_are_unknown(tmp_path, capsys, argv, flag, value):
+    # Removed flags: each exits 1 on the command line and as a config key.
+    if argv[0] != "check-surface":
+        argv = argv + ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        main(sweep + ["--jobs", "2"])
+        main(argv + [flag, value])
     assert exc.value.code == 1
-    conf = tmp_path / "sweep.conf"
-    conf.write_text("jobs = 2\n")
-    assert main(sweep + ["--config", str(conf)]) == 1
-    assert "unknown key 'jobs'" in capsys.readouterr().err
+    conf = tmp_path / "removed.conf"
+    conf.write_text(f"{flag[2:]} = {value}\n")
+    assert main(argv + ["--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert f"unknown key {flag[2:].replace('-', '_')!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _config_settable_flags():
+    for name, command in build_parser().commands.items():
+        for dest, action in command.options.items():
+            if dest not in ("help", "config"):
+                yield pytest.param(name, action, id=f"{name}-{dest}")
+
+
+def _two_texts(action):
+    """Two different texts the flag accepts; the first is not its default."""
+    if action.choices is not None:
+        first = next(c for c in action.choices if c != action.default)
+        return first, next(c for c in action.choices if c != first)
+    return {int: ("7", "9"), float: ("0.375", "0.625")}.get(action.type,
+                                                            ("x1", "x2"))
+
+
+@pytest.mark.parametrize("command,action", _config_settable_flags())
+def test_every_flag_can_be_set_from_a_config_file(tmp_path, command, action):
+    # Parse level only: a file entry parses like the flag, and the flag wins.
+    flag, dest = action.option_strings[-1], action.dest
+    conf = tmp_path / "flag.conf"
+    with_file = [command, "--config", str(conf)]
+    if action.nargs == 0:  # a store_true switch
+        conf.write_text(f"{flag[2:]} = true\n")
+        assert getattr(parse_args(with_file), dest) is True
+        assert getattr(parse_args([command, flag]), dest) is True
+        conf.write_text(f"{flag[2:]} = false\n")
+        assert getattr(parse_args(with_file), dest) is False
+        assert getattr(parse_args(with_file + [flag]), dest) is True
+        return
+    file_text, flag_text = _two_texts(action)
+    conf.write_text(f"{flag[2:]} = {file_text}\n")
+    from_file = getattr(parse_args(with_file), dest)
+    assert from_file == getattr(parse_args([command, flag, file_text]), dest)
+    assert from_file != action.default
+    explicit = getattr(parse_args([command, flag, flag_text]), dest)
+    assert explicit != from_file
+    assert getattr(parse_args(with_file + [flag, flag_text]), dest) == explicit
+
+
+def test_help_lists_the_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert (f"--tau-gamma TAU_GAMMA curve step size "
+            f"(default: {SolverConfig.tau_gamma})") in out
 
 
 def test_config_file_validates_choices(tmp_path, capsys):
@@ -442,6 +513,18 @@ def test_sweep_bad_values(tmp_path, capsys):
                "--iters", "5", "--m", "8", "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "--values" in capsys.readouterr().err
+
+
+def test_sweep_needs_parameter_and_values(tmp_path, capsys):
+    rc = main(["sweep", "--values", "1,2", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "sweep needs --parameter and --values" in capsys.readouterr().err
+    conf = tmp_path / "sweep.conf"
+    conf.write_text("parameter = epsilon\nvalues = 0.01\n")
+    rc = main(["sweep", *RUN_ARGS[1:], "--config", str(conf), "--iters", "5",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out" / "epsilon=0.01" / "trace.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +681,28 @@ def test_planar_bad_vector(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "--a must be x,y,z" in capsys.readouterr().err
+
+
+def test_config_file_saddle_init_matches_the_flag(tmp_path):
+    argv = ["planar", "--m", "20", "--iters", "8", "--out"]
+    conf = tmp_path / "planar.conf"
+    conf.write_text("saddle-init = true\n")
+    assert main(argv + [str(tmp_path / "flag"), "--saddle-init"]) == 0
+    assert main(argv + [str(tmp_path / "file"), "--config", str(conf)]) == 0
+    assert main(argv + [str(tmp_path / "default")]) == 0
+    saddle = (tmp_path / "flag" / "planar_ergodic.csv").read_bytes()
+    assert (tmp_path / "file" / "planar_ergodic.csv").read_bytes() == saddle
+    assert (tmp_path / "default" / "planar_ergodic.csv").read_bytes() != saddle
+
+
+def test_config_file_rejects_a_bad_switch_value(tmp_path, capsys):
+    conf = tmp_path / "planar.conf"
+    conf.write_text("saddle-init = banana\n")
+    rc = main(["planar", "--config", str(conf), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "line 1" in err and "bad value 'banana'" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
