@@ -2,10 +2,14 @@
 
 Subcommands: run, sweep, benchmark, compare, planar, check-surface.
 
+Commands raise, the CLI reports: ``main`` is the one place that turns a
+ConfigError, ValueError, OSError or SamplingError from parsing or from a
+``harness.cmd_*`` command into a single ``error: ...`` line on stderr.
+
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
-unusable surface or endpoints), 2 divergence of a single requested run.
-Sweeps, benchmarks and comparisons record divergence per value, pair or
-scheme instead of failing.
+unusable surface or endpoints), 2 divergence of a single requested run
+(``run`` or ``planar``).  Sweeps, benchmarks and comparisons record
+divergence per value, pair or scheme instead of failing.
 
 Each flag is declared once, with its type, choices and default (the
 library's, where it has one); ``levelgeo CMD --help`` lists the defaults.
@@ -19,12 +23,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
 
 from . import __version__, harness
 from .harness import INIT_KINDS, SWEEPABLE_PARAMETERS, ConfigError, ExperimentSpec
+from .levelset import SamplingError
 from .planar import PlanarProblem
 from .schemes import Scheme, SolverConfig
 
@@ -220,10 +226,12 @@ def _experiment_spec(args) -> ExperimentSpec:
 
 def _float_list(text: str, flag: str):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise ConfigError(f"{flag} must be comma separated numbers, "
-                          f"got {text!r}") from None
+        pass
+    raise ConfigError(f"{flag} must be comma separated finite numbers, got {text!r}")
 
 
 def _vector3(text: str, flag: str) -> np.ndarray:
@@ -266,7 +274,7 @@ def main(argv=None) -> int:
                 args.surface, points_path=args.points, band=args.band,
                 n_samples=args.samples, seed=args.seed,
             )
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError, SamplingError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -106,8 +106,8 @@ def init_randomized(p, q, m: int, surface, tau_r: float = 4.0, seed: int = 0):
     The bump term vanishes at the endpoints, so they stay exact.  Deterministic
     for a fixed seed.
     """
-    if tau_r < 0:
-        raise ValueError("tau_r must be nonnegative")
+    if not 0 <= tau_r < np.inf:
+        raise ValueError("tau_r must be nonnegative and finite")
     curve, mult = init_straight_line(p, q, m)
     r = surface.surface_point(np.random.default_rng(seed))
     t = _grid(m)[:, None]

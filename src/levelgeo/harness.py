@@ -1,10 +1,12 @@
 """Experiment orchestration: single runs, sweeps, benchmarks, comparisons.
 
-Commands here return process exit codes: 0 for success (budget reached or
-convergence), 1 for configuration problems, 2 for divergence of a single
-requested run.  Sweeps, benchmarks and comparisons tolerate divergence of
-individual runs (fault isolation), sweeps and comparisons a field singularity
-too, and record it instead.
+Commands raise and the CLI reports: a command returns 0 for success (budget
+reached or convergence) or 2 when a single requested run (``run``,
+``planar``) diverged, and raises ConfigError, ValueError, OSError or
+SamplingError for an unusable configuration, which ``cli.main`` turns into
+one ``error:`` line on stderr and exit 1.  Sweeps, benchmarks and
+comparisons tolerate divergence of individual runs (fault isolation), sweeps
+and comparisons a field singularity too, and record it instead.
 
 Determinism contract: every CSV/JSON artifact is byte-identical across
 re-runs with the same inputs.  Wall-clock times therefore never enter those
@@ -132,9 +134,18 @@ def parse_point(text: str, surface: LevelSet | None = None,
     if len(parts) != 3:
         raise ConfigError(f"point {text!r} must be x,y,z")
     try:
-        return np.array([float(v) for v in parts])
+        point = np.array([float(v) for v in parts])
     except ValueError as exc:
         raise ConfigError(f"point {text!r} must be three reals: {exc}") from exc
+    if not np.isfinite(point).all():
+        raise ConfigError(f"point {text!r} must be finite")
+    return point
+
+
+def _central_angle(p, q, radius: float) -> float:
+    """Angle between p and q on the sphere of the given radius about the origin."""
+    cosang = float(np.dot(p, q)) / (radius * radius)
+    return math.acos(max(-1.0, min(1.0, cosang)))
 
 
 @dataclass
@@ -162,6 +173,10 @@ class ExperimentSpec:
         surface = parse_surface(self.surface, self.points_path)
         p = parse_point(self.p, surface, role="p")
         q = parse_point(self.q, surface, role="q")
+        return (surface, p, q) + self._problem(surface, p, q, self.seed)
+
+    def _problem(self, surface, p, q, seed: int):
+        """(reference_distance, init pair) for endpoints p, q on surface."""
         if self.m < 2:
             raise ConfigError(f"m must be at least 2, got {self.m}")
         if self.init not in INIT_KINDS:
@@ -176,12 +191,10 @@ class ExperimentSpec:
                     )
         reference = self._resolve_reference(surface, p, q)
         if self.init == "randomized":
-            init = init_randomized(
-                p, q, self.m, surface, tau_r=self.tau_r, seed=self.seed
-            )
+            init = init_randomized(p, q, self.m, surface, tau_r=self.tau_r, seed=seed)
         else:
             init = init_straight_line(p, q, self.m)
-        return surface, p, q, reference, init
+        return reference, init
 
     def _resolve_reference(self, surface, p, q):
         ref = self.reference
@@ -195,14 +208,13 @@ class ExperimentSpec:
                     f"reference must be a number, 'sphere-exact', or 'none'; got {ref!r}"
                 ) from None
         if isinstance(ref, (int, float)):
-            if not ref > 0:
-                raise ConfigError("reference distance must be positive")
+            if not 0 < ref < math.inf:
+                raise ConfigError("reference distance must be positive and finite")
             return float(ref)
         radius = getattr(surface, "radius", None)
         if radius is None:
             raise ConfigError("sphere-exact reference needs a sphere surface")
-        cosang = float(np.dot(p, q)) / (radius * radius)
-        return radius * math.acos(max(-1.0, min(1.0, cosang)))
+        return radius * _central_angle(p, q, radius)
 
 
 def parse_config_file(path):
@@ -293,13 +305,9 @@ def _solve(cfg, surface, init, reference):
 
 def cmd_run(spec) -> int:
     """Single run: writes trace.csv, curve_init.json, curve_final.json, summary.json."""
-    try:
-        spec.solver.validate_strict()
-        surface, _, _, reference, init = spec.build()
-        state, trace, failure, elapsed = _solve(spec.solver, surface, init, reference)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    spec.solver.validate_strict()
+    surface, _, _, reference, init = spec.build()
+    state, trace, failure, elapsed = _solve(spec.solver, surface, init, reference)
     diverged = failure is not None
 
     out = Path(spec.out_dir)
@@ -345,24 +353,15 @@ def cmd_sweep(spec, parameter: str, values) -> int:
     recorded positive surface error of that run.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
-        print(
-            f"error: cannot sweep {parameter!r}; "
-            f"choose one of {', '.join(SWEEPABLE_PARAMETERS)}"
-        )
-        return 1
+        raise ConfigError(f"cannot sweep {parameter!r}; "
+                          f"choose one of {', '.join(SWEEPABLE_PARAMETERS)}")
     if not values:
-        print("error: sweep needs at least one value")
-        return 1
+        raise ConfigError("sweep needs at least one value")
+    solvers = [dataclasses.replace(spec.solver, **{parameter: value})
+               for value in values]
+    surface, _, _, reference, init = spec.build()
 
     out = Path(spec.out_dir)
-    try:
-        solvers = [dataclasses.replace(spec.solver, **{parameter: value})
-                   for value in values]
-        surface, _, _, reference, init = spec.build()
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
-
     rows = []
     for value, solver in zip(values, solvers):
         # repr, as in the value column: distinct values never share a directory
@@ -409,10 +408,8 @@ def sample_endpoint_pairs(surface, n_pairs: int, seed: int, min_angle: float = 0
         v = rng.normal(size=3)
         p = radius * u / np.linalg.norm(u)
         q = radius * v / np.linalg.norm(v)
-        cosang = float(np.dot(p, q)) / radius**2
-        if math.acos(max(-1.0, min(1.0, cosang))) < min_angle:
-            continue
-        pairs.append((p, q))
+        if _central_angle(p, q, radius) >= min_angle:
+            pairs.append((p, q))
     return pairs
 
 
@@ -425,31 +422,19 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
     a checkpoint no pair reached gets empty averages.  Times go to stdout
     only; benchmark.csv depends only on the seed.
     """
-    try:
-        surface = parse_surface(spec.surface, spec.points_path)
-        checkpoints = sorted(set(int(c) for c in checkpoints))
-        if not checkpoints or checkpoints[0] < 1:
-            raise ConfigError("checkpoints must be positive iteration counts")
-        if n_pairs < 1:
-            raise ConfigError("n_pairs must be at least 1")
-        pairs = sample_endpoint_pairs(surface, n_pairs, spec.seed)
-        radius = surface.radius
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    surface = parse_surface(spec.surface, spec.points_path)
+    checkpoints = sorted(set(int(c) for c in checkpoints))
+    if not checkpoints or checkpoints[0] < 1:
+        raise ConfigError("checkpoints must be positive iteration counts")
+    if n_pairs < 1:
+        raise ConfigError("n_pairs must be at least 1")
+    pairs = sample_endpoint_pairs(surface, n_pairs, spec.seed)
+    exact = dataclasses.replace(spec, reference="sphere-exact")
 
     # checkpoint -> [(final trace row, seconds to reach it)] of the pairs that did
     reached = {checkpoint: [] for checkpoint in checkpoints}
     for pair_index, (p, q) in enumerate(pairs):
-        cosang = float(np.dot(p, q)) / radius**2
-        d = radius * math.acos(max(-1.0, min(1.0, cosang)))
-        if spec.init == "randomized":
-            init = init_randomized(
-                p, q, spec.m, surface,
-                tau_r=spec.tau_r, seed=spec.seed + 97 * pair_index,
-            )
-        else:
-            init = init_straight_line(p, q, spec.m)
+        d, init = exact._problem(surface, p, q, spec.seed + 97 * pair_index)
         done, seconds = 0, 0.0
         for checkpoint in checkpoints:
             leg = checkpoint - done
@@ -487,14 +472,10 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
 
 def cmd_compare_schemes(spec, schemes) -> int:
     """Run each scheme on the identical problem and init; writes comparison.csv."""
-    try:
-        scheme_list = [Scheme(s) for s in schemes]
-        if not scheme_list:
-            raise ConfigError("compare needs at least one scheme")
-        surface, p, q, reference, init = spec.build()
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    scheme_list = [Scheme(s) for s in schemes]
+    if not scheme_list:
+        raise ConfigError("compare needs at least one scheme")
+    surface, _, _, reference, init = spec.build()
 
     rows = []
     for scheme in scheme_list:
@@ -536,7 +517,10 @@ def default_planar_perturbation(problem: PlanarProblem):
 
 def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
                perturbed: bool = True) -> int:
-    """Run the planar scheme, write planar_ergodic.csv, report the rate check."""
+    """Run the planar scheme, write planar_ergodic.csv, report the rate check.
+
+    Returns 2 if the iteration diverged (the records up to then are written).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not problem.step_condition_ok:
@@ -566,21 +550,14 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
     else:
         print("log-log slope: undefined (too few positive gaps)")
     print(f"{len(records)} records in {elapsed:.3f}s -> {out / 'planar_ergodic.csv'}")
-    return 0
+    return 2 if diverged else 0
 
 
 def cmd_check_surface(surface_desc: str, points_path, band: float,
                       n_samples: int, seed: int) -> int:
     """Print the band-sampling report for the convergence assumptions."""
-    try:
-        surface = parse_surface(surface_desc, points_path)
-        report = check_assumption_a(surface, band, n_samples=n_samples, seed=seed)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}")
-        return 1
+    surface = parse_surface(surface_desc, points_path)
+    report = check_assumption_a(surface, band, n_samples=n_samples, seed=seed)
     print(f"surface: {surface_desc}")
     print(f"band_half_width: {report.band_half_width:g}")
     print(f"nu: {report.nu:.6g}")

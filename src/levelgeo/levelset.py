@@ -113,8 +113,8 @@ class SphereQuadratic(LevelSet):
     kind = "sphere-quadratic"
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("sphere radius must be positive and finite")
         self.radius = float(radius)
 
     def value(self, x):
@@ -152,8 +152,8 @@ class SphereSDF(LevelSet):
     kind = "sphere-sdf"
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("sphere radius must be positive and finite")
         self.radius = float(radius)
 
     def value(self, x):
@@ -200,8 +200,8 @@ class Torus(LevelSet):
     kind = "torus"
 
     def __init__(self, major_radius: float = 2.0, minor_radius: float = 1.0):
-        if minor_radius <= 0 or major_radius <= minor_radius:
-            raise ValueError("torus requires 0 < minor radius < major radius")
+        if not 0 < minor_radius < major_radius < np.inf:
+            raise ValueError("torus requires finite radii with 0 < minor < major")
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)
 
@@ -275,8 +275,8 @@ class Plane(LevelSet):
 
     def __init__(self, normal=(0.0, 0.0, 1.0)):
         a = np.asarray(normal, dtype=float)
-        if a.shape != (3,) or not np.linalg.norm(a) > 0:
-            raise ValueError("plane normal must be a nonzero 3-vector")
+        if a.shape != (3,) or not 0 < np.linalg.norm(a) < np.inf:
+            raise ValueError("plane normal must be a finite nonzero 3-vector")
         self.normal = a
 
     def value(self, x):
@@ -317,6 +317,8 @@ class PointCloud(LevelSet):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
             raise ValueError("point cloud must be a nonempty (n, 3) array")
+        if not np.isfinite(pts).all():
+            raise ValueError("point cloud coordinates must be finite")
         self.points = _dedupe_rows(pts)
         self.points.setflags(write=False)
         self._tree = cKDTree(self.points)
@@ -450,8 +452,8 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
     capped at 1e6 proposal points; raises SamplingError if the band is never
     hit.
     """
-    if not a > 0:
-        raise ValueError("band half-width a must be positive")
+    if not 0 < a < np.inf:
+        raise ValueError("band half-width a must be positive and finite")
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     rng = np.random.default_rng(seed)

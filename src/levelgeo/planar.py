@@ -140,19 +140,19 @@ class PlanarProblem:
         self.a = np.asarray(self.a, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
-        if self.a.shape != (3,) or not np.linalg.norm(self.a) > 0:
-            raise ValueError("a must be a nonzero 3-vector")
+        if self.a.shape != (3,) or not 0 < np.linalg.norm(self.a) < np.inf:
+            raise ValueError("a must be a finite nonzero 3-vector")
         for name, pt in (("p", self.p), ("q", self.q)):
-            if pt.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
+            if pt.shape != (3,) or not np.isfinite(pt).all():
+                raise ValueError(f"{name} must be a finite 3-vector")
             if abs(float(self.a @ pt)) > 1e-12:
                 raise ValueError(f"{name} must satisfy a.{name} = 0 (within 1e-12)")
         if self.m < 2:
             raise ValueError("m must be at least 2")
-        if not (self.tau_gamma > 0 and self.tau_lambda > 0):
-            raise ValueError("step sizes must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not (0 < self.tau_gamma < np.inf and 0 < self.tau_lambda < np.inf):
+            raise ValueError("step sizes must be positive and finite")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
         # Rate condition tau_l tau_g |a|^2 < 1 <=> the 4x4 block matrix
         # [[1/tau_l, a^T], [a, I/tau_g]] is positive definite; check both.
         block = np.zeros((4, 4))

@@ -6,10 +6,15 @@ iterations); these tests exercise plumbing, not convergence.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levelgeo
 from levelgeo.cli import build_parser, main, parse_args
 from levelgeo.curve import curve_from_json, init_straight_line
 from levelgeo.diagnostics import read_trace_csv
@@ -281,7 +286,9 @@ def test_run_off_surface_endpoint_exits_1(tmp_path, capsys):
     rc = main(["run", "--p", "0,0,2", "--q", "antipodal-z", "--m", "8",
                "--iters", "5", "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "off the surface" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "off the surface" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -289,7 +296,56 @@ def test_run_rejects_zero_epsilon_off_gda(tmp_path, capsys):
     rc = main(RUN_ARGS + ["--iters", "5", "--epsilon", "0",
                           "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "requires epsilon > 0" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "requires epsilon > 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--p", "nan,0,0"],
+    ["run", "--surface", "sphere-sdf:nan"],
+    ["run", "--surface", "sphere-sdf:inf"],
+    ["run", "--surface", "sphere-quadratic:inf"],
+    ["run", "--surface", "torus:2,nan", "--p", "3,0,0", "--q=-3,0,0"],
+    ["run", "--surface", "plane:0,0,inf", "--p", "1,0,0", "--q", "0,1,0"],
+    ["run", "--surface", "point-cloud", "--points", "{cloud}",
+     "--p", "1,0,0", "--q", "0,1,0"],
+    ["run", "--p", "1,0,0", "--q", "0,1,0", "--reference", "inf"],
+    ["run", "--p", "1,0,0", "--q", "0,1,0", "--init", "randomized",
+     "--tau-r", "nan"],
+    ["planar", "--p", "0,nan,0"],
+    ["planar", "--epsilon", "nan"],
+    ["planar", "--tau-gamma", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_input_exits_1_and_writes_nothing(tmp_path, capsys, argv):
+    cloud = tmp_path / "cloud.txt"
+    write_cloud(cloud, n=20)
+    with open(cloud, "a") as fh:
+        fh.write("nan 0 0\n")
+    out = tmp_path / "out"
+    rc = main([a.format(cloud=cloud) for a in argv]
+              + ["--m", "8", "--iters", "5", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_process_reports_a_bad_config_on_stderr(tmp_path):
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "levelgeo.cli", "run", "--surface", "moebius",
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: unknown surface kind 'moebius'; expected "
+                           "sphere-sdf, sphere-quadratic, torus, plane, or "
+                           "point-cloud\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_point_cloud_end_to_end(tmp_path):
@@ -505,7 +561,9 @@ def test_sweep_bad_parameter(tmp_path, capsys):
     rc = main(["sweep", "--parameter", "banana", "--values", "1,2",
                "--iters", "5", "--m", "8", "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "cannot sweep 'banana'" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "cannot sweep 'banana'" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_bad_values(tmp_path, capsys):
@@ -607,7 +665,29 @@ def test_benchmark_requires_sphere(tmp_path, capsys):
                "--checkpoints", "5", "--m", "8",
                "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "sphere" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "sphere" in captured.err
+    assert captured.out == ""
+
+
+def test_benchmark_non_finite_checkpoint_exits_1(tmp_path, capsys):
+    rc = main(["benchmark", "--pairs", "2", "--checkpoints", "inf", "--m", "8",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --checkpoints must be comma separated "
+                            "finite numbers, got 'inf'\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_checkpoints_are_truncated_to_integers(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["benchmark", "--pairs", "2", "--checkpoints", "2.5,1e1",
+               "--m", "8", "--out", str(out)])
+    assert rc == 0
+    rows = (out / "benchmark.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["2", "2"], ["10", "2"]]
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +728,9 @@ def test_compare_unknown_scheme(tmp_path, capsys):
     rc = main(["compare", "--schemes", "gda,fancy", "--m", "8",
                "--iters", "5", "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "fancy" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "fancy" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +756,21 @@ def test_planar_saddle_init(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "bound held: true" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_planar_divergence_exits_2_with_the_records(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="step product"):
+        rc = main(["planar", "--tau-gamma", "50", "--tau-lambda", "50",
+                   "--epsilon", "0", "--iters", "4000", "--m", "8",
+                   "--out", str(out)])
+    assert rc == 2
+    stdout = capsys.readouterr().out
+    assert "warning: divergence at iteration 309: non-finite planar iterate" in stdout
+    assert "bound held: false" in stdout
+    records = read_ergodic_csv(out / "planar_ergodic.csv")
+    assert [r.k for r in records] == [2 ** i for i in range(9)]
 
 
 def test_planar_bad_vector(tmp_path, capsys):
@@ -720,7 +817,20 @@ def test_check_surface_report(capsys):
     assert "satisfied: true" in stdout
 
 
+@pytest.mark.parametrize("band,message", [
+    ("1e-12", "no band samples"), ("inf", "must be positive and finite"),
+])
+def test_check_surface_unusable_band_exits_1(capsys, band, message):
+    rc = main(["check-surface", "--band", band, "--samples", "100"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_check_surface_bad_descriptor(capsys):
     rc = main(["check-surface", "--surface", "moebius"])
     assert rc == 1
-    assert "unknown surface kind" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "unknown surface kind" in captured.err
+    assert captured.out == ""

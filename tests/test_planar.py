@@ -173,6 +173,17 @@ def test_planar_problem_validation():
         PlanarProblem(a=a, p=ok_p, q=ok_p, tau_gamma=0.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("a", [math.inf, 0.0, 0.0]), ("p", [0.0, math.nan, 0.0]),
+    ("q", [0.0, 0.0, math.inf]), ("tau_gamma", math.inf),
+    ("tau_lambda", math.nan), ("epsilon", math.nan), ("epsilon", math.inf),
+])
+def test_planar_problem_rejects_non_finite_input(field, value):
+    ok = dict(a=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0], q=[0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        PlanarProblem(**{**ok, field: value})
+
+
 def test_run_planar_from_saddle_keeps_zero_gap():
     problem = PlanarProblem(
         a=np.array([1.0, 0.0, 0.0]),
