@@ -8,8 +8,9 @@ ConfigError, ValueError, OSError or SamplingError from parsing or from a
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
 unusable surface or endpoints), 2 divergence of a single requested run
-(``run`` or ``planar``).  Sweeps, benchmarks and comparisons record
-divergence per value, pair or scheme instead of failing.
+(``run`` or ``planar``), 3 a field singularity in ``run``.  Sweeps,
+benchmarks and comparisons record a divergence or a singularity per value,
+pair or scheme instead of failing.
 
 Each flag is declared once, with its type, choices and default (the
 library's, where it has one); ``levelgeo CMD --help`` lists the defaults.

@@ -129,12 +129,17 @@ def second_difference(curve: DiscreteCurve, i: int | None = None):
     return (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) * curve.m**2
 
 
-def curve_length(curve: DiscreteCurve) -> float:
-    """Piecewise-linear length: sum of chord lengths."""
-    pts = curve.points
-    chords = pts[1:] - pts[:-1]
-    # np.linalg.norm(chords, axis=1) without its argument handling
-    return float(np.sqrt(np.add.reduce(chords * chords, axis=1)).sum())
+def curve_length(curve):
+    """Piecewise-linear length: sum of chord lengths.
+
+    Takes a DiscreteCurve, or a (B, m+1, 3) stack of curve points and then
+    returns the (B,) lengths, each bit for bit that curve's own length.
+    """
+    pts = curve.points if isinstance(curve, DiscreteCurve) else curve
+    chords = pts[..., 1:, :] - pts[..., :-1, :]
+    # np.linalg.norm(chords, axis=-1) without its argument handling
+    lengths = np.sqrt(np.add.reduce(chords * chords, axis=-1)).sum(axis=-1)
+    return float(lengths) if lengths.ndim == 0 else lengths
 
 
 def speed_profile(curve: DiscreteCurve):

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import schemes
 from .curve import DiscreteCurve, curve_length, second_difference
+from .levelset import SingularityError
 
 __all__ = [
     "TraceRow",
@@ -210,7 +211,11 @@ def tangency_defect(state, surface) -> float:
 
 
 def trace_row(state, cfg, surface, reference_distance: float | None = None) -> TraceRow:
-    """Assemble one diagnostics row for the current state."""
+    """Assemble one diagnostics row for the current state.
+
+    Where the field's gradient is undefined at a node (a SingularityError),
+    the gamma residual and J are nan and the other columns are as usual.
+    """
     length = curve_length(state.curve)
     if reference_distance is not None:
         abs_err = abs(length - reference_distance)
@@ -218,7 +223,11 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None) -> T
     else:
         abs_err = rel_err = None
     # one field evaluation feeds the residuals, J and the surface error
-    phi, grad = surface.value_and_grad(state.curve.interior)
+    try:
+        phi, grad = surface.value_and_grad(state.curve.interior)
+    except SingularityError:  # grad phi is undefined at a node: R_gamma and J are nan
+        phi = surface.value(state.curve.interior)
+        grad = np.full((len(phi), 3), math.nan)
     norm_l, norm_g, J = _residual_terms(state, cfg, phi, grad)
     return TraceRow(
         iteration=state.iteration,

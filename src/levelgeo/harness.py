@@ -1,12 +1,16 @@
 """Experiment orchestration: single runs, sweeps, benchmarks, comparisons.
 
-Commands raise and the CLI reports: a command returns 0 for success (budget
-reached or convergence) or 2 when a single requested run (``run``,
-``planar``) diverged, and raises ConfigError, ValueError, OSError or
+Commands raise and the CLI reports: a command returns 0 for success, or for
+a single requested run 2 on divergence (``run``, ``planar``) and 3 at a
+field singularity (``run``), and raises ConfigError, ValueError, OSError or
 SamplingError for an unusable configuration, which ``cli.main`` turns into
-one ``error:`` line on stderr and exit 1.  Sweeps, benchmarks and
-comparisons tolerate divergence of individual runs (fault isolation), sweeps
-and comparisons a field singularity too, and record it instead.
+one ``error:`` line on stderr and exit 1.  A run that stops early writes
+its trace so far and its last finite state.  Sweeps, benchmarks and
+comparisons record such a stop per value, pair or scheme and exit 0.
+
+Every solve goes through ``run`` (schemes.run_batch), looked up at call
+time: a sweep runs all its values and a benchmark all its pairs as one
+stack; a comparison runs one scheme at a time, as a stack shares its scheme.
 
 Determinism contract: every CSV/JSON artifact is byte-identical across
 re-runs with the same inputs.  Wall-clock times therefore never enter those
@@ -19,6 +23,7 @@ import dataclasses
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +42,8 @@ from .levelset import (
     load_point_cloud,
 )
 from .planar import PlanarProblem, run_planar, write_ergodic_csv
-from .schemes import DivergenceError, Scheme, SolverConfig, run
+from .schemes import DivergenceError, Problem, Scheme, SolverConfig
+from .schemes import run_batch as run
 
 __all__ = [
     "ConfigError",
@@ -69,6 +75,8 @@ BENCHMARK_CSV_HEADER = (
 COMPARISON_CSV_HEADER = (
     "scheme,final_absolute_error,final_relative_error,final_surface_error,diverged"
 )
+#: exit code of ``run`` for each way a run stops
+EXIT_CODES = {"budget": 0, "diverged": 2, "singularity": 3}
 
 SWEEPABLE_PARAMETERS = ("epsilon", "tau_lambda", "tau_gamma", "omega", "alpha")
 INIT_KINDS = ("straight", "randomized")
@@ -250,23 +258,20 @@ def parse_config_file(path):
     return entries
 
 
-def _summary_payload(spec, state, trace, diverged: bool):
-    final = trace.final
-    cfg = spec.solver
+def _summary_payload(spec, outcome):
+    """summary.json of one run: `diverged` is true for any early stop, and a
+    nan diagnostic (J out of its regime, or at a singularity) is null."""
+    state, cfg = outcome.state, spec.solver
+    final = {name: None if isinstance(value, float) and math.isnan(value) else value
+             for name, value in dataclasses.asdict(outcome.trace.final).items()}
+    del final["iteration"]
     return {
         "scheme": cfg.scheme.value,
         "surface": spec.surface,
         "m": state.curve.m,
         "iterations": state.iteration,
-        "diverged": diverged,
-        "length": final.length,
-        "absolute_error": final.absolute_error,
-        "relative_error": final.relative_error,
-        "surface_error": final.surface_error,
-        "lyapunov_J": None if math.isnan(final.lyapunov_J) else final.lyapunov_J,
-        "lambda_residual": final.lambda_residual,
-        "gamma_residual": final.gamma_residual,
-        "geodesic_defect": final.geodesic_defect,
+        "diverged": outcome.error is not None,
+        **final,
         "config": {
             "tau_gamma": cfg.tau_gamma,
             "tau_lambda": cfg.tau_lambda,
@@ -288,54 +293,63 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _solve(cfg, surface, init, reference):
-    """run() with divergence recorded instead of raised; touches no file.
-
-    Returns (state, trace, failure, seconds): failure is the DivergenceError
-    or None, and on divergence state and trace are the last finite ones.
-    """
-    start = time.monotonic()
-    try:
-        state, trace = run(cfg, surface, init, reference_distance=reference)
-        failure = None
-    except DivergenceError as exc:
-        state, trace, failure = exc.state, exc.trace, exc
-    return state, trace, failure, time.monotonic() - start
+def _write_run(spec, outcome, out: Path):
+    """trace.csv and summary.json of one run into out."""
+    out.mkdir(parents=True, exist_ok=True)
+    diagnostics.write_trace_csv(outcome.trace, out / "trace.csv")
+    _write_json(out / "summary.json", _summary_payload(spec, outcome))
 
 
 def cmd_run(spec) -> int:
-    """Single run: writes trace.csv, curve_init.json, curve_final.json, summary.json."""
+    """Single run: writes trace.csv, curve_init.json, curve_final.json, summary.json.
+
+    Returns EXIT_CODES[stop]: 0 at the iteration budget, 2 on divergence, 3
+    at a field singularity.  The artifacts are written in every case, up to
+    the last finite state.
+    """
     spec.solver.validate_strict()
     surface, _, _, reference, init = spec.build()
-    state, trace, failure, elapsed = _solve(spec.solver, surface, init, reference)
-    diverged = failure is not None
+    _, (outcome,) = run([Problem(spec.solver, init, reference)], surface)
+    state, final = outcome.state, outcome.trace.final
 
     out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _write_run(spec, outcome, out)
     (out / "curve_init.json").write_text(curve_to_json(init[0]) + "\n")
     (out / "curve_final.json").write_text(curve_to_json(state.curve) + "\n")
-    diagnostics.write_trace_csv(trace, out / "trace.csv")
-    _write_json(out / "summary.json", _summary_payload(spec, state, trace, diverged))
     with open(out / "run.log", "a") as fh:
         fh.write(
             f"{time.strftime('%Y-%m-%dT%H:%M:%S')} iterations="
-            f"{state.iteration} wall_time={elapsed:.3f}s "
-            f"diverged={diverged}\n"
+            f"{state.iteration} wall_time={outcome.seconds:.3f}s "
+            f"stop={outcome.stop}\n"
         )
 
-    final = trace.final
-    status = "diverged" if diverged else "done"
-    abs_part = (
-        f" absolute_error={final.absolute_error:.6g}"
-        if final.absolute_error is not None
-        else ""
-    )
+    status = "done" if outcome.error is None else outcome.stop
     print(
-        f"{status}: {state.iteration} iterations in {elapsed:.3f}s, "
-        f"length={final.length:.6g}{abs_part} "
-        f"surface_error={final.surface_error:.6g} -> {out}"
+        f"{status}: {state.iteration} iterations in {outcome.seconds:.3f}s, "
+        f"length={final.length:.6g} {_errors(final)} -> {out}"
     )
-    return 2 if diverged else 0
+    if outcome.stop == "singularity":
+        print(f"singularity at iteration {state.iteration + 1}: {outcome.error}")
+    return EXIT_CODES[outcome.stop]
+
+
+def _report(label: str, outcome):
+    """Print one member's status line; return its final trace row, or None
+    after a singularity (whose CSV fields stay empty)."""
+    if outcome.stop == "singularity":
+        print(f"{label}: error: {outcome.error}")
+        return None
+    final = outcome.trace.final
+    print(f"{label}: {'done' if outcome.error is None else 'diverged'} "
+          f"in {outcome.seconds:.3f}s {_errors(final)}")
+    return final
+
+
+def _errors(final) -> str:
+    """The absolute error, if there is a reference, and the surface error of a row."""
+    abs_part = ("" if final.absolute_error is None
+                else f"absolute_error={final.absolute_error:.6g} ")
+    return f"{abs_part}surface_error={final.surface_error:.6g}"
 
 
 def _first_positive_surface_error(trace) -> float:
@@ -346,11 +360,13 @@ def _first_positive_surface_error(trace) -> float:
 
 
 def cmd_sweep(spec, parameter: str, values) -> int:
-    """One run per parameter value; divergence is recorded, never fatal.
+    """All parameter values as one batch; an early stop is recorded, never fatal.
 
     Writes per-value artifact directories plus sweep_summary.csv with an
-    `unstable` flag: diverged, or final surface error above the first
-    recorded positive surface error of that run.
+    `unstable` flag: stopped early, or final surface error above the first
+    recorded positive surface error of that run.  A value that met a field
+    singularity gets empty error columns.  The time printed per value runs
+    from the start of the batch to that value's stop.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ConfigError(f"cannot sweep {parameter!r}; "
@@ -360,36 +376,24 @@ def cmd_sweep(spec, parameter: str, values) -> int:
     solvers = [dataclasses.replace(spec.solver, **{parameter: value})
                for value in values]
     surface, _, _, reference, init = spec.build()
+    _, outcomes = run([Problem(solver, init, reference) for solver in solvers],
+                      surface)
 
     out = Path(spec.out_dir)
     rows = []
-    for value, solver in zip(values, solvers):
+    for value, solver, outcome in zip(values, solvers, outcomes):
         # repr, as in the value column: distinct values never share a directory
         label = f"{parameter}={value!r}"
-        try:
-            state, trace, failure, elapsed = _solve(solver, surface, init, reference)
-        except ValueError as exc:
-            print(f"{label}: error: {exc}")
+        _write_run(dataclasses.replace(spec, solver=solver), outcome, out / label)
+        final = _report(label, outcome)
+        if final is None:
             rows.append([value, None, None, None, True, True])
             continue
-        diverged = failure is not None
-        sub_out = out / label
-        sub_out.mkdir(parents=True, exist_ok=True)
-        diagnostics.write_trace_csv(trace, sub_out / "trace.csv")
-        _write_json(
-            sub_out / "summary.json",
-            _summary_payload(dataclasses.replace(spec, solver=solver), state,
-                             trace, diverged),
-        )
-        final = trace.final
-        baseline = _first_positive_surface_error(trace)
+        diverged = outcome.error is not None
+        baseline = _first_positive_surface_error(outcome.trace)
         unstable = diverged or (baseline > 0 and final.surface_error > baseline)
         rows.append([value, final.absolute_error, final.relative_error,
                      final.surface_error, diverged, unstable])
-        print(
-            f"{label}: {'diverged' if diverged else 'done'} in {elapsed:.3f}s, "
-            f"surface_error={final.surface_error:.6g}"
-        )
 
     out.mkdir(parents=True, exist_ok=True)
     diagnostics.write_csv(out / "sweep_summary.csv", SWEEP_CSV_HEADER, rows)
@@ -416,11 +420,13 @@ def sample_endpoint_pairs(surface, n_pairs: int, seed: int, min_angle: float = 0
 def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
     """Multi-pair sphere benchmark; writes benchmark.csv of per-checkpoint averages.
 
-    Each pair runs once, resumed from one checkpoint to the next, and the
-    time printed for a checkpoint is the average time to reach it.  A pair
-    that diverges is reported and counts only at the checkpoints it reached;
-    a checkpoint no pair reached gets empty averages.  Times go to stdout
-    only; benchmark.csv depends only on the seed.
+    All pairs run as one batch up to the last checkpoint, each with a trace
+    row at every checkpoint.  A pair that diverges or meets a field
+    singularity is reported and counts only at the checkpoints it reached;
+    a checkpoint no pair reached gets empty averages.  The time printed for
+    a checkpoint is the batch's elapsed time to reach it, all pairs
+    together.  Times go to stdout only; benchmark.csv depends only on the
+    seed.
     """
     surface = parse_surface(spec.surface, spec.points_path)
     checkpoints = sorted(set(int(c) for c in checkpoints))
@@ -430,39 +436,35 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
         raise ConfigError("n_pairs must be at least 1")
     pairs = sample_endpoint_pairs(surface, n_pairs, spec.seed)
     exact = dataclasses.replace(spec, reference="sphere-exact")
-
-    # checkpoint -> [(final trace row, seconds to reach it)] of the pairs that did
-    reached = {checkpoint: [] for checkpoint in checkpoints}
+    cfg = dataclasses.replace(spec.solver, max_iters=checkpoints[-1],
+                              record_every=checkpoints[-1])
+    problems = []
     for pair_index, (p, q) in enumerate(pairs):
         d, init = exact._problem(surface, p, q, spec.seed + 97 * pair_index)
-        done, seconds = 0, 0.0
-        for checkpoint in checkpoints:
-            leg = checkpoint - done
-            cfg = dataclasses.replace(spec.solver, max_iters=leg, record_every=leg)
-            state, trace, failure, elapsed = _solve(cfg, surface, init, d)
-            seconds += elapsed
-            if failure is not None:
-                print(f"pair {pair_index}: diverged at iteration "
-                      f"{done + failure.iteration}")
-                break
-            reached[checkpoint].append((trace.final, seconds))
-            init, done = (state.curve, state.multiplier), checkpoint
+        problems.append(Problem(cfg, init, d))
+    batch, outcomes = run(problems, surface, record_at=checkpoints)
 
+    for pair_index, outcome in enumerate(outcomes):
+        if outcome.error is not None:
+            print(f"pair {pair_index}: {outcome.stop} at iteration "
+                  f"{outcome.state.iteration + 1}")
     rows = []
-    for checkpoint, finals in reached.items():
+    for checkpoint in checkpoints:
+        finals = [row for outcome in outcomes for row in outcome.trace
+                  if row.iteration == checkpoint]
         if not finals:
             rows.append([checkpoint, 0, None, None, None])
             print(f"checkpoint {checkpoint}: n=0")
             continue
         avg_abs, avg_rel, avg_surf = (
-            float(np.mean([getattr(f, name) for f, _ in finals]))
+            float(np.mean([getattr(f, name) for f in finals]))
             for name in ("absolute_error", "relative_error", "surface_error")
         )
         rows.append([checkpoint, len(finals), avg_abs, avg_rel, avg_surf])
         print(
             f"checkpoint {checkpoint}: n={len(finals)} "
             f"avg_absolute_error={avg_abs:.6g} avg_relative_error={avg_rel:.6g} "
-            f"avg_time={np.mean([t for _, t in finals]):.3f}s"
+            f"time={batch.seconds[checkpoint]:.3f}s"
         )
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -471,7 +473,11 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
 
 
 def cmd_compare_schemes(spec, schemes) -> int:
-    """Run each scheme on the identical problem and init; writes comparison.csv."""
+    """Run each scheme on the identical problem and init; writes comparison.csv.
+
+    One run per scheme (a batch shares its scheme).  A scheme that met a
+    field singularity gets empty error columns.
+    """
     scheme_list = [Scheme(s) for s in schemes]
     if not scheme_list:
         raise ConfigError("compare needs at least one scheme")
@@ -480,25 +486,12 @@ def cmd_compare_schemes(spec, schemes) -> int:
     rows = []
     for scheme in scheme_list:
         cfg = dataclasses.replace(spec.solver, scheme=scheme)
-        try:
-            _, trace, failure, elapsed = _solve(cfg, surface, init, reference)
-        except ValueError as exc:
-            print(f"{scheme.value}: error: {exc}")
-            rows.append([scheme.value, None, None, None, True])
-            continue
-        final, diverged = trace.final, failure is not None
-        rows.append([scheme.value, final.absolute_error, final.relative_error,
-                     final.surface_error, diverged])
-        abs_part = (
-            f"absolute_error={final.absolute_error:.6g} "
-            if final.absolute_error is not None
-            else ""
-        )
-        print(
-            f"{scheme.value}: {'diverged' if diverged else 'done'} "
-            f"in {elapsed:.3f}s {abs_part}"
-            f"surface_error={final.surface_error:.6g}"
-        )
+        _, (outcome,) = run([Problem(cfg, init, reference)], surface)
+        final = _report(scheme.value, outcome)
+        rows.append([scheme.value] + (
+            [None, None, None, True] if final is None else
+            [final.absolute_error, final.relative_error, final.surface_error,
+             outcome.error is not None]))
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     diagnostics.write_csv(out / "comparison.csv", COMPARISON_CSV_HEADER, rows)
@@ -530,12 +523,16 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
         )
     init = default_planar_perturbation(problem) if perturbed else None
     start = time.monotonic()
-    try:
-        _, records = run_planar(problem, max_iters, init=init)
-        diverged = False
-    except DivergenceError as exc:
-        records, diverged = list(exc.trace or []), True
-        print(f"warning: {exc}")
+    # each warning once, on stdout: run_planar's step-condition warning repeats
+    # the one above, and numpy's overflow warnings precede the divergence below
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            _, records = run_planar(problem, max_iters, init=init)
+            diverged = False
+        except DivergenceError as exc:
+            records, diverged = list(exc.trace or []), True
+            print(f"warning: {exc}")
     elapsed = time.monotonic() - start
     write_ergodic_csv(records, out / "planar_ergodic.csv")
 

@@ -25,21 +25,29 @@ with all stencils read from the OLD curve (Jacobi sweep, not Gauss-Seidel)
 and the endpoints never touched.  Regularized is exactly BasePDHG with
 omega = 0 and shares its code path.
 
-step() and run() share one kernel and one divergence check.  It evaluates
-the field once per iteration (value_and_grad) and updates preallocated
-buffers in place; run() copies them into a SolverState only at record points.
+One kernel serves every path: run_batch() stacks B >= 1 problems that
+share scheme and m, makes one field call (value_and_grad) per iteration on
+all their interior nodes, and updates preallocated buffers in place, each
+member with its own step sizes.  The operations and their order do not
+depend on B, so every member's numbers are bit for bit those of its run
+alone.  run() is a batch of one and step() one iteration of it.  States are
+copied out only at record points.  A member stops at its iteration budget,
+on divergence, or at a field singularity; the others go on.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .curve import DiscreteCurve, MultiplierField, curve_length
+from .levelset import SingularityError
 from . import diagnostics
 
 logger = logging.getLogger(__name__)
@@ -49,7 +57,11 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "DivergenceError",
+    "Problem",
+    "Outcome",
+    "BatchRun",
     "step",
+    "run_batch",
     "run",
 ]
 
@@ -138,77 +150,287 @@ class DivergenceError(RuntimeError):
 
 
 class _Workspace:
-    """Two point and two multiplier buffers that swap after every iteration;
-    only interior rows are written, so the endpoints stay pinned."""
+    """The stacked state of a batch whose members share scheme and m.
 
-    def __init__(self, state: SolverState, cfg: SolverConfig, surface):
-        self.cfg, self.surface, self.m = cfg, surface, state.multiplier.m
-        pts, lam = state.curve.points, state.multiplier.values
-        self.buffers = [(DiscreteCurve(pts.copy()), lam.copy()),
-                        (DiscreteCurve(pts.copy()), np.empty_like(lam))]
-        self.sd, self.force = np.empty((len(lam), 3)), np.empty((len(lam), 3))
+    Points are (B, m+1, 3) and multipliers (B, m-1), each in two buffers that
+    swap after every iteration; only interior rows are written, so the
+    endpoints stay pinned.  Each step size holds every member's own value at
+    each of its nodes, a (B, 1) column spread to the shape it multiplies:
+    numpy's loop over two contiguous operands of one shape is faster than a
+    broadcast, at B = 1 too, and the products are the same.  `members` maps
+    each row to its member.  A member that stops leaves the stack: every
+    stacked array drops its row.
+    """
+
+    _STACKED = ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma",
+                "length_cap", "sd", "force", "tilde", "tmp")
+
+    def __init__(self, states, cfgs, surface):
+        self.scheme, self.surface, self.m = cfgs[0].scheme, surface, states[0].multiplier.m
+        pts = np.stack([s.curve.points for s in states])
+        lam = np.stack([s.multiplier.values for s in states])
+        self.buffers = [_buffer(pts, lam), _buffer(pts.copy(), np.empty_like(lam))]
+        self.members = list(range(len(states)))
+
+        def per_node(values, shape=lam.shape):
+            column = np.array(values, dtype=float).reshape(-1, *[1] * (len(shape) - 1))
+            return np.broadcast_to(column, shape).copy()
+
+        self.tau_lambda = per_node([c.tau_lambda for c in cfgs])
+        self.shrink = per_node([1.0 / (1.0 + c.epsilon * c.tau_lambda) for c in cfgs])
+        self.omega = per_node([0.0 if c.scheme is Scheme.REGULARIZED else c.omega
+                               for c in cfgs])
+        self.keep = per_node([1.0 - c.alpha * c.epsilon for c in cfgs])  # var2's weight of lam+
+        self.alpha = per_node([c.alpha for c in cfgs])
+        self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
+        self.length_cap = np.array([DIVERGENCE_LENGTH_FACTOR * max(
+            float(np.linalg.norm(s.curve.q - s.curve.p)), 1e-6) for s in states])
+        self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
         self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
-        self.shrink = 1.0 / (1.0 + cfg.epsilon * cfg.tau_lambda)
-        self.length_cap = DIVERGENCE_LENGTH_FACTOR * max(
-            float(np.linalg.norm(pts[-1] - pts[0])), 1e-6)
 
-    def state(self, iteration: int) -> SolverState:
-        curve, lam = self.buffers[0]
-        return SolverState(DiscreteCurve(curve.points.copy()),
-                           MultiplierField(lam.copy(), self.m), iteration)
+    def state(self, row: int, iteration: int) -> SolverState:
+        pts, lam = self.buffers[0][0], self.buffers[0][-1]
+        return SolverState(DiscreteCurve(pts[row].copy()),
+                           MultiplierField(lam[row].copy(), self.m), iteration)
 
-    def advance(self, iteration: int, trace=None):
-        """Step to `iteration`; on a non-finite update or a runaway curve, raise
-        DivergenceError carrying trace and the state at iteration - 1."""
-        cfg, sd, force, tilde, tmp = self.cfg, self.sd, self.force, self.tilde, self.tmp
-        (curve, lam), (new_curve, new_lam) = self.buffers
-        pts, new_interior = curve.points, new_curve.points[1:-1]
-        phi, grad = self.surface.value_and_grad(pts[1:-1])
+    def _leave(self, rows, iteration: int, reasons, stops):
+        """Rows stop at `iteration` (their state is the one before it) and
+        leave the stack; appends (member, state, reason) to stops."""
+        stops.extend((self.members[row], self.state(row, iteration - 1), reason)
+                     for row, reason in zip(rows, reasons))
+        kept = np.ones(len(self.members), dtype=bool)
+        kept[rows] = False
+        self.members = [member for member, k in zip(self.members, kept) if k]
+        self.buffers = [_buffer(buf[0][kept], buf[-1][kept]) for buf in self.buffers]
+        for name in self._STACKED:
+            setattr(self, name, getattr(self, name)[kept])
+
+    def _singular(self, error: SingularityError, iteration: int, stops):
+        """The rare path after the stacked field call raised `error`: the
+        members go through the field one by one, and each that raises stops.
+        Returns the field at the interior nodes of the members left, flat as
+        the stacked call returns it, or None when no member is left."""
+        interior = self.buffers[0][1]
+        singular = {}
+        for row in range(len(self.members)):
+            try:
+                self.surface.value_and_grad(interior[row])
+            except SingularityError as exc:
+                singular[row] = exc
+        if not singular:
+            raise error
+        self._leave(list(singular), iteration, singular.values(), stops)
+        if not self.members:
+            return None
+        return self.surface.value_and_grad(self.buffers[0][1].reshape(-1, 3))
+
+    def advance(self, iteration: int):
+        """Step every member to `iteration`.
+
+        Returns the members that stopped, as (member, state at iteration - 1,
+        reason); they have left the stack.  The reason is the field's
+        SingularityError or the message of a divergence: a non-finite update
+        or a curve longer than its length cap.
+        """
+        stops = []
+        # phi (B, m-1) and grad (B, m-1, 3) at every interior node, one field call
+        try:
+            field = self.surface.value_and_grad(self.buffers[0][1].reshape(-1, 3))
+        except SingularityError as exc:
+            field = self._singular(exc, iteration, stops)
+            if field is None:
+                return stops
+        rows = len(self.members)
+        phi, grad = field[0].reshape(rows, -1), field[1].reshape(rows, -1, 3)
+        sd, force, tmp = self.sd, self.force, self.tmp
+        (_, interior, ahead, behind, lam), (new_pts, new_interior, _, _, new_lam) = self.buffers
 
         # in place: one ufunc per operation, in the order of (lam + tau_l phi) * shrink
-        np.multiply(phi, cfg.tau_lambda, out=new_lam)
+        np.multiply(phi, self.tau_lambda, out=new_lam)
         np.add(lam, new_lam, out=new_lam)
-        if cfg.scheme is Scheme.GDA:
+        if self.scheme is Scheme.GDA:
             tilde = new_lam
         else:
+            tilde = self.tilde
             np.multiply(new_lam, self.shrink, out=new_lam)  # lam+
-            if cfg.scheme is Scheme.VAR2:
-                np.multiply(new_lam, 1.0 - cfg.alpha * cfg.epsilon, out=tilde)
-                np.multiply(phi, cfg.alpha, out=tmp)
+            if self.scheme is Scheme.VAR2:
+                np.multiply(new_lam, self.keep, out=tilde)
+                np.multiply(phi, self.alpha, out=tmp)
                 np.add(tilde, tmp, out=tilde)
             else:
-                omega = 0.0 if cfg.scheme is Scheme.REGULARIZED else cfg.omega
                 np.subtract(new_lam, lam, out=tilde)
-                np.multiply(tilde, omega, out=tilde)
+                np.multiply(tilde, self.omega, out=tilde)
                 np.add(new_lam, tilde, out=tilde)
-                if cfg.scheme is Scheme.VAR1:  # commit lam_bar
-                    np.multiply(phi, cfg.tau_lambda, out=new_lam)
+                if self.scheme is Scheme.VAR1:  # commit lam_bar
+                    np.multiply(phi, self.tau_lambda, out=new_lam)
                     np.add(tilde, new_lam, out=new_lam)
                     np.multiply(new_lam, self.shrink, out=new_lam)
 
-        np.multiply(pts[1:-1], 2.0, out=sd)  # second difference
-        np.subtract(pts[2:], sd, out=sd)
-        np.add(sd, pts[:-2], out=sd)
+        np.multiply(interior, 2.0, out=sd)  # second difference
+        np.subtract(ahead, sd, out=sd)
+        np.add(sd, behind, out=sd)
         np.multiply(sd, self.m**2, out=sd)
         # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
-        np.multiply(tilde[:, None], grad, out=force)
+        np.multiply(tilde[:, :, None], grad, out=force)
         np.subtract(force, sd, out=force)
-        np.multiply(force, cfg.tau_gamma, out=force)
-        np.subtract(pts[1:-1], force, out=new_interior)
+        np.multiply(force, self.tau_gamma, out=force)
+        np.subtract(interior, force, out=new_interior)
 
-        finite = np.isfinite(new_interior).all() and np.isfinite(new_lam).all()
-        if not finite or curve_length(new_curve) > self.length_cap:
-            reason = (f"curve length exceeded {self.length_cap:.3g}" if finite
-                      else "non-finite value in update")
-            raise DivergenceError(iteration, reason, trace, self.state(iteration - 1))
+        # one test of the whole stack, and the failing members located only
+        # when it fails: a length within its cap (nan is not) implies finite
+        # points, and count_nonzero is numpy's cheapest reduction
+        lengths = curve_length(new_pts)
+        if (np.count_nonzero(lengths <= self.length_cap) + np.count_nonzero(
+                np.isfinite(new_lam)) != rows + new_lam.size):
+            finite = (np.isfinite(new_interior).all(axis=(1, 2))
+                      & np.isfinite(new_lam).all(axis=1))
+            stopped = np.flatnonzero(~finite | (lengths > self.length_cap))
+            self._leave(stopped, iteration, [
+                f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
+                else "non-finite value in update" for row in stopped], stops)
         self.buffers.reverse()
+        return stops
+
+
+def _buffer(pts, lam):
+    """A (B, m+1, 3) point buffer with views of its interior and of each interior
+    node's next and previous neighbours, and a (B, m-1) multiplier buffer."""
+    return pts, pts[:, 1:-1], pts[:, 2:], pts[:, :-2], lam
+
+
+def _stop_error(reason, iteration: int, trace, state):
+    """The exception behind a stop: the field's SingularityError as it was
+    raised, or a DivergenceError carrying the trace and the last finite state."""
+    if isinstance(reason, SingularityError):
+        return reason
+    return DivergenceError(iteration, reason, trace, state)
 
 
 def step(state, cfg, surface) -> SolverState:
     """One iteration of whichever scheme cfg selects, with run()'s divergence check."""
-    work = _Workspace(state, cfg, surface)
-    work.advance(state.iteration + 1)
-    return work.state(state.iteration + 1)
+    work = _Workspace([state], [cfg], surface)
+    iteration = state.iteration + 1
+    stops = work.advance(iteration)
+    if stops:
+        _, last, reason = stops[0]
+        raise _stop_error(reason, iteration, None, last)
+    return work.state(0, iteration)
+
+
+class Problem(NamedTuple):
+    """One member of a batch: its config, its (DiscreteCurve, MultiplierField)
+    init, and the true geodesic distance, which enables the trace's error
+    columns."""
+
+    cfg: SolverConfig
+    init: tuple
+    reference_distance: float | None = None
+
+
+@dataclass
+class Outcome:
+    """How one member of a batch ended."""
+
+    state: SolverState  # the last finite state
+    trace: diagnostics.IterationTrace
+    error: Exception | None = None  # the DivergenceError or SingularityError of an early stop
+    seconds: float = 0.0  # from the start of the batch to this member's stop
+
+    @property
+    def stop(self) -> str:
+        """Why the member stopped: budget, diverged or singularity."""
+        if self.error is None:
+            return "budget"
+        return "diverged" if isinstance(self.error, DivergenceError) else "singularity"
+
+
+class BatchRun(NamedTuple):
+    """What a batch did as a whole."""
+
+    iteration: int  # member-iterations executed, summed over the members
+    seconds: dict  # record_at iteration -> seconds from the start until the batch reached it
+
+
+def _initial_state(problem: Problem, surface, stacklevel: int) -> SolverState:
+    """The state at iteration 0.  Warns if the init's endpoints are off the
+    surface (stacklevel as the caller would pass it to warnings.warn), and
+    logs a tau_gamma that differs from the one the diagnostics assume."""
+    (curve0, mult0), cfg = problem.init, problem.cfg
+    endpoint_phi = max(abs(float(surface.value(curve0.p))),
+                       abs(float(surface.value(curve0.q))))
+    if endpoint_phi > ENDPOINT_WARN_TOL:
+        warnings.warn(
+            f"init endpoints are off-surface: max |phi| = {endpoint_phi:.3g}",
+            stacklevel=stacklevel + 1,
+        )
+
+    if cfg.scheme not in (Scheme.GDA, Scheme.VAR2):
+        tau_implied = cfg.tau_lambda / (1.0 + cfg.epsilon * cfg.tau_lambda)
+        if abs(cfg.tau_gamma - tau_implied) > 1e-12 * max(1.0, tau_implied):
+            logger.info(
+                "tau_gamma=%g differs from tau_lambda/(1+eps*tau_lambda)=%g; "
+                "diagnostics reconstruct alpha as (1+omega)*tau_gamma",
+                cfg.tau_gamma,
+                tau_implied,
+            )
+    return SolverState(curve=curve0.copy(), multiplier=mult0.copy(), iteration=0)
+
+
+def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
+    """Iterate several problems as one stack, with one field call per iteration.
+
+    The problems share scheme, m, max_iters and record_every; each has its
+    own step sizes, init and reference distance, and every member's numbers
+    are bit for bit those of its own run().  Each member's trace has a row at
+    iteration 0, every record_every iterations, at max_iters and at each
+    iteration in record_at.  A member that diverges or meets a field
+    singularity stops there with its last finite state and its trace so
+    far; the others go on.
+
+    Returns (BatchRun, [Outcome of each problem, in order]).  The warning
+    about off-surface endpoints names the caller's line (run() passes
+    _stacklevel=3 so that it names its own caller's).
+    """
+    cfg, m = problems[0].cfg, problems[0].init[0].m
+    shared = (cfg.scheme, cfg.max_iters, cfg.record_every, m)
+    if any((p.cfg.scheme, p.cfg.max_iters, p.cfg.record_every, p.init[0].m) != shared
+           for p in problems):
+        raise ValueError("a batch must share scheme, max_iters, record_every and m")
+    start = time.monotonic()
+    states = []
+    for problem in problems:  # a loop, not a comprehension: its frame would count
+        states.append(_initial_state(problem, surface, _stacklevel))
+    outcomes = [Outcome(state, diagnostics.IterationTrace([diagnostics.trace_row(
+        state, problem.cfg, surface, problem.reference_distance)]))
+        for state, problem in zip(states, problems)]
+
+    work = _Workspace(states, [p.cfg for p in problems], surface)
+    record_at, seconds = frozenset(record_at), {}
+    for k in range(1, cfg.max_iters + 1):
+        stops = work.advance(k)
+        if stops:
+            for member, state, reason in stops:
+                out = outcomes[member]
+                out.state, out.seconds = state, time.monotonic() - start
+                out.error = _stop_error(reason, k, out.trace, state)
+            if not work.members:
+                break
+        wanted = k in record_at
+        if wanted:
+            seconds[k] = time.monotonic() - start
+        if wanted or k % cfg.record_every == 0 or k == cfg.max_iters:
+            for row, member in enumerate(work.members):
+                out, problem = outcomes[member], problems[member]
+                out.state = work.state(row, k)
+                out.trace.append(diagnostics.trace_row(
+                    out.state, problem.cfg, surface, problem.reference_distance))
+
+    elapsed = time.monotonic() - start
+    for member in work.members:
+        outcomes[member].seconds = elapsed
+    # a diverged member executed the iteration it diverged at; a singular one did not
+    executed = sum(out.state.iteration + (out.stop == "diverged") for out in outcomes)
+    return BatchRun(executed, seconds), outcomes
 
 
 def run(cfg: SolverConfig, surface, init, reference_distance: float | None = None):
@@ -223,39 +445,14 @@ def run(cfg: SolverConfig, surface, init, reference_distance: float | None = Non
         relative error columns in the trace.
 
     Returns (final SolverState, IterationTrace).  Deterministic for fixed
-    inputs.  Raises DivergenceError (with the trace so far and the last finite
-    state attached) when an update produces non-finite values or the length
-    exceeds 1e3 times the endpoint separation.
+    inputs: a batch of one in run_batch().  Raises DivergenceError (with the
+    trace so far and the last finite state attached) when an update produces
+    non-finite values or the length exceeds 1e3 times the endpoint
+    separation, and the field's SingularityError where its gradient is
+    undefined at a node.
     """
-    curve0, mult0 = init
-    state = SolverState(curve=curve0.copy(), multiplier=mult0.copy(), iteration=0)
-
-    endpoint_phi = max(abs(float(surface.value(curve0.p))),
-                       abs(float(surface.value(curve0.q))))
-    if endpoint_phi > ENDPOINT_WARN_TOL:
-        warnings.warn(
-            f"init endpoints are off-surface: max |phi| = {endpoint_phi:.3g}",
-            stacklevel=2,
-        )
-
-    if cfg.scheme not in (Scheme.GDA, Scheme.VAR2):
-        tau_implied = cfg.tau_lambda / (1.0 + cfg.epsilon * cfg.tau_lambda)
-        if abs(cfg.tau_gamma - tau_implied) > 1e-12 * max(1.0, tau_implied):
-            logger.info(
-                "tau_gamma=%g differs from tau_lambda/(1+eps*tau_lambda)=%g; "
-                "diagnostics reconstruct alpha as (1+omega)*tau_gamma",
-                cfg.tau_gamma,
-                tau_implied,
-            )
-
-    trace = diagnostics.IterationTrace()
-    trace.append(diagnostics.trace_row(state, cfg, surface, reference_distance))
-
-    work = _Workspace(state, cfg, surface)
-    for k in range(1, cfg.max_iters + 1):
-        work.advance(k, trace)
-        if k % cfg.record_every == 0 or k == cfg.max_iters:
-            state = work.state(k)
-            trace.append(diagnostics.trace_row(state, cfg, surface, reference_distance))
-
-    return state, trace
+    _, (outcome,) = run_batch([Problem(cfg, init, reference_distance)], surface,
+                              _stacklevel=3)
+    if outcome.error is not None:
+        raise outcome.error
+    return outcome.state, outcome.trace

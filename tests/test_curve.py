@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from levelgeo.curve import (
     DiscreteCurve,
@@ -136,12 +139,14 @@ def test_copy_is_independent():
     assert mult.values[0] == 0.0
 
 
-def test_json_round_trip_is_exact():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(13, 3))
-    curve = DiscreteCurve(pts)
+@settings(max_examples=100, deadline=None)
+@given(points=hnp.arrays(float, st.tuples(st.integers(3, 40), st.just(3)),
+                         elements=st.floats(allow_nan=False)))
+def test_json_round_trip_is_exact(points):
+    curve = DiscreteCurve(points)
     restored = curve_from_json(curve_to_json(curve))
-    assert np.array_equal(restored.points, curve.points)
+    # the bytes, so that -0.0 and 0.0 count as different
+    assert restored.points.tobytes() == curve.points.tobytes()
 
 
 def test_json_rejects_inconsistent_m():
@@ -149,3 +154,16 @@ def test_json_rejects_inconsistent_m():
     text = curve_to_json(curve).replace('"m": 5', '"m": 7')
     with pytest.raises(ValueError):
         curve_from_json(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(3, 60),
+                                          st.just(3)),
+                         elements=st.floats(-1e100, 1e100)))
+def test_stacked_lengths_are_each_curves_own(points):
+    lengths = curve_length(points)
+    assert lengths.shape == (len(points),)
+    for curve_points, length in zip(points, lengths):
+        assert length == curve_length(DiscreteCurve(curve_points))
+        chords = np.diff(curve_points, axis=0)
+        assert length == np.linalg.norm(chords, axis=1).sum()

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.diagnostics import (
     TRACE_CSV_HEADER,
     IterationTrace,
+    TraceRow,
     absolute_error,
     effective_alpha,
     equilibrium_residuals,
@@ -207,6 +210,24 @@ def test_trace_csv_blank_optionals(tmp_path):
     back = read_trace_csv(path)
     assert back.rows[0].absolute_error is None
     assert back.rows[0].relative_error is None
+
+
+finite_or_not = st.floats()  # nan and +-inf included
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.integers(1, 1000), finite_or_not, st.none() | finite_or_not,
+    st.none() | finite_or_not, *[finite_or_not] * 5), max_size=12))
+def test_trace_csv_round_trip_is_exact(rows, tmp_path_factory):
+    trace, iteration = IterationTrace(), 0
+    for gap, *values in rows:
+        iteration += gap
+        trace.append(TraceRow(iteration, *values))
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    write_trace_csv(trace, path)
+    # repr keeps every bit, nan and the sign of zero included; None stays None
+    assert [repr(row) for row in read_trace_csv(path)] == [repr(row) for row in trace]
 
 
 def test_trace_column_and_final():

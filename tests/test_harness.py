@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import levelgeo
+from levelgeo import harness
 from levelgeo.cli import build_parser, main, parse_args
 from levelgeo.curve import curve_from_json, init_straight_line
 from levelgeo.diagnostics import read_trace_csv
@@ -280,6 +281,32 @@ def test_run_divergence_exits_2_with_artifacts(tmp_path):
     assert summary["diverged"] is True
     assert summary["iterations"] >= 1
     assert (out / "trace.csv").exists()
+
+
+def test_run_singularity_exits_3_with_artifacts(tmp_path, capsys):
+    # the default straight chord between the poles puts node m/2 on the
+    # origin, where the gradient of R - |x| is undefined: the first step
+    # cannot be taken, and the trace ends at the init
+    out = tmp_path / "out"
+    rc = main(["run", "--m", "16", "--iters", "20", "--record-every", "5",
+               "--out", str(out)])
+    assert rc == 3
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("singularity: 0 iterations in ")
+    assert ("singularity at iteration 1: gradient of R - |x| undefined at the "
+            "origin\n") in stdout
+    trace = read_trace_csv(out / "trace.csv")
+    assert [r.iteration for r in trace] == [0]
+    assert trace.final.length == 2.0
+    assert math.isnan(trace.final.gamma_residual)
+    assert math.isnan(trace.final.lyapunov_J)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == 0 and summary["diverged"] is True
+    assert summary["gamma_residual"] is None and summary["lyapunov_J"] is None
+    final = curve_from_json((out / "curve_final.json").read_text())
+    assert np.array_equal(final.points,
+                          curve_from_json((out / "curve_init.json").read_text()).points)
+    assert "stop=singularity" in (out / "run.log").read_text()
 
 
 def test_run_off_surface_endpoint_exits_1(tmp_path, capsys):
@@ -557,6 +584,20 @@ def test_sweep_close_values_get_their_own_directories(tmp_path, capsys):
     assert "epsilon=0.01234568: done" in stdout
 
 
+def test_sweep_records_a_singularity_per_value(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--m", "16", "--iters", "20", "--parameter", "tau-gamma",
+               "--values", "1e-5,2e-5", "--out", str(out)])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    lines = (out / "sweep_summary.csv").read_text().splitlines()
+    assert lines[1:] == ["1e-05,,,,true,true", "2e-05,,,,true,true"]
+    for label in ("tau_gamma=1e-05", "tau_gamma=2e-05"):
+        assert (f"{label}: error: gradient of R - |x| undefined at the origin"
+                in stdout)
+        assert [r.iteration for r in read_trace_csv(out / label / "trace.csv")] == [0]
+
+
 def test_sweep_bad_parameter(tmp_path, capsys):
     rc = main(["sweep", "--parameter", "banana", "--values", "1,2",
                "--iters", "5", "--m", "8", "--out", str(tmp_path / "out")])
@@ -660,6 +701,23 @@ def test_benchmark_counts_pairs_per_checkpoint_reached(tmp_path, capsys):
     assert [row.split(",")[:2] for row in rows[1:]] == [["10", "3"], ["50", "2"]]
 
 
+def test_benchmark_reports_a_singular_pair_like_a_diverged_one(
+        tmp_path, capsys, monkeypatch):
+    # an antipodal pair: the straight init puts node m/2 on the origin
+    pairs = sample_endpoint_pairs(SphereSDF(1.0), 2, seed=0)
+    pole = np.array([0.0, 0.0, 1.0])
+    monkeypatch.setattr(harness, "sample_endpoint_pairs",
+                        lambda surface, n, seed: [pairs[0], (pole, -pole), pairs[1]])
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--pairs", "3", "--checkpoints", "5,10", "--m", "16",
+               "--out", str(out)])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    assert "pair 1: singularity at iteration 1\n" in stdout
+    rows = (out / "benchmark.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["5", "2"], ["10", "2"]]
+
+
 def test_benchmark_requires_sphere(tmp_path, capsys):
     rc = main(["benchmark", "--surface", "torus", "--pairs", "2",
                "--checkpoints", "5", "--m", "8",
@@ -758,19 +816,35 @@ def test_planar_saddle_init(tmp_path, capsys):
     assert "bound held: true" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+DIVERGING_PLANAR = ["planar", "--tau-gamma", "50", "--tau-lambda", "50",
+                    "--epsilon", "0", "--iters", "4000", "--m", "8"]
+
+
+@pytest.mark.filterwarnings("error")  # each warning is printed once, on stdout
 def test_planar_divergence_exits_2_with_the_records(tmp_path, capsys):
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="step product"):
-        rc = main(["planar", "--tau-gamma", "50", "--tau-lambda", "50",
-                   "--epsilon", "0", "--iters", "4000", "--m", "8",
-                   "--out", str(out)])
+    rc = main(DIVERGING_PLANAR + ["--out", str(out)])
     assert rc == 2
     stdout = capsys.readouterr().out
+    assert stdout.count("warning: ") == 2
+    assert "warning: step product 2.5e+03 >= 1" in stdout
     assert "warning: divergence at iteration 309: non-finite planar iterate" in stdout
     assert "bound held: false" in stdout
     records = read_ergodic_csv(out / "planar_ergodic.csv")
     assert [r.k for r in records] == [2 ** i for i in range(9)]
+
+
+def test_diverging_planar_process_writes_nothing_to_stderr(tmp_path):
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "levelgeo.cli", *DIVERGING_PLANAR,
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert "warning: divergence at iteration 309" in proc.stdout
 
 
 def test_planar_bad_vector(tmp_path, capsys):

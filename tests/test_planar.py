@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.planar import (
     ERGODIC_CSV_HEADER,
+    ErgodicRecord,
     PlanarProblem,
     greens_function,
     implicit_gamma_solve,
@@ -274,3 +275,13 @@ def test_ergodic_csv_round_trip(tmp_path):
     assert [(r.k, r.gap, r.bound) for r in back] == [
         (r.k, r.gap, r.bound) for r in records
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(st.tuples(st.integers(0, 2**62), st.floats(), st.floats()),
+                        max_size=12))
+def test_ergodic_csv_round_trip_is_exact(records, tmp_path_factory):
+    records = [ErgodicRecord(k, gap, bound) for k, gap, bound in records]
+    path = tmp_path_factory.mktemp("ergodic") / "ergodic.csv"
+    write_ergodic_csv(records, path)
+    assert [repr(r) for r in read_ergodic_csv(path)] == [repr(r) for r in records]

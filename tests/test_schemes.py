@@ -1,19 +1,30 @@
 """Iteration schemes: fixed points, equivalences, bounds, divergence handling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelgeo import schemes
-from levelgeo.curve import init_randomized, init_straight_line
-from levelgeo.levelset import Plane, SphereQuadratic, SphereSDF
+from levelgeo.curve import (
+    DiscreteCurve,
+    MultiplierField,
+    init_randomized,
+    init_straight_line,
+)
+from levelgeo.diagnostics import IterationTrace, trace_row
+from levelgeo.levelset import Plane, SingularityError, SphereQuadratic, SphereSDF
 from levelgeo.schemes import (
+    DIVERGENCE_LENGTH_FACTOR,
     DivergenceError,
+    Problem,
     Scheme,
     SolverConfig,
     SolverState,
     run,
+    run_batch,
     step,
 )
 
@@ -272,3 +283,205 @@ def test_run_builds_states_only_at_record_points(monkeypatch):
     assert counts[0] == counts[1]
     assert counts[0]["DiscreteCurve"] <= 4
     assert counts[0]["SolverState"] <= 3
+
+
+def _rows(trace):
+    # repr is exact for floats and equal for nan, which == is not
+    return [repr(row) for row in trace]
+
+
+def _unstacked_run(cfg, surface, init, reference_distance, record_at):
+    """The single-curve kernel as it was before the stacked workspace, in plain
+    expressions with its operation order: one problem, (m+1, 3) points, scalar
+    step sizes.  Returns (state, trace) or raises DivergenceError like run()."""
+    pts, lam, m = init[0].points.copy(), init[1].values.copy(), init[1].m
+    shrink = 1.0 / (1.0 + cfg.epsilon * cfg.tau_lambda)
+    cap = DIVERGENCE_LENGTH_FACTOR * max(float(np.linalg.norm(pts[-1] - pts[0])), 1e-6)
+
+    def state(k):
+        return SolverState(DiscreteCurve(pts.copy()), MultiplierField(lam.copy(), m), k)
+
+    trace = IterationTrace([trace_row(state(0), cfg, surface, reference_distance)])
+    for k in range(1, cfg.max_iters + 1):
+        phi, grad = surface.value_and_grad(pts[1:-1])
+        new_lam = lam + phi * cfg.tau_lambda
+        tilde = new_lam
+        if cfg.scheme is not Scheme.GDA:
+            new_lam = new_lam * shrink
+            if cfg.scheme is Scheme.VAR2:
+                tilde = new_lam * (1.0 - cfg.alpha * cfg.epsilon) + phi * cfg.alpha
+            else:
+                omega = 0.0 if cfg.scheme is Scheme.REGULARIZED else cfg.omega
+                tilde = new_lam + (new_lam - lam) * omega
+                if cfg.scheme is Scheme.VAR1:
+                    new_lam = (tilde + phi * cfg.tau_lambda) * shrink
+        sd = (pts[2:] - pts[1:-1] * 2.0 + pts[:-2]) * m**2
+        new_pts = pts.copy()
+        new_pts[1:-1] = pts[1:-1] - (tilde[:, None] * grad - sd) * cfg.tau_gamma
+        finite = np.isfinite(new_pts).all() and np.isfinite(new_lam).all()
+        if not finite or np.linalg.norm(np.diff(new_pts, axis=0), axis=1).sum() > cap:
+            reason = (f"curve length exceeded {cap:.3g}" if finite
+                      else "non-finite value in update")
+            raise DivergenceError(k, reason, trace, state(k - 1))
+        pts, lam = new_pts, new_lam
+        if k in record_at or k % cfg.record_every == 0 or k == cfg.max_iters:
+            trace.append(trace_row(state(k), cfg, surface, reference_distance))
+    return state(cfg.max_iters), trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    m=st.integers(2, 40),
+    steps=st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(0.05, 2.0),
+                             st.floats(0.0, 0.5), st.floats(0.0, 3.0),
+                             st.floats(0.0, 50.0), st.integers(0, 1000)),
+                   min_size=1, max_size=5),
+    n=st.integers(0, 60),
+    record_every=st.integers(1, 12),
+    record_at=st.lists(st.integers(-2, 70), max_size=6),
+    sdf=st.booleans(),
+)
+def test_batch_equals_serial_runs(scheme, m, steps, n, record_every, record_at, sdf):
+    # courant = tau_gamma * m^2 above 1/2 is outside the explicit stability
+    # limit, so members with different courant numbers diverge at different
+    # iterations (or not at all within n)
+    surface = SphereSDF() if sdf else SphereQuadratic()
+    p = np.array([0.0, 0.0, 1.0])
+    q = np.array([1.0, 0.0, 0.0])
+    problems = [
+        Problem(SolverConfig(scheme=scheme, tau_gamma=courant / m**2,
+                             tau_lambda=tau_lambda, epsilon=epsilon, omega=omega,
+                             alpha=alpha, max_iters=n, record_every=record_every),
+                init_randomized(p, q, m, surface, tau_r=1.0, seed=seed),
+                math.pi / 2 if seed % 2 else None)
+        for courant, tau_lambda, epsilon, omega, alpha, seed in steps]
+    init_points = [problem.init[0].points.copy() for problem in problems]
+
+    batch, outcomes = run_batch(problems, surface, record_at=sorted(record_at))
+
+    # each member against the unstacked kernel on its own problem: the numbers
+    # do not depend on B and are those of the kernel before stacking
+    executed = 0
+    for problem, outcome in zip(problems, outcomes):
+        try:
+            state, trace = _unstacked_run(problem.cfg, surface, problem.init,
+                                          problem.reference_distance, record_at)
+            error = None
+            executed += n
+        except DivergenceError as exc:
+            state, trace, error = exc.state, exc.trace, exc
+            executed += exc.iteration
+        assert outcome.stop == ("budget" if error is None else "diverged")
+        assert str(outcome.error) == str(error)
+        if error is not None:
+            assert outcome.error.iteration == error.iteration
+            assert outcome.error.state is outcome.state
+        assert outcome.state.iteration == state.iteration
+        assert np.array_equal(outcome.state.curve.points, state.curve.points)
+        assert np.array_equal(outcome.state.multiplier.values, state.multiplier.values)
+        assert _rows(outcome.trace) == _rows(trace)
+        if error is None:
+            assert {row.iteration for row in trace} == (
+                {0, n} | set(range(record_every, n + 1, record_every))
+                | {k for k in record_at if 0 <= k <= n})
+    assert batch.iteration == executed
+    # the batch reads its inputs and never writes them
+    for problem, points in zip(problems, init_points):
+        assert np.array_equal(problem.init[0].points, points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(list(Scheme)),
+    m=st.integers(2, 30),
+    courants=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=6),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 1000),
+)
+def test_batch_keeps_every_endpoint_pinned(scheme, m, courants, n, seed):
+    surface = SphereQuadratic()
+    rng = np.random.default_rng(seed)
+    problems = []
+    for courant in courants:
+        p, q = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+        problems.append(Problem(
+            SolverConfig(scheme=scheme, tau_gamma=courant / m**2, max_iters=n,
+                         record_every=1),
+            init_randomized(p, q, m, surface, tau_r=1.0, seed=seed)))
+    _, outcomes = run_batch(problems, surface)
+    for problem, outcome in zip(problems, outcomes):
+        for points in (outcome.state.curve.points, problem.init[0].points):
+            assert np.array_equal(points[0], problem.init[0].p)
+            assert np.array_equal(points[-1], problem.init[0].q)
+
+
+def test_batch_names_each_members_divergence():
+    # one member overflows to inf at once, one outgrows its length cap, one
+    # runs to its budget
+    surface = SphereQuadratic()
+    init = init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                           20, surface, tau_r=1.0, seed=0)
+    problems = [Problem(SolverConfig(tau_gamma=tau, max_iters=50), init)
+                for tau in (1.7e308, 0.5, 1e-4)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch, outcomes = run_batch(problems, surface)
+    assert [outcome.stop for outcome in outcomes] == ["diverged", "diverged", "budget"]
+    assert str(outcomes[0].error) == "divergence at iteration 1: non-finite value in update"
+    assert outcomes[1].error.iteration > 1
+    assert str(outcomes[1].error).endswith("curve length exceeded 1.41e+03")
+    assert outcomes[2].state.iteration == 50
+    assert batch.iteration == 1 + outcomes[1].error.iteration + 50
+
+
+def test_batch_stops_only_a_singular_member():
+    # the straight chord between the poles puts node m/2 of the middle member
+    # on the origin, where the gradient of R - |x| is undefined
+    surface = SphereSDF()
+    pole = np.array([0.0, 0.0, 1.0])
+    equator = np.array([1.0, 0.0, 0.0])
+    cfg = SolverConfig(max_iters=30, record_every=10)
+    inits = [init_straight_line(pole, equator, 16), init_straight_line(pole, -pole, 16),
+             init_randomized(pole, -pole, 16, surface, tau_r=1.0, seed=2)]
+    batch, outcomes = run_batch([Problem(cfg, init) for init in inits], surface)
+
+    singular = outcomes[1]
+    assert singular.stop == "singularity"
+    assert str(singular.error) == "gradient of R - |x| undefined at the origin"
+    assert singular.state.iteration == 0
+    assert np.array_equal(singular.state.curve.points, inits[1][0].points)
+    assert [row.iteration for row in singular.trace] == [0]
+    assert math.isnan(singular.trace.final.gamma_residual)
+    with pytest.raises(SingularityError, match="origin"):
+        run(cfg, surface, inits[1])
+    for i in (0, 2):
+        state, trace = run(cfg, surface, inits[i])
+        assert outcomes[i].stop == "budget"
+        assert np.array_equal(outcomes[i].state.curve.points, state.curve.points)
+        assert _rows(outcomes[i].trace) == _rows(trace)
+    assert batch.iteration == 60
+
+
+def test_batch_members_must_share_scheme_and_schedule():
+    surface = SphereQuadratic()
+    init = init_straight_line(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 8)
+    base = SolverConfig(max_iters=5)
+    for other in (SolverConfig(scheme="var2", max_iters=5), SolverConfig(max_iters=6),
+                  SolverConfig(max_iters=5, record_every=3)):
+        with pytest.raises(ValueError, match="share"):
+            run_batch([Problem(base, init), Problem(other, init)], surface)
+    with pytest.raises(ValueError, match="share"):
+        run_batch([Problem(base, init), Problem(base, init_straight_line(
+            np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 9))], surface)
+
+
+def test_off_surface_warning_names_the_callers_line():
+    surface = SphereQuadratic()
+    init = init_straight_line(np.array([0.0, 0.0, 2.0]), np.array([2.0, 0.0, 0.0]), 8)
+    cfg = SolverConfig(max_iters=1)
+    with pytest.warns(UserWarning, match="off-surface") as by_run:
+        run(cfg, surface, init)
+    with pytest.warns(UserWarning, match="off-surface") as by_batch:
+        run_batch([Problem(cfg, init), Problem(cfg, init)], surface)
+    assert [w.filename for w in by_run] == [__file__]
+    assert [w.filename for w in by_batch] == [__file__] * 2
