@@ -210,9 +210,12 @@ def tangency_defect(state, surface) -> float:
     return float((dots[mask] / speed[mask]).max())
 
 
-def trace_row(state, cfg, surface, reference_distance: float | None = None) -> TraceRow:
+def trace_row(state, cfg, surface, reference_distance: float | None = None,
+              field=None) -> TraceRow:
     """Assemble one diagnostics row for the current state.
 
+    field, if given, is surface.value_and_grad(state.curve.interior) as the
+    caller already has it; the row is then made without a field call.
     Where the field's gradient is undefined at a node (a SingularityError),
     the gamma residual and J are nan and the other columns are as usual.
     """
@@ -224,7 +227,7 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None) -> T
         abs_err = rel_err = None
     # one field evaluation feeds the residuals, J and the surface error
     try:
-        phi, grad = surface.value_and_grad(state.curve.interior)
+        phi, grad = field or surface.value_and_grad(state.curve.interior)
     except SingularityError:  # grad phi is undefined at a node: R_gamma and J are nan
         phi = surface.value(state.curve.interior)
         grad = np.full((len(phi), 3), math.nan)

@@ -22,6 +22,8 @@ sample.  No inside/outside sign is recovered.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -319,7 +321,8 @@ class PointCloud(LevelSet):
             raise ValueError("point cloud must be a nonempty (n, 3) array")
         if not np.isfinite(pts).all():
             raise ValueError("point cloud coordinates must be finite")
-        self.points = _dedupe_rows(pts)
+        _, first = np.unique(pts, axis=0, return_index=True)  # exact duplicates go
+        self.points = pts[np.sort(first)]
         self.points.setflags(write=False)
         self._tree = cKDTree(self.points)
 
@@ -371,39 +374,49 @@ class PointCloud(LevelSet):
         return self.points[rng.integers(len(self.points))].copy()
 
 
-def _dedupe_rows(pts):
-    """Remove exact duplicate rows, keeping first occurrences in order."""
-    _, first = np.unique(pts, axis=0, return_index=True)
-    return pts[np.sort(first)]
-
-
 def load_point_cloud(path) -> PointCloud:
     """Read a point cloud from plain text: three reals per line, '#' comments.
 
+    numpy.loadtxt parses it: blank lines are skipped, fields are apart by
+    whitespace, lines end in LF, CRLF or CR, and a real is what float()
+    reads except for underscores between digits and non-ASCII digits.
     Raises PointCloudFormatError (with the offending line number) on malformed
     lines and ValueError when fewer than 4 distinct points remain.
     """
-    rows = []
-    with open(path) as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise PointCloudFormatError(
-                    line_number, f"expected 3 values, got {len(parts)}"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise PointCloudFormatError(
-                    line_number, f"could not parse {line!r} as three reals"
-                ) from None
-    pts = _dedupe_rows(np.asarray(rows, dtype=float).reshape(-1, 3))
-    if len(pts) < 4:
-        raise ValueError(f"point cloud needs at least 4 distinct points, got {len(pts)}")
-    return PointCloud(pts)
+    with open(path) as fh, warnings.catch_warnings():
+        # a file without data is reported below, as 0 distinct points
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            pts = np.loadtxt(fh, comments="#", ndmin=2)
+        except ValueError:
+            _raise_at_bad_line(fh)
+            raise
+        if pts.shape[1] != 3:
+            _raise_at_bad_line(fh)
+            pts = pts.reshape(0, 3)  # no data
+    cloud = PointCloud(pts) if len(pts) else None
+    distinct = 0 if cloud is None else len(cloud.points)
+    if distinct < 4:
+        raise ValueError(f"point cloud needs at least 4 distinct points, got {distinct}")
+    return cloud
+
+
+def _raise_at_bad_line(fh):
+    """Raise PointCloudFormatError at the first line of the file fh that is not
+    three reals as load_point_cloud reads them; return if there is none."""
+    fh.seek(0)
+    for line_number, raw in enumerate(fh, start=1):
+        line = raw.split("#", 1)[0].strip()
+        parts = line.split()
+        if parts and len(parts) != 3:
+            raise PointCloudFormatError(line_number, f"expected 3 values, got {len(parts)}")
+        try:
+            for v in parts:  # loadtxt reads neither underscores nor non-ASCII digits
+                float(v if v.isascii() and "_" not in v else "not a real")
+        except ValueError:
+            raise PointCloudFormatError(
+                line_number, f"could not parse {line!r} as three reals"
+            ) from None
 
 
 class AssumptionAReport:

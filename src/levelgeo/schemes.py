@@ -26,9 +26,10 @@ and the endpoints never touched.  Regularized is exactly BasePDHG with
 omega = 0 and shares its code path.
 
 One kernel serves every path: run_batch() stacks B >= 1 problems that
-share scheme and m, makes one field call (value_and_grad) per iteration on
-all their interior nodes, and updates preallocated buffers in place, each
-member with its own step sizes.  The operations and their order do not
+share scheme and m, makes one field call (value_and_grad) per state on all
+their interior nodes, and updates preallocated buffers in place, each
+member with its own step sizes.  A recorded state's field call feeds both
+its trace rows and the next step.  The operations and their order do not
 depend on B, so every member's numbers are bit for bit those of its run
 alone.  run() is a batch of one and step() one iteration of it.  States are
 copied out only at record points.  A member stops at its iteration budget,
@@ -159,7 +160,9 @@ class _Workspace:
     numpy's loop over two contiguous operands of one shape is faster than a
     broadcast, at B = 1 too, and the products are the same.  `members` maps
     each row to its member.  A member that stops leaves the stack: every
-    stacked array drops its row.
+    stacked array drops its row.  `field` holds the field of the current
+    state once a record point has evaluated it; the next advance takes it,
+    and a member leaving clears it.
     """
 
     _STACKED = ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma",
@@ -187,6 +190,14 @@ class _Workspace:
             float(np.linalg.norm(s.curve.q - s.curve.p)), 1e-6) for s in states])
         self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
         self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
+        self.field = None
+
+    def evaluate(self):
+        """phi (B, m-1) and grad (B, m-1, 3) at every member's interior nodes of
+        the current state, from one field call."""
+        rows = len(self.members)
+        phi, grad = self.surface.value_and_grad(self.buffers[0][1].reshape(-1, 3))
+        return phi.reshape(rows, -1), grad.reshape(rows, -1, 3)
 
     def state(self, row: int, iteration: int) -> SolverState:
         pts, lam = self.buffers[0][0], self.buffers[0][-1]
@@ -201,6 +212,7 @@ class _Workspace:
         kept = np.ones(len(self.members), dtype=bool)
         kept[rows] = False
         self.members = [member for member, k in zip(self.members, kept) if k]
+        self.field = None
         self.buffers = [_buffer(buf[0][kept], buf[-1][kept]) for buf in self.buffers]
         for name in self._STACKED:
             setattr(self, name, getattr(self, name)[kept])
@@ -208,8 +220,8 @@ class _Workspace:
     def _singular(self, error: SingularityError, iteration: int, stops):
         """The rare path after the stacked field call raised `error`: the
         members go through the field one by one, and each that raises stops.
-        Returns the field at the interior nodes of the members left, flat as
-        the stacked call returns it, or None when no member is left."""
+        Returns evaluate() for the members left, or None when no member is
+        left."""
         interior = self.buffers[0][1]
         singular = {}
         for row in range(len(self.members)):
@@ -222,7 +234,7 @@ class _Workspace:
         self._leave(list(singular), iteration, singular.values(), stops)
         if not self.members:
             return None
-        return self.surface.value_and_grad(self.buffers[0][1].reshape(-1, 3))
+        return self.evaluate()
 
     def advance(self, iteration: int):
         """Step every member to `iteration`.
@@ -233,15 +245,18 @@ class _Workspace:
         or a curve longer than its length cap.
         """
         stops = []
-        # phi (B, m-1) and grad (B, m-1, 3) at every interior node, one field call
-        try:
-            field = self.surface.value_and_grad(self.buffers[0][1].reshape(-1, 3))
-        except SingularityError as exc:
-            field = self._singular(exc, iteration, stops)
-            if field is None:
-                return stops
-        rows = len(self.members)
-        phi, grad = field[0].reshape(rows, -1), field[1].reshape(rows, -1, 3)
+        # the field of the state being left: the one a record point evaluated
+        # (taken, so that no later state reads it) or one field call
+        field, self.field = self.field, None
+        if field is None:
+            try:
+                field = self.evaluate()
+            except SingularityError as exc:
+                field = self._singular(exc, iteration, stops)
+                if field is None:
+                    return stops
+        phi, grad = field
+        rows = len(phi)
         sd, force, tmp = self.sd, self.force, self.tmp
         (_, interior, ahead, behind, lam), (new_pts, new_interior, _, _, new_lam) = self.buffers
 
@@ -377,7 +392,7 @@ def _initial_state(problem: Problem, surface, stacklevel: int) -> SolverState:
 
 
 def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
-    """Iterate several problems as one stack, with one field call per iteration.
+    """Iterate several problems as one stack, with one field call per state.
 
     The problems share scheme, m, max_iters and record_every; each has its
     own step sizes, init and reference distance, and every member's numbers
@@ -385,7 +400,9 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     iteration 0, every record_every iterations, at max_iters and at each
     iteration in record_at.  A member that diverges or meets a field
     singularity stops there with its last finite state and its trace so
-    far; the others go on.
+    far; the others go on.  A record point's field call feeds every
+    member's row and the next step, so a batch without stops makes
+    max_iters + 1 field calls whatever it records.
 
     Returns (BatchRun, [Outcome of each problem, in order]).  The warning
     about off-surface endpoints names the caller's line (run() passes
@@ -400,11 +417,23 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     states = []
     for problem in problems:  # a loop, not a comprehension: its frame would count
         states.append(_initial_state(problem, surface, _stacklevel))
-    outcomes = [Outcome(state, diagnostics.IterationTrace([diagnostics.trace_row(
-        state, problem.cfg, surface, problem.reference_distance)]))
-        for state, problem in zip(states, problems)]
-
+    outcomes = [Outcome(state, diagnostics.IterationTrace()) for state in states]
     work = _Workspace(states, [p.cfg for p in problems], surface)
+
+    def record(k):
+        try:
+            work.field = work.evaluate()
+        except SingularityError:  # each row evaluates its own; advance stops the culprit
+            pass
+        for row, member in enumerate(work.members):
+            out, problem = outcomes[member], problems[member]
+            if k:
+                out.state = work.state(row, k)
+            field = work.field and (work.field[0][row], work.field[1][row])
+            out.trace.append(diagnostics.trace_row(
+                out.state, problem.cfg, surface, problem.reference_distance, field=field))
+
+    record(0)
     record_at, seconds = frozenset(record_at), {}
     for k in range(1, cfg.max_iters + 1):
         stops = work.advance(k)
@@ -419,11 +448,7 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
         if wanted:
             seconds[k] = time.monotonic() - start
         if wanted or k % cfg.record_every == 0 or k == cfg.max_iters:
-            for row, member in enumerate(work.members):
-                out, problem = outcomes[member], problems[member]
-                out.state = work.state(row, k)
-                out.trace.append(diagnostics.trace_row(
-                    out.state, problem.cfg, surface, problem.reference_distance))
+            record(k)
 
     elapsed = time.monotonic() - start
     for member in work.members:

@@ -24,7 +24,7 @@ from levelgeo.diagnostics import (
     trace_row,
     write_trace_csv,
 )
-from levelgeo.levelset import Plane, SphereQuadratic
+from levelgeo.levelset import Plane, PointCloud, SphereQuadratic, SphereSDF, Torus
 from levelgeo.schemes import SolverConfig, SolverState, run
 
 
@@ -228,6 +228,34 @@ def test_trace_csv_round_trip_is_exact(rows, tmp_path_factory):
     write_trace_csv(trace, path)
     # repr keeps every bit, nan and the sign of zero included; None stays None
     assert [repr(row) for row in read_trace_csv(path)] == [repr(row) for row in trace]
+
+
+_CLOUD = PointCloud(np.random.default_rng(12345).normal(size=(500, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(surface=st.sampled_from([SphereQuadratic(), SphereSDF(), Torus(), _CLOUD]),
+       scheme=st.sampled_from(["gda", "regularized", "base-pdhg", "var1", "var2"]),
+       m=st.integers(2, 40), stacked=st.integers(1, 4), seed=st.integers(0, 10**6),
+       reference_distance=st.none() | st.floats(0.1, 10.0))
+def test_trace_row_from_a_given_field_is_bit_identical(surface, scheme, m, stacked, seed,
+                                                       reference_distance):
+    # the field handed in as run_batch hands it: one member's rows of a call
+    # on a stack of curves, at the last row, so at an offset of the stack
+    rng = np.random.default_rng(seed)
+    curves = [DiscreteCurve(rng.normal(size=(m + 1, 3))) for _ in range(stacked)]
+    state = SolverState(curves[-1], MultiplierField(rng.normal(size=m - 1), m),
+                        int(rng.integers(0, 1000)))
+    cfg = SolverConfig(scheme=scheme, tau_gamma=float(rng.uniform(1e-4, 1.0)),
+                       epsilon=float(rng.uniform(0.0, 0.1)), alpha=float(rng.uniform(0, 50)))
+    phi, grad = surface.value_and_grad(np.concatenate([c.interior for c in curves]))
+    field = phi.reshape(stacked, -1)[-1], grad.reshape(stacked, -1, 3)[-1]
+
+    by_field = trace_row(state, cfg, surface, reference_distance, field=field)
+    own = trace_row(state, cfg, surface, reference_distance)
+    assert repr(by_field) == repr(own)  # repr is exact for floats and equal for nan
+    assert repr(trace_row(state, cfg, surface, reference_distance,
+                          field=surface.value_and_grad(state.curve.interior))) == repr(own)
 
 
 def test_trace_column_and_final():

@@ -375,6 +375,25 @@ def test_cli_process_reports_a_bad_config_on_stderr(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text", ["", "# a header\n\n   # and nothing else\n"],
+                         ids=["empty", "comments-only"])
+def test_cli_process_reports_an_empty_cloud_on_stderr_alone(tmp_path, text):
+    # numpy.loadtxt warns on a file without data; the one stderr line is the error
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    (tmp_path / "cloud.xyz").write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "levelgeo.cli", "run", "--surface", "point-cloud",
+         "--points", "cloud.xyz", "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: bad surface descriptor 'point-cloud': point cloud "
+                           "needs at least 4 distinct points, got 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_point_cloud_end_to_end(tmp_path):
     path = tmp_path / "cloud.txt"
     pts = write_cloud(path, n=300, seed=2)

@@ -238,6 +238,108 @@ def test_load_point_cloud_reports_line_numbers(tmp_path):
         load_point_cloud(path)
 
 
+def _lines_loaded(path):
+    """load_point_cloud's points as its line-by-line parser read them before
+    it read files with numpy.loadtxt: float() on the fields of each line."""
+    rows = []
+    with open(path) as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise PointCloudFormatError(
+                    line_number, f"expected 3 values, got {len(parts)}"
+                )
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError:
+                raise PointCloudFormatError(
+                    line_number, f"could not parse {line!r} as three reals"
+                ) from None
+    pts = np.asarray(rows, dtype=float).reshape(-1, 3)
+    _, first = np.unique(pts, axis=0, return_index=True)
+    pts = pts[np.sort(first)]
+    if len(pts) < 4:
+        raise ValueError(f"point cloud needs at least 4 distinct points, got {len(pts)}")
+    return pts
+
+
+_REAL_FORMATS = [repr, "{:.17g}".format, "{:.6e}".format]
+
+
+@st.composite
+def cloud_files(draw):
+    """The text of a well-formed cloud file: each number in one of the formats,
+    fields apart by spaces or tabs, comments and blank lines between and after
+    the rows, LF, CRLF or CR line ends."""
+    real = st.floats(allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(real, real, real), min_size=1, max_size=12))
+    if draw(st.booleans()):  # repeats, which the loader drops
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "\t# 1 2 3"]),
+                               max_size=2))
+        fields = [draw(st.sampled_from(_REAL_FORMATS))(v) for v in row]
+        text = draw(gap).join(fields)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + text
+                     + draw(st.sampled_from(["", " ", " # trailing", "#x"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=cloud_files())
+def test_load_point_cloud_equals_the_line_parser(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cloud") / "cloud.xyz"
+    path.write_bytes(text.encode())
+    try:
+        expected = _lines_loaded(path)
+    except ValueError as exc:  # fewer than 4 distinct points
+        with pytest.raises(ValueError) as got:
+            load_point_cloud(path)
+        assert str(got.value) == str(exc)
+        return
+    points = load_point_cloud(path).points
+    assert points.shape == expected.shape
+    assert np.array_equal(points.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("text, line_number, message", [
+    ("# head\n\n0 0 0\n1 1 1\n1 2\n3 3 3\n", 5, "expected 3 values, got 2"),
+    ("0 0 0\r\n1 1 1\r\n2 2 2 2\r\n", 3, "expected 3 values, got 4"),
+    ("0 0 0\n1 1 1\n2 x 2\n3 3 3\n", 3, "could not parse '2 x 2' as three reals"),
+    # loadtxt reads a file of one other width throughout without an error
+    ("# two columns throughout\n0 0\n1 1\n2 2\n3 3\n", 2, "expected 3 values, got 2"),
+    ("0 0 0 0\n1 1 1 1\n2 2 2 2\n3 3 3 3\n", 1, "expected 3 values, got 4"),
+])
+def test_load_point_cloud_names_the_bad_line(tmp_path, text, line_number, message):
+    path = tmp_path / "bad.xyz"
+    path.write_bytes(text.encode())
+    with pytest.raises(PointCloudFormatError) as exc:
+        load_point_cloud(path)
+    assert exc.value.line_number == line_number
+    assert str(exc.value) == f"line {line_number}: {message}"
+    assert repr(exc.value) == repr(pytest.raises(PointCloudFormatError, _lines_loaded,
+                                                 path).value)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11.5"])
+def test_load_point_cloud_rejects_what_only_float_reads(tmp_path, token):
+    # float() reads underscores and non-ASCII digits, numpy.loadtxt does not:
+    # the loader reads fewer files than its line parser did
+    path = tmp_path / "cloud.xyz"
+    path.write_text(f"0 0 0\n1 1 1\n2 2 2\n3 {token} 3\n", encoding="utf-8")
+    assert len(_lines_loaded(path)) == 4
+    with pytest.raises(PointCloudFormatError) as exc:
+        load_point_cloud(path)
+    assert exc.value.line_number == 4
+    assert str(exc.value) == f"line 4: could not parse '3 {token} 3' as three reals"
+
+
 # ------------------------------------------------------------ band condition
 
 

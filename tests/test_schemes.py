@@ -462,6 +462,82 @@ def test_batch_stops_only_a_singular_member():
     assert batch.iteration == 60
 
 
+class _CountingSphere(SphereQuadratic):
+    """The quadratic sphere, counting its field calls and their sizes."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def value_and_grad(self, x):
+        self.calls.append(len(x))
+        return super().value_and_grad(x)
+
+
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize("record_every", [1, 7, 25])
+@pytest.mark.parametrize("record_at", [(), (3, 4, 11, 24)])
+def test_one_field_call_per_state(members, record_every, record_at):
+    # a record point's call feeds its rows and the next step: max_iters + 1
+    # calls on the stacked interior, whatever the schedule
+    surface, m = _CountingSphere(), 12
+    problems = [Problem(SolverConfig(tau_gamma=0.2 / m**2, max_iters=25,
+                                     record_every=record_every),
+                        init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                                        m, surface, tau_r=1.0, seed=seed), math.pi / 2)
+                for seed in range(members)]
+    _, outcomes = run_batch(problems, surface, record_at=record_at)
+    assert [outcome.stop for outcome in outcomes] == ["budget"] * members
+    assert surface.calls == [members * (m - 1)] * 26
+    for problem, outcome in zip(problems, outcomes):  # and the rows are those of run()
+        assert _rows(outcome.trace) == _rows(
+            _unstacked_run(problem.cfg, SphereQuadratic(), problem.init,
+                           problem.reference_distance, record_at)[1])
+
+
+class _SingularPastPlane(SphereQuadratic):
+    """The quadratic sphere with its gradient undefined at any node past the
+    plane x + z = 1.05."""
+
+    def value_and_grad(self, x):
+        if np.any(np.asarray(x)[..., 0] + np.asarray(x)[..., 2] > 1.05):
+            raise SingularityError("past the plane")
+        return super().value_and_grad(x)
+
+
+def test_batch_stops_a_member_that_turns_singular_at_a_record_point():
+    # the chord from the pole to (1, 0, 0) bulges across the plane after a
+    # few iterations; the one to (0, 1, 0) stays clear of it
+    surface, m = _SingularPastPlane(), 8
+    cfg = SolverConfig(tau_gamma=0.25 / m**2, max_iters=30, record_every=1)
+    pole = np.array([0.0, 0.0, 1.0])
+    inits = [init_straight_line(pole, np.array([1.0, 0.0, 0.0]), m),
+             init_straight_line(pole, np.array([0.0, 1.0, 0.0]), m)]
+    state, crossing = SolverState(*inits[0]), None
+    while crossing is None:
+        state = step(state, cfg, SphereQuadratic())
+        if np.any(state.curve.interior[:, 0] + state.curve.interior[:, 2] > 1.05):
+            crossing = state
+    assert 0 < crossing.iteration < cfg.max_iters
+
+    batch, outcomes = run_batch([Problem(cfg, init) for init in inits], surface)
+
+    singular = outcomes[0]
+    assert singular.stop == "singularity"
+    assert str(singular.error) == "past the plane"
+    assert singular.state.iteration == crossing.iteration
+    assert np.array_equal(singular.state.curve.points, crossing.curve.points)
+    assert [row.iteration for row in singular.trace] == list(range(crossing.iteration + 1))
+    assert math.isnan(singular.trace.final.gamma_residual)
+    assert not np.isnan(singular.trace.column("gamma_residual")[:-1]).any()
+    state, trace = run(cfg, surface, inits[1])
+    assert outcomes[1].stop == "budget"
+    assert np.array_equal(outcomes[1].state.curve.points, state.curve.points)
+    assert np.array_equal(outcomes[1].state.multiplier.values, state.multiplier.values)
+    assert _rows(outcomes[1].trace) == _rows(trace)
+    assert batch.iteration == crossing.iteration + cfg.max_iters
+
+
 def test_batch_members_must_share_scheme_and_schedule():
     surface = SphereQuadratic()
     init = init_straight_line(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 8)
