@@ -13,7 +13,9 @@ boundary is the kernel
     G(t,s) = sqrt(tau_g)/sinh(1/sqrt(tau_g)) * sinh(min(t,s)/sqrt(tau_g))
                                              * sinh((1-max(t,s))/sqrt(tau_g)),
 
-which serves as the analytic oracle for the discrete solver.
+which serves as the analytic oracle for the discrete solver.  That solver
+is one direct call of LAPACK's tridiagonal gtsv; run_planar makes it once per
+iteration on buffers it builds once.
 
 This scheme is an exact proximal primal-dual iteration for the discrete
 Lagrangian, so the classical ergodic rate applies: whenever
@@ -35,7 +37,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .curve import DiscreteCurve, MultiplierField, init_straight_line
 from .diagnostics import write_csv
@@ -58,12 +61,38 @@ __all__ = [
 ERGODIC_CSV_HEADER = "k,gap,bound"
 
 
+def _tridiagonal(m: int, tau_gamma: float):
+    """c = tau_gamma m^2 and the bands (off, diag) of I - tau_gamma D^2 inside."""
+    c = tau_gamma * m * m
+    return c, np.full(m - 2, -c), np.full(m - 1, 1.0 + 2.0 * c)
+
+
+def _gtsv(off, diag, b):
+    """Solve (off, diag, off) x = b into the Fortran-ordered (n, k) b.
+
+    scipy's solve_banded((1, 1), ...) without its argument checks: the same
+    LAPACK gtsv, or a division at n = 1, where the gtsv wrapper rejects empty
+    off-diagonals.  gtsv gets copies of the bands, which it overwrites.
+    """
+    if len(diag) == 1:
+        b /= diag[0]
+        return b
+    x, info = dgtsv(off, diag, off, b, overwrite_b=1)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
 def implicit_gamma_solve(rhs, tau_gamma: float):
     """Solve (I - tau_gamma * D^2) x = rhs with Dirichlet data rhs[0], rhs[-1].
 
     rhs is (m+1,) or (m+1, k) grid data whose first and last entries are the
     boundary values of the solution.  The system is symmetric positive
-    definite for tau_gamma > 0; solved by LAPACK's tridiagonal solver.
+    definite for tau_gamma > 0; solved by one call of LAPACK's tridiagonal
+    solver gtsv (a division at m = 2), as in run_planar's loop.  Non-finite
+    data is not rejected: a diverging iterate comes back non-finite.
     """
     if not tau_gamma > 0:
         raise ValueError("tau_gamma must be positive")
@@ -74,18 +103,12 @@ def implicit_gamma_solve(rhs, tau_gamma: float):
     m = len(b) - 1
     if m < 2:
         raise ValueError("need at least m = 2 intervals")
-    c = tau_gamma * m * m
-    interior = b[1:-1].copy()
+    c, off, diag = _tridiagonal(m, tau_gamma)
+    interior = np.array(b[1:-1], order="F")
     interior[0] += c * b[0]
     interior[-1] += c * b[-1]
-    bands = np.empty((3, m - 1))
-    bands[0] = bands[2] = -c
-    bands[1] = 1.0 + 2.0 * c
-    out = np.empty_like(b)
-    out[0], out[-1] = b[0], b[-1]
-    # check_finite=False: a diverging iterate must come back non-finite, not raise
-    out[1:-1] = solve_banded((1, 1), bands, interior, overwrite_b=True,
-                             check_finite=False)
+    out = b.copy()
+    out[1:-1] = _gtsv(off, diag, interior)
     return out[:, 0] if squeeze else out
 
 
@@ -253,22 +276,40 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None, comparison=Non
         curve.interior - ref_curve.interior,
     )
 
+    # lam_new = (lam + tau_l (x @ a)) shrink and (I - tau_g D^2) x_new =
+    # x - tau_g outer(2 lam_new - lam, a), in this operation order on buffers
+    # built once: x_new is bit for bit implicit_gamma_solve's solution
     a = problem.a
     shrink = 1.0 / (1.0 + problem.epsilon * problem.tau_lambda)
+    c, off, diag = _tridiagonal(problem.m, problem.tau_gamma)
     pts = curve.points.copy()
+    x = pts[1:-1]
+    c_p, c_q = c * pts[0], c * pts[-1]
     lam = mult.values.copy()
-    gamma_sum = np.zeros_like(pts[1:-1])
+    lam_new = np.empty_like(lam)
+    lam_tilde = np.empty_like(lam)
+    prod = np.empty_like(x)
+    rhs = np.empty(x.shape, order="F")
+    gamma_sum = np.zeros_like(x)
     lam_sum = np.zeros_like(lam)
     records: list[ErgodicRecord] = []
     next_record = 1
 
     for k in range(1, max_iters + 1):
-        lam_new = (lam + problem.tau_lambda * (pts[1:-1] @ a)) * shrink
-        rhs = pts.copy()
-        rhs[1:-1] -= problem.tau_gamma * np.outer(2.0 * lam_new - lam, a)
-        pts = implicit_gamma_solve(rhs, problem.tau_gamma)
-        lam = lam_new
-        gamma_sum += pts[1:-1]
+        np.matmul(x, a, out=lam_new)
+        lam_new *= problem.tau_lambda
+        lam_new += lam
+        lam_new *= shrink
+        np.multiply(lam_new, 2.0, out=lam_tilde)
+        lam_tilde -= lam
+        np.multiply(lam_tilde[:, None], a, out=prod)
+        prod *= problem.tau_gamma
+        np.subtract(x, prod, out=rhs)
+        rhs[0] += c_p
+        rhs[-1] += c_q
+        x[...] = _gtsv(off, diag, rhs)
+        lam, lam_new = lam_new, lam
+        gamma_sum += x
         lam_sum += lam
 
         if not (np.isfinite(pts).all() and np.isfinite(lam).all()):

@@ -8,13 +8,15 @@ errors and decay at second order:
     impulse vs kernel, tau=0.01:  m=100 -> 6.25e-5   m=200 -> 1.57e-5
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.planar import (
@@ -30,6 +32,7 @@ from levelgeo.planar import (
     write_ergodic_csv,
 )
 from levelgeo.levelset import Plane
+from levelgeo.schemes import DivergenceError
 
 
 @settings(max_examples=50, deadline=None)
@@ -60,6 +63,50 @@ def test_implicit_solve_satisfies_the_difference_equation(m, log_tau, columns, s
     lap = (x[2:] - 2 * x[1:-1] + x[:-2]) * m * m
     residual = x[1:-1] - tau * lap - rhs[1:-1]
     assert np.max(np.abs(residual)) <= 1e-12 * (1.0 + 4.0 * c) * scale
+
+
+def _banded_solve(rhs, tau_gamma):
+    """implicit_gamma_solve as it was before the direct gtsv call: the same
+    system in scipy's (3, m - 1) band storage, through solve_banded."""
+    b = np.asarray(rhs, dtype=float)
+    squeeze = b.ndim == 1
+    if squeeze:
+        b = b[:, None]
+    m = len(b) - 1
+    c = tau_gamma * m * m
+    interior = b[1:-1].copy()
+    interior[0] += c * b[0]
+    interior[-1] += c * b[-1]
+    bands = np.empty((3, m - 1))
+    bands[0] = bands[2] = -c
+    bands[1] = 1.0 + 2.0 * c
+    out = np.empty_like(b)
+    out[0], out[-1] = b[0], b[-1]
+    out[1:-1] = solve_banded((1, 1), bands, interior, check_finite=False)
+    return out[:, 0] if squeeze else out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=80),
+    log_tau=st.floats(min_value=-6.0, max_value=2.0),
+    columns=st.sampled_from([None, 1, 3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bad=st.lists(st.tuples(st.integers(0, 10**6),
+                           st.sampled_from([np.inf, -np.inf, np.nan])), max_size=3),
+)
+def test_implicit_solve_equals_solve_banded_bit_for_bit(m, log_tau, columns, seed, bad):
+    # the direct gtsv call (a division at m = 2) is the computation of
+    # solve_banded((1, 1), ...), non-finite entries included
+    tau = 10.0**log_tau
+    shape = (m + 1,) if columns is None else (m + 1, columns)
+    rhs = np.random.default_rng(seed).normal(size=shape)
+    for index, value in bad:
+        rhs.flat[index % rhs.size] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = implicit_gamma_solve(rhs, tau), _banded_solve(rhs, tau)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_implicit_solve_validates_arguments():
@@ -232,6 +279,138 @@ def test_run_planar_gap_below_bound_everywhere():
     # ergodic decay: the bound is O(1/k) and the recorded gap keeps shrinking
     gaps = [r.gap for r in records if r.gap > 0]
     assert gaps[-1] < gaps[0] / 100.0
+
+
+def _plane_problem(seed, m, tau_gamma, tau_lambda, epsilon, amplitude, lam_scale):
+    """A random plane a.x = 0 with endpoints in it, and a perturbed init whose
+    multiplier is scaled by lam_scale."""
+    rng = np.random.default_rng(seed)
+    a, v, w = rng.normal(size=(3, 3))
+    p = v - (a @ v) / (a @ a) * a
+    q = w - (a @ w) / (a @ a) * a
+    assume(max(abs(a @ p), abs(a @ q)) <= 1e-12)
+    problem = PlanarProblem(a=a, p=p, q=q, m=m, tau_gamma=tau_gamma,
+                            tau_lambda=tau_lambda, epsilon=epsilon)
+    curve, _ = init_straight_line(p, q, m)
+    curve.points[1:-1] += amplitude * rng.normal(size=(m - 1, 3))
+    mult = MultiplierField(lam_scale * rng.normal(size=m - 1))
+    return problem, (curve, mult)
+
+
+def _allocating_run_planar(problem, max_iters, init):
+    """run_planar as it was before the preallocated buffers, in plain
+    expressions with its operation order: fresh arrays every iteration and
+    the solve_banded path above.  Returns (points, multiplier, records) or
+    raises DivergenceError like run_planar."""
+    a, m = problem.a, problem.m
+    ref_curve, ref_mult = init_straight_line(problem.p, problem.q, m)
+    field = Plane(a)
+    d_lam = init[1].values - ref_mult.values
+    d_gam = init[0].interior - ref_curve.interior
+    bound_base = (1.0 / m) * float(
+        np.dot(d_lam, d_lam) / problem.tau_lambda
+        + 2.0 * np.dot(d_lam, d_gam @ a)
+        + np.einsum("ij,ij->", d_gam, d_gam) / problem.tau_gamma
+    )
+    shrink = 1.0 / (1.0 + problem.epsilon * problem.tau_lambda)
+    pts = init[0].points.copy()
+    lam = init[1].values.copy()
+    gamma_sum = np.zeros_like(pts[1:-1])
+    lam_sum = np.zeros_like(lam)
+    records = []
+    next_record = 1
+    for k in range(1, max_iters + 1):
+        lam_new = (lam + problem.tau_lambda * (pts[1:-1] @ a)) * shrink
+        rhs = pts.copy()
+        rhs[1:-1] -= problem.tau_gamma * np.outer(2.0 * lam_new - lam, a)
+        pts = _banded_solve(rhs, problem.tau_gamma)
+        lam = lam_new
+        gamma_sum += pts[1:-1]
+        lam_sum += lam
+        if not (np.isfinite(pts).all() and np.isfinite(lam).all()):
+            raise DivergenceError(k, "non-finite planar iterate", trace=records)
+        if k == next_record or k == max_iters:
+            avg_pts = pts.copy()
+            avg_pts[1:-1] = gamma_sum / k
+            avg_mult = MultiplierField(lam_sum / k, m)
+            eps = problem.epsilon
+            gap = (lagrangian_eps(DiscreteCurve(avg_pts), ref_mult, field, eps)
+                   - lagrangian_eps(ref_curve, avg_mult, field, eps))
+            records.append(ErgodicRecord(k=k, gap=gap, bound=bound_base / (2.0 * k)))
+            while next_record <= k:
+                next_record *= 2
+    return pts, lam, records
+
+
+def _outcome(run):
+    # bytes and repr are exact, and equal for nan, which == is not
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            pts, lam, records = run()
+        except DivergenceError as exc:
+            return "diverged", exc.iteration, str(exc), [repr(r) for r in exc.trace]
+    return "budget", pts.tobytes(), lam.tobytes(), [repr(r) for r in records]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=2, max_value=60),
+    log_tau_gamma=st.floats(min_value=-4.0, max_value=2.0),
+    log_tau_lambda=st.floats(min_value=-3.0, max_value=2.0),
+    epsilon=st.just(0.0) | st.floats(min_value=1e-4, max_value=10.0),
+    amplitude=st.floats(min_value=0.0, max_value=3.0),
+    lam_scale=st.floats(min_value=0.0, max_value=5.0),
+    iters=st.integers(min_value=0, max_value=400),
+)
+# step products far above 1: these diverge within the budget
+@example(seed=0, m=8, log_tau_gamma=2.0, log_tau_lambda=2.0, epsilon=0.0,
+         amplitude=1.0, lam_scale=1.0, iters=400)
+@example(seed=1, m=2, log_tau_gamma=2.0, log_tau_lambda=2.0, epsilon=0.0,
+         amplitude=1.0, lam_scale=1.0, iters=400)
+def test_run_planar_equals_the_allocating_loop(seed, m, log_tau_gamma, log_tau_lambda,
+                                                epsilon, amplitude, lam_scale, iters):
+    # the loop on preallocated buffers and one gtsv call per iteration does
+    # the arithmetic of the loop before it, in its order: every bit of the
+    # final state and records, and the same divergence
+    problem, init = _plane_problem(seed, m, 10.0**log_tau_gamma, 10.0**log_tau_lambda,
+                                   epsilon, amplitude, lam_scale)
+
+    def buffered():
+        state, records = run_planar(problem, iters, init=init)
+        return state.curve.points, state.multiplier.values, records
+
+    def allocating():
+        return _allocating_run_planar(problem, iters, init)
+
+    assert _outcome(buffered) == _outcome(allocating)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    m=st.integers(min_value=2, max_value=40),
+    product=st.floats(min_value=0.01, max_value=0.999),
+    log_tau_gamma=st.floats(min_value=-3.0, max_value=2.0),
+    epsilon=st.just(0.0) | st.floats(min_value=1e-4, max_value=10.0),
+    amplitude=st.floats(min_value=0.0, max_value=3.0),
+    lam_scale=st.floats(min_value=0.0, max_value=5.0),
+    iters=st.integers(min_value=1, max_value=256),
+)
+def test_run_planar_gap_stays_below_bound(seed, m, product, log_tau_gamma, epsilon,
+                                          amplitude, lam_scale, iters):
+    # the Chambolle-Pock ergodic bound against the saddle, for any plane,
+    # endpoints, perturbed init and steps with tau_l * tau_g * |a|^2 < 1
+    tau_gamma = 10.0**log_tau_gamma
+    problem, init = _plane_problem(seed, m, tau_gamma, 1.0, epsilon, amplitude,
+                                   lam_scale)
+    a = problem.a
+    problem = dataclasses.replace(problem, tau_lambda=product / (tau_gamma * (a @ a)))
+    assume(problem.step_condition_ok)
+    _, records = run_planar(problem, iters, init=init)
+    for r in records:
+        assert r.gap <= r.bound + 1e-12 * (1.0 + r.bound), f"gap above bound at k={r.k}"
 
 
 def test_run_planar_warns_when_step_condition_fails():
