@@ -115,17 +115,10 @@ def init_randomized(p, q, m: int, surface, tau_r: float = 4.0, seed: int = 0):
     return curve, mult
 
 
-def second_difference(curve: DiscreteCurve, i: int | None = None):
-    """Central second difference (gamma_{i+1} - 2 gamma_i + gamma_{i-1}) / dt^2.
-
-    With i given, returns the (3,) vector at interior node i (1 <= i <= m-1);
-    without i, returns all interior values as an (m-1, 3) array.
-    """
+def second_difference(curve: DiscreteCurve):
+    """Central second differences (gamma_{i+1} - 2 gamma_i + gamma_{i-1}) / dt^2
+    at the interior nodes, as an (m-1, 3) array."""
     pts = curve.points
-    if i is not None:
-        if not 1 <= i <= curve.m - 1:
-            raise IndexError(f"i must be an interior index in [1, {curve.m - 1}]")
-        return (pts[i + 1] - 2.0 * pts[i] + pts[i - 1]) * curve.m**2
     return (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) * curve.m**2
 
 

@@ -1,6 +1,9 @@
 """Error metrics, optimality residuals, and the Lyapunov functional.
 
-Everything here is a pure function of a solver state; nothing mutates.
+trace_row is the one place that computes a state's numbers: length, error
+against a reference distance, surface error, the two equilibrium residuals,
+J and the geodesic defect.  Everything here is a pure function of a solver
+state; nothing mutates.
 
 The equilibrium residuals discretize the stationary conditions of the
 primal-dual flow:
@@ -18,7 +21,7 @@ The Lyapunov functional of the convergence theory is
 
     J = dt * sum R_lambda^2 + mu * dt * sum |R_gamma|^2,   mu = 1/(1 - alpha*eps),
 
-defined only in the regime alpha*eps < 1.
+defined only in the regime alpha*eps < 1; outside it J is nan.
 
 Surface error |sum_i lambda_i phi(gamma_i)| is kept unweighted (no dt) to
 match its usual inner-product form; the Lyapunov terms are dt-weighted
@@ -41,12 +44,7 @@ from .levelset import SingularityError
 __all__ = [
     "TraceRow",
     "IterationTrace",
-    "absolute_error",
-    "surface_error",
-    "surface_error_values",
     "effective_alpha",
-    "equilibrium_residuals",
-    "lyapunov",
     "geodesic_defect",
     "tangency_defect",
     "first_difference",
@@ -110,24 +108,6 @@ class IterationTrace:
         )
 
 
-def absolute_error(curve: DiscreteCurve, d: float) -> float:
-    """| length(curve) - d | against a reference distance d > 0."""
-    if not d > 0:
-        raise ValueError("reference distance must be positive")
-    return abs(curve_length(curve) - d)
-
-
-def surface_error_values(lam: np.ndarray, phi: np.ndarray) -> float:
-    """|sum_i lambda_i phi_i| from raw arrays (no dt weighting)."""
-    return float(abs(np.dot(lam, phi)))
-
-
-def surface_error(state, surface) -> float:
-    """|sum_i lambda_i phi(gamma_i)| over the interior nodes."""
-    phi = surface.value(state.curve.interior)
-    return surface_error_values(state.multiplier.values, phi)
-
-
 def effective_alpha(cfg) -> float:
     """Relaxation alpha implied by a config: cfg.alpha for Var2, else (1+omega)*tau_gamma."""
     if cfg.scheme is schemes.Scheme.VAR2:
@@ -152,24 +132,6 @@ def _residual_terms(state, cfg, phi, grad):
     dt, ae = state.curve.dt, alpha * eps
     J = dt * sum_l + 1.0 / (1.0 - ae) * dt * sum_g if ae < 1.0 else math.nan
     return math.sqrt(dt * sum_l), math.sqrt(dt * sum_g), J
-
-
-def equilibrium_residuals(state, cfg, surface) -> tuple[float, float]:
-    """Discrete L2 norms (sqrt(dt * sum .^2)) of the two stationarity residuals."""
-    return _residual_terms(state, cfg, *surface.value_and_grad(state.curve.interior))[:2]
-
-
-def lyapunov(state, cfg, surface) -> float:
-    """J = dt sum R_lambda^2 + mu dt sum |R_gamma|^2 with mu = 1/(1 - alpha*eps).
-
-    Raises ValueError outside the regime alpha*eps < 1 where mu is undefined
-    or negative.
-    """
-    J = _residual_terms(state, cfg, *surface.value_and_grad(state.curve.interior))[2]
-    ae = effective_alpha(cfg) * cfg.epsilon
-    if ae >= 1.0:
-        raise ValueError(f"Lyapunov functional needs alpha*eps < 1, got {ae:g}")
-    return J
 
 
 def first_difference(curve: DiscreteCurve) -> np.ndarray:
@@ -218,7 +180,11 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None,
     caller already has it; the row is then made without a field call.
     Where the field's gradient is undefined at a node (a SingularityError),
     the gamma residual and J are nan and the other columns are as usual.
+    Raises ValueError unless reference_distance is None or finite and > 0.
     """
+    if reference_distance is not None and not 0 < reference_distance < math.inf:
+        raise ValueError(
+            f"reference distance must be positive and finite, got {reference_distance!r}")
     length = curve_length(state.curve)
     if reference_distance is not None:
         abs_err = abs(length - reference_distance)
@@ -237,7 +203,7 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None,
         length=length,
         absolute_error=abs_err,
         relative_error=rel_err,
-        surface_error=surface_error_values(state.multiplier.values, phi),
+        surface_error=float(abs(np.dot(state.multiplier.values, phi))),
         lyapunov_J=J,
         lambda_residual=norm_l,
         gamma_residual=norm_g,

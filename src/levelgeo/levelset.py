@@ -105,19 +105,28 @@ class LevelSet:
         """A pseudo-random point on the nominal surface."""
         raise NotImplementedError
 
-    def __call__(self, x):
-        return self.value(x)
 
-
-class SphereQuadratic(LevelSet):
-    """phi(x) = (|x|^2 - R^2)/2; smooth everywhere, grad = x, Hessian = I."""
-
-    kind = "sphere-quadratic"
+class _Sphere(LevelSet):
+    """A field whose zero set is the sphere of a given radius about the origin."""
 
     def __init__(self, radius: float = 1.0):
         if not 0 < radius < np.inf:
             raise ValueError("sphere radius must be positive and finite")
         self.radius = float(radius)
+
+    def bounding_box(self):
+        r = self.radius
+        return -r * np.ones(3), r * np.ones(3)
+
+    def surface_point(self, rng):
+        v = rng.normal(size=3)
+        return self.radius * v / np.linalg.norm(v)
+
+
+class SphereQuadratic(_Sphere):
+    """phi(x) = (|x|^2 - R^2)/2; smooth everywhere, grad = x, Hessian = I."""
+
+    kind = "sphere-quadratic"
 
     def value(self, x):
         pts, single = _as_points(x)
@@ -135,16 +144,8 @@ class SphereQuadratic(LevelSet):
         out = np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
         return out[0] if single else out
 
-    def bounding_box(self):
-        r = self.radius
-        return -r * np.ones(3), r * np.ones(3)
 
-    def surface_point(self, rng):
-        v = rng.normal(size=3)
-        return self.radius * v / np.linalg.norm(v)
-
-
-class SphereSDF(LevelSet):
+class SphereSDF(_Sphere):
     """phi(x) = R - |x|: signed distance to the sphere, positive inside.
 
     |grad phi| = 1 everywhere except the center, where the field has a
@@ -152,11 +153,6 @@ class SphereSDF(LevelSet):
     """
 
     kind = "sphere-sdf"
-
-    def __init__(self, radius: float = 1.0):
-        if not 0 < radius < np.inf:
-            raise ValueError("sphere radius must be positive and finite")
-        self.radius = float(radius)
 
     def value(self, x):
         pts, single = _as_points(x)
@@ -182,14 +178,6 @@ class SphereSDF(LevelSet):
         proj = np.eye(3)[None] - unit[:, :, None] * unit[:, None, :]
         out = -proj / r[:, None, None]
         return out[0] if single else out
-
-    def bounding_box(self):
-        r = self.radius
-        return -r * np.ones(3), r * np.ones(3)
-
-    def surface_point(self, rng):
-        v = rng.normal(size=3)
-        return self.radius * v / np.linalg.norm(v)
 
 
 class Torus(LevelSet):

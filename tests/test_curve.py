@@ -53,12 +53,6 @@ def test_second_difference_on_cubic():
     sd = second_difference(curve)
     assert np.allclose(sd[:, 0], 6.0 * t[1:-1], atol=1e-9)
     assert np.allclose(sd[:, 1:], 0.0)
-    # single-node form agrees with the batch form
-    assert np.allclose(second_difference(curve, 7), sd[6])
-    with pytest.raises(IndexError):
-        second_difference(curve, 0)
-    with pytest.raises(IndexError):
-        second_difference(curve, m)
 
 
 def test_curve_length_closed_forms():

@@ -12,14 +12,9 @@ from levelgeo.diagnostics import (
     TRACE_CSV_HEADER,
     IterationTrace,
     TraceRow,
-    absolute_error,
     effective_alpha,
-    equilibrium_residuals,
     geodesic_defect,
-    lyapunov,
     read_trace_csv,
-    surface_error,
-    surface_error_values,
     tangency_defect,
     trace_row,
     write_trace_csv,
@@ -36,20 +31,46 @@ def planar_saddle(m=10):
     return surface, SolverState(curve=curve, multiplier=mult)
 
 
+def _plane_state(phi, lam):
+    """A state on the plane z = 0 whose interior nodes have the field values phi."""
+    m = len(phi) + 1
+    pts = np.zeros((m + 1, 3))
+    pts[:, 0] = np.arange(m + 1) / m
+    pts[1:-1, 2] = phi
+    return SolverState(DiscreteCurve(pts), MultiplierField(np.asarray(lam, dtype=float), m))
+
+
 def test_surface_error_is_signed_sum_not_sum_of_magnitudes():
+    surface, cfg = Plane(normal=(0.0, 0.0, 1.0)), SolverConfig()
     lam = np.array([1.0, 2.0])
     phi = np.array([0.5, -0.25])
-    assert surface_error_values(lam, phi) == 0.0
-    assert surface_error_values(lam, -phi) == 0.0
-    assert surface_error_values(np.array([1.0, 1.0]), phi) == 0.25
+    assert trace_row(_plane_state(phi, lam), cfg, surface).surface_error == 0.0
+    assert trace_row(_plane_state(-phi, lam), cfg, surface).surface_error == 0.0
+    assert trace_row(_plane_state(phi, [1.0, 1.0]), cfg, surface).surface_error == 0.25
 
 
 def test_absolute_error_validates_reference():
-    curve, _ = init_straight_line(np.zeros(3), np.array([2.0, 0.0, 0.0]), 10)
-    assert absolute_error(curve, 2.0) == 0.0
-    assert abs(absolute_error(curve, 1.5) - 0.5) < 1e-15
+    curve, mult = init_straight_line(np.zeros(3), np.array([2.0, 0.0, 0.0]), 10)
+    state, surface, cfg = SolverState(curve, mult), Plane(normal=(0.0, 0.0, 1.0)), SolverConfig()
+    assert trace_row(state, cfg, surface, 2.0).absolute_error == 0.0
+    assert abs(trace_row(state, cfg, surface, 1.5).absolute_error - 0.5) < 1e-15
     with pytest.raises(ValueError):
-        absolute_error(curve, 0.0)
+        trace_row(state, cfg, surface, 0.0)
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_run_rejects_a_bad_reference_distance_before_stepping(d):
+    init = init_straight_line(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 10)
+    field_calls = []
+
+    class Counting(SphereQuadratic):
+        def value_and_grad(self, x):
+            field_calls.append(len(x))
+            return super().value_and_grad(x)
+
+    with pytest.raises(ValueError, match="reference distance"):
+        run(SolverConfig(max_iters=10), Counting(), init, reference_distance=d)
+    assert len(field_calls) == 1  # the iteration-0 row's field, no step
 
 
 def test_effective_alpha_per_scheme():
@@ -66,12 +87,11 @@ def test_effective_alpha_per_scheme():
 
 def test_residuals_vanish_at_planar_saddle():
     surface, state = planar_saddle()
-    cfg = SolverConfig()
-    norm_l, norm_g = equilibrium_residuals(state, cfg, surface)
-    assert norm_l == 0.0
+    row = trace_row(state, SolverConfig(), surface)
+    assert row.lambda_residual == 0.0
     # the affine blend leaves ~1e-13 of stencil noise in gamma''
-    assert norm_g < 1e-9
-    assert lyapunov(state, cfg, surface) < 1e-18
+    assert row.gamma_residual < 1e-9
+    assert row.lyapunov_J < 1e-18
 
 
 def test_lambda_perturbation_scales_with_epsilon():
@@ -81,12 +101,11 @@ def test_lambda_perturbation_scales_with_epsilon():
     delta = np.linspace(-1.0, 1.0, 9)
     state = SolverState(curve=state.curve, multiplier=MultiplierField(delta.copy()))
     for eps in (0.01, 0.5):
-        cfg = SolverConfig(epsilon=eps)
-        norm_l, norm_g = equilibrium_residuals(state, cfg, surface)
+        row = trace_row(state, SolverConfig(epsilon=eps), surface)
         expected = eps * math.sqrt(0.1) * np.linalg.norm(delta)
-        assert norm_l == pytest.approx(expected, rel=1e-12)
+        assert row.lambda_residual == pytest.approx(expected, rel=1e-12)
         # R_gamma picks up the multiplier force against the plane normal
-        assert norm_g > 0.0
+        assert row.gamma_residual > 0.0
 
 
 def test_lyapunov_combines_residuals_with_mu_weight():
@@ -96,18 +115,16 @@ def test_lyapunov_combines_residuals_with_mu_weight():
     curve, mult = init_straight_line(p, q, 20)
     state = SolverState(curve=curve, multiplier=mult)
     cfg = SolverConfig(scheme="var2", alpha=75.0, epsilon=0.01)  # alpha*eps = 0.75
-    norm_l, norm_g = equilibrium_residuals(state, cfg, surface)
+    row = trace_row(state, cfg, surface)
     mu = 1.0 / (1.0 - 0.75)
-    expected = norm_l**2 + mu * norm_g**2
-    assert lyapunov(state, cfg, surface) == pytest.approx(expected, rel=1e-12)
+    expected = row.lambda_residual**2 + mu * row.gamma_residual**2
+    assert row.lyapunov_J == pytest.approx(expected, rel=1e-12)
 
 
 def test_lyapunov_outside_regime_raises():
     surface, state = planar_saddle()
     cfg = SolverConfig(scheme="var2", alpha=200.0, epsilon=0.01)  # alpha*eps = 2
-    with pytest.raises(ValueError):
-        lyapunov(state, cfg, surface)
-    # trace_row degrades the same situation to nan instead of raising
+    # mu = 1/(1 - alpha*eps) is undefined or negative: J is nan, not an error
     row = trace_row(state, cfg, surface)
     assert math.isnan(row.lyapunov_J)
 
@@ -172,7 +189,8 @@ def test_surface_error_of_state():
     lam = MultiplierField(np.array([1.0, 1.0, 1.0]))
     state = SolverState(curve, lam)
     phi = surface.value(curve.interior)
-    assert surface_error(state, surface) == pytest.approx(abs(phi.sum()))
+    assert trace_row(state, SolverConfig(), surface).surface_error == pytest.approx(
+        abs(phi.sum()))
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -338,6 +338,8 @@ def test_run_rejects_zero_epsilon_off_gda(tmp_path, capsys):
     ["run", "--surface", "point-cloud", "--points", "{cloud}",
      "--p", "1,0,0", "--q", "0,1,0"],
     ["run", "--p", "1,0,0", "--q", "0,1,0", "--reference", "inf"],
+    # p = q: the sphere-exact reference is 0, not a positive distance
+    ["run", "--p", "0,0,1", "--q", "0,0,1", "--reference", "sphere-exact"],
     ["run", "--p", "1,0,0", "--q", "0,1,0", "--init", "randomized",
      "--tau-r", "nan"],
     ["planar", "--p", "0,nan,0"],
@@ -864,6 +866,22 @@ def test_diverging_planar_process_writes_nothing_to_stderr(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == ""
     assert "warning: divergence at iteration 309" in proc.stdout
+
+
+def test_planar_process_at_the_step_boundary_runs(tmp_path):
+    # tau_l tau_g |a|^2 is just below 1, where the A-norm's block matrix has a
+    # least eigenvalue of 0.0 in floating point
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "levelgeo.cli", "planar", "--a", "0,0,2", "--p", "0,0,0",
+         "--q", "0,1,0", "--tau-lambda", "0.7", "--tau-gamma", "0.3571428571428571",
+         "--m", "8", "--iters", "8", "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "out" / "planar_ergodic.csv").exists()
 
 
 def test_planar_bad_vector(tmp_path, capsys):

@@ -10,6 +10,7 @@ errors and decay at second order:
 
 import dataclasses
 import math
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -196,6 +197,33 @@ def test_lagrangian_hand_check():
     assert lagrangian_eps(curve, lam, surface, eps) == pytest.approx(expected, rel=1e-12)
 
 
+def _block_min_eig(a, tl, tg):
+    """Least eigenvalue of the A-norm block matrix [[1/tau_l, a^T], [a, I/tau_g]]."""
+    block = np.zeros((4, 4))
+    block[0, 0] = 1.0 / tl
+    block[0, 1:] = block[1:, 0] = a
+    block[1:, 1:] = np.eye(3) / tg
+    return np.linalg.eigvalsh(block).min()
+
+
+def _schur_complement(a, tl, tg):
+    """1/tau_l - tau_g |a|^2 in exact arithmetic on the given doubles: the
+    block matrix is positive definite iff this is > 0 (I/tau_g is)."""
+    return 1 / Fraction(tl) - Fraction(tg) * sum(Fraction(float(x)) ** 2 for x in a)
+
+
+# The largest tau_gamma whose step product is still below 1, for each (a, tau_l);
+# eigvalsh puts the block matrix's least eigenvalue at 0.0 or below on some.
+_BOUNDARY_STEPS = [
+    ((0.0, 0.0, 2.0), 0.7, 0.3571428571428571),
+    ((1.0, 0.0, 0.0), 0.7, 1.4285714285714284),
+    ((1.0, 0.0, 0.0), 0.9, 1.111111111111111),
+    ((0.0, 3.0, 0.0), 0.3, 0.3703703703703703),
+    ((1.0, 2.0, 2.0), 0.7, 0.15873015873015872),
+    ((0.0, 0.0, 2.0), 0.3, 0.8333333333333333),
+]
+
+
 def test_step_condition_matches_positive_definiteness():
     a = np.array([1.0, 0.0, 0.0])
     p = np.array([0.0, 0.0, 0.0])
@@ -205,7 +233,15 @@ def test_step_condition_matches_positive_definiteness():
         product = tl * tg  # |a| = 1
         assert problem.step_product == pytest.approx(product)
         assert problem.step_condition_ok == (product < 1.0)
-        assert (problem.a_matrix_min_eig > 0) == (product < 1.0)
+        assert (_block_min_eig(a, tl, tg) > 0) == (product < 1.0)
+        assert problem.step_condition_ok == (_schur_complement(a, tl, tg) > 0)
+    for a, tl, tg in _BOUNDARY_STEPS:
+        a = np.array(a)
+        problem = PlanarProblem(a=a, p=p, q=np.cross(a, [1.0, 1.0, 1.0]), m=8,
+                                tau_gamma=tg, tau_lambda=tl)
+        assert problem.step_product < 1.0 <= tl * np.nextafter(tg, np.inf) * float(a @ a)
+        assert problem.step_condition_ok
+        assert _schur_complement(a, tl, tg) > 0
 
 
 def test_planar_problem_validation():
