@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import schemes
-from .curve import DiscreteCurve, curve_length, second_difference
+from .curve import DiscreteCurve, _row_norms, curve_length, second_difference
 from .levelset import SingularityError
 
 __all__ = [
@@ -164,7 +164,7 @@ def tangency_defect(state, surface) -> float:
     """max_i |gamma'_i . grad phi(gamma_i)| / |gamma'_i|: 0 when the velocity is tangent."""
     vel = first_difference(state.curve)[1:-1]
     grad = surface.grad(state.curve.interior)
-    speed = np.linalg.norm(vel, axis=1)
+    speed = _row_norms(vel)
     dots = np.abs(np.einsum("ij,ij->i", vel, grad))
     mask = speed > 0
     if not mask.any():

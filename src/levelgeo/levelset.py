@@ -27,6 +27,8 @@ import warnings
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .curve import _row_norms
+
 __all__ = [
     "LevelSet",
     "SphereQuadratic",
@@ -57,11 +59,6 @@ class PointCloudFormatError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-def _row_norms(pts):
-    """Euclidean norm of each row: np.linalg.norm(axis=1) without its argument handling."""
-    return np.sqrt(np.add.reduce(pts * pts, axis=1))
 
 
 def _as_points(x):
@@ -309,8 +306,14 @@ class PointCloud(LevelSet):
             raise ValueError("point cloud must be a nonempty (n, 3) array")
         if not np.isfinite(pts).all():
             raise ValueError("point cloud coordinates must be finite")
-        _, first = np.unique(pts, axis=0, return_index=True)  # exact duplicates go
-        self.points = pts[np.sort(first)]
+        # exact duplicates go: in a stable sort of the rows a repeat follows an
+        # equal row, so each row's first occurrence stays, in the input order
+        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+        ranked = pts[order]
+        keep = np.empty(len(pts), dtype=bool)
+        keep[order[0]] = True
+        keep[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        self.points = pts[keep]
         self.points.setflags(write=False)
         self._tree = cKDTree(self.points)
 

@@ -408,6 +408,8 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     about off-surface endpoints names the caller's line (run() passes
     _stacklevel=3 so that it names its own caller's).
     """
+    if not problems:
+        raise ValueError("a batch needs at least one problem")
     cfg, m = problems[0].cfg, problems[0].init[0].m
     shared = (cfg.scheme, cfg.max_iters, cfg.record_every, m)
     if any((p.cfg.scheme, p.cfg.max_iters, p.cfg.record_every, p.init[0].m) != shared

@@ -1,5 +1,7 @@
 """Discrete curves, initializers and serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from levelgeo.curve import (
     DiscreteCurve,
     MultiplierField,
+    _row_norms,
     curve_from_json,
     curve_length,
     curve_to_json,
@@ -161,3 +164,22 @@ def test_stacked_lengths_are_each_curves_own(points):
         assert length == curve_length(DiscreteCurve(curve_points))
         chords = np.diff(curve_points, axis=0)
         assert length == np.linalg.norm(chords, axis=1).sum()
+
+
+_SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+_SHAPES = st.one_of(st.tuples(st.integers(1, 40), st.just(3)),
+                    st.tuples(st.integers(1, 5), st.integers(1, 20), st.just(3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), scale=st.integers(-584, 477))
+def test_row_norms_are_numpy_norms_bit_for_bit(data, scale):
+    # whole 53-bit mantissas within a few binades of 2**scale, so that the sums
+    # of a row's squares round, from 1e-160 to 1e160, where the squares run
+    # from subnormal to overflow
+    magnitude = st.builds(math.ldexp, st.integers(2**52, 2**53 - 1),
+                          st.integers(scale, scale + 2))
+    entries = st.one_of(magnitude, magnitude.map(lambda v: -v), _SPECIALS)
+    x = data.draw(hnp.arrays(float, data.draw(_SHAPES), elements=entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()

@@ -199,6 +199,24 @@ def test_point_cloud_dedupes_exact_duplicates():
     assert len(cloud.points) == 2
 
 
+def _unique_rows(pts):
+    """PointCloud's dedupe as it was: numpy.unique's sort of the rows, then each
+    distinct row at its lowest index, in the input order."""
+    _, first = np.unique(pts, axis=0, return_index=True)
+    return pts[np.sort(first)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(*[st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])] * 3),
+                     min_size=1, max_size=60))
+def test_point_cloud_dedupe_equals_numpy_unique(rows):
+    # a small grid makes repeats common; -0.0 and 0.0 are one coordinate to both
+    pts = np.array(rows)
+    cloud = PointCloud(pts)
+    assert cloud.points.tobytes() == _unique_rows(pts).tobytes()
+    assert len(cloud.points) == len(set(rows))
+
+
 def test_point_cloud_rejects_bad_shapes():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((0, 3)))
@@ -258,9 +276,7 @@ def _lines_loaded(path):
                 raise PointCloudFormatError(
                     line_number, f"could not parse {line!r} as three reals"
                 ) from None
-    pts = np.asarray(rows, dtype=float).reshape(-1, 3)
-    _, first = np.unique(pts, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
+    pts = _unique_rows(np.asarray(rows, dtype=float).reshape(-1, 3))
     if len(pts) < 4:
         raise ValueError(f"point cloud needs at least 4 distinct points, got {len(pts)}")
     return pts

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelgeo import schemes
+from levelgeo import diagnostics, schemes
 from levelgeo.curve import (
     DiscreteCurve,
     MultiplierField,
+    curve_length,
     init_randomized,
     init_straight_line,
 )
@@ -474,10 +475,23 @@ class _CountingSphere(SphereQuadratic):
         return super().value_and_grad(x)
 
 
+def _count_lengths(monkeypatch, module):
+    """Replace module.curve_length by a wrapper; returns the shape of each call's
+    argument: a (B, m+1, 3) stack or a DiscreteCurve's (m+1, 3) points."""
+    shapes = []
+
+    def counted(curve):
+        shapes.append(np.shape(getattr(curve, "points", curve)))
+        return curve_length(curve)
+
+    monkeypatch.setattr(module, "curve_length", counted)
+    return shapes
+
+
 @pytest.mark.parametrize("members", [1, 3])
 @pytest.mark.parametrize("record_every", [1, 7, 25])
 @pytest.mark.parametrize("record_at", [(), (3, 4, 11, 24)])
-def test_one_field_call_per_state(members, record_every, record_at):
+def test_one_field_call_per_state(members, record_every, record_at, monkeypatch):
     # a record point's call feeds its rows and the next step: max_iters + 1
     # calls on the stacked interior, whatever the schedule
     surface, m = _CountingSphere(), 12
@@ -486,9 +500,16 @@ def test_one_field_call_per_state(members, record_every, record_at):
                         init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                                         m, surface, tau_r=1.0, seed=seed), math.pi / 2)
                 for seed in range(members)]
+    # the step and trace_row look curve_length up by these names at call time,
+    # which is where the benchmark's tracer wraps it: one stacked call per
+    # iteration, one call per trace row
+    stacked = _count_lengths(monkeypatch, schemes)
+    per_row = _count_lengths(monkeypatch, diagnostics)
     _, outcomes = run_batch(problems, surface, record_at=record_at)
     assert [outcome.stop for outcome in outcomes] == ["budget"] * members
     assert surface.calls == [members * (m - 1)] * 26
+    assert stacked == [(members, m + 1, 3)] * 25
+    assert per_row == [(m + 1, 3)] * sum(len(outcome.trace) for outcome in outcomes)
     for problem, outcome in zip(problems, outcomes):  # and the rows are those of run()
         assert _rows(outcome.trace) == _rows(
             _unstacked_run(problem.cfg, SphereQuadratic(), problem.init,
@@ -549,6 +570,11 @@ def test_batch_members_must_share_scheme_and_schedule():
     with pytest.raises(ValueError, match="share"):
         run_batch([Problem(base, init), Problem(base, init_straight_line(
             np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 9))], surface)
+
+
+def test_an_empty_batch_is_rejected():
+    with pytest.raises(ValueError, match="at least one problem"):
+        run_batch([], SphereQuadratic())
 
 
 def test_off_surface_warning_names_the_callers_line():
