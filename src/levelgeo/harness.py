@@ -20,6 +20,7 @@ files; they go to stdout and to `run.log` next to the artifacts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -77,6 +78,9 @@ COMPARISON_CSV_HEADER = (
 )
 #: exit code of ``run`` for each way a run stops
 EXIT_CODES = {"budget": 0, "diverged": 2, "singularity": 3}
+
+#: around every solve: a diverging iterate is reported by its stop, not by numpy
+_quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 SWEEPABLE_PARAMETERS = ("epsilon", "tau_lambda", "tau_gamma", "omega", "alpha")
 INIT_KINDS = ("straight", "randomized")
@@ -309,7 +313,8 @@ def cmd_run(spec) -> int:
     """
     spec.solver.validate_strict()
     surface, _, _, reference, init = spec.build()
-    _, (outcome,) = run([Problem(spec.solver, init, reference)], surface)
+    with _quiet_overflow():
+        _, (outcome,) = run([Problem(spec.solver, init, reference)], surface)
     state, final = outcome.state, outcome.trace.final
 
     out = Path(spec.out_dir)
@@ -376,8 +381,9 @@ def cmd_sweep(spec, parameter: str, values) -> int:
     solvers = [dataclasses.replace(spec.solver, **{parameter: value})
                for value in values]
     surface, _, _, reference, init = spec.build()
-    _, outcomes = run([Problem(solver, init, reference) for solver in solvers],
-                      surface)
+    with _quiet_overflow():
+        _, outcomes = run([Problem(solver, init, reference) for solver in solvers],
+                          surface)
 
     out = Path(spec.out_dir)
     rows = []
@@ -442,7 +448,8 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
     for pair_index, (p, q) in enumerate(pairs):
         d, init = exact._problem(surface, p, q, spec.seed + 97 * pair_index)
         problems.append(Problem(cfg, init, d))
-    batch, outcomes = run(problems, surface, record_at=checkpoints)
+    with _quiet_overflow():
+        batch, outcomes = run(problems, surface, record_at=checkpoints)
 
     for pair_index, outcome in enumerate(outcomes):
         if outcome.error is not None:
@@ -486,7 +493,8 @@ def cmd_compare_schemes(spec, schemes) -> int:
     rows = []
     for scheme in scheme_list:
         cfg = dataclasses.replace(spec.solver, scheme=scheme)
-        _, (outcome,) = run([Problem(cfg, init, reference)], surface)
+        with _quiet_overflow():
+            _, (outcome,) = run([Problem(cfg, init, reference)], surface)
         final = _report(scheme.value, outcome)
         rows.append([scheme.value] + (
             [None, None, None, True] if final is None else
@@ -522,10 +530,11 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
             "the ergodic bound does not apply"
         )
     init = default_planar_perturbation(problem) if perturbed else None
+    import scipy.linalg.lapack  # noqa: F401  (run_planar's, before the clock starts)
     start = time.monotonic()
     # each warning once, on stdout: run_planar's step-condition warning repeats
     # the one above, and numpy's overflow warnings precede the divergence below
-    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(), _quiet_overflow():
         warnings.simplefilter("ignore", UserWarning)
         try:
             _, records = run_planar(problem, max_iters, init=init)

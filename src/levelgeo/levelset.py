@@ -25,7 +25,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curve import _row_norms
 
@@ -315,6 +314,7 @@ class PointCloud(LevelSet):
         keep[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
         self.points = pts[keep]
         self.points.setflags(write=False)
+        from scipy.spatial import cKDTree  # the one field that needs scipy
         self._tree = cKDTree(self.points)
 
     def value(self, x):
@@ -454,7 +454,7 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
 
     Rejection-samples uniformly in the surface bounding box inflated by 2a,
     capped at 1e6 proposal points; raises SamplingError if the band is never
-    hit.
+    hit, and ValueError if that box's squared extent overflows.
     """
     if not 0 < a < np.inf:
         raise ValueError("band half-width a must be positive and finite")
@@ -462,7 +462,10 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
         raise ValueError("n_samples must be at least 100")
     rng = np.random.default_rng(seed)
     lo, hi = surface.bounding_box()
-    lo, hi = lo - 2.0 * a, hi + 2.0 * a
+    with np.errstate(over="ignore"):
+        lo, hi = lo - 2.0 * a, hi + 2.0 * a
+        if not np.isfinite((hi - lo) @ (hi - lo)):
+            raise ValueError(f"band half-width {a:g} overflows the sampling box")
 
     batches = []
     collected = 0

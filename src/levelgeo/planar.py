@@ -15,7 +15,8 @@ boundary is the kernel
 
 which serves as the analytic oracle for the discrete solver.  That solver
 is one direct call of LAPACK's tridiagonal gtsv; run_planar makes it once per
-iteration on buffers it builds once.
+iteration on buffers it builds once.  scipy, which wraps gtsv, is imported by
+the two solving functions, so importing this module does not load it.
 
 This scheme is an exact proximal primal-dual iteration for the discrete
 Lagrangian, so the classical ergodic rate applies: whenever
@@ -37,8 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from .curve import DiscreteCurve, MultiplierField, init_straight_line
 from .diagnostics import write_csv
@@ -67,19 +66,20 @@ def _tridiagonal(m: int, tau_gamma: float):
     return c, np.full(m - 2, -c), np.full(m - 1, 1.0 + 2.0 * c)
 
 
-def _gtsv(off, diag, b):
+def _gtsv(dgtsv, off, diag, b):
     """Solve (off, diag, off) x = b into the Fortran-ordered (n, k) b.
 
     scipy's solve_banded((1, 1), ...) without its argument checks: the same
-    LAPACK gtsv, or a division at n = 1, where the gtsv wrapper rejects empty
-    off-diagonals.  gtsv gets copies of the bands, which it overwrites.
+    LAPACK gtsv, passed in as scipy.linalg.lapack.dgtsv, or a division at
+    n = 1, where the gtsv wrapper rejects empty off-diagonals.  gtsv gets
+    copies of the bands, which it overwrites.
     """
     if len(diag) == 1:
         b /= diag[0]
         return b
     x, info = dgtsv(off, diag, off, b, overwrite_b=1)[3:]
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x
@@ -96,6 +96,7 @@ def implicit_gamma_solve(rhs, tau_gamma: float):
     """
     if not tau_gamma > 0:
         raise ValueError("tau_gamma must be positive")
+    from scipy.linalg.lapack import dgtsv
     b = np.asarray(rhs, dtype=float)
     squeeze = b.ndim == 1
     if squeeze:
@@ -108,7 +109,7 @@ def implicit_gamma_solve(rhs, tau_gamma: float):
     interior[0] += c * b[0]
     interior[-1] += c * b[-1]
     out = b.copy()
-    out[1:-1] = _gtsv(off, diag, interior)
+    out[1:-1] = _gtsv(dgtsv, off, diag, interior)
     return out[:, 0] if squeeze else out
 
 
@@ -268,6 +269,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     # lam_new = (lam + tau_l (x @ a)) shrink and (I - tau_g D^2) x_new =
     # x - tau_g outer(2 lam_new - lam, a), in this operation order on buffers
     # built once: x_new is bit for bit implicit_gamma_solve's solution
+    from scipy.linalg.lapack import dgtsv
     a = problem.a
     shrink = 1.0 / (1.0 + problem.epsilon * problem.tau_lambda)
     c, off, diag = _tridiagonal(problem.m, problem.tau_gamma)
@@ -296,7 +298,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
         np.subtract(x, prod, out=rhs)
         rhs[0] += c_p
         rhs[-1] += c_q
-        x[...] = _gtsv(off, diag, rhs)
+        x[...] = _gtsv(dgtsv, off, diag, rhs)
         lam, lam_new = lam_new, lam
         gamma_sum += x
         lam_sum += lam

@@ -1,9 +1,13 @@
-"""The public surface: every exported name exists and the README's library
-examples run as written."""
+"""The public surface: every exported name exists, the README's library
+examples run as written, and scipy loads only where it is used."""
 
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,36 @@ def test_readme_library_examples_run(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 1 + 3
     assert all(line.startswith("budget ") for line in printed[1:])
+
+
+# Each snippet runs in a fresh interpreter (this one has scipy loaded already)
+# and prints which scipy modules it loaded: no sphere run or import of the
+# library may pay for scipy, and planar needs scipy.linalg but not scipy.spatial.
+SCIPY_AFTER = {
+    "import": ("import levelgeo.schemes, levelgeo.diagnostics, levelgeo.harness",
+               []),
+    "sphere-run-and-benchmark": (
+        "from levelgeo.cli import main\n"
+        "assert main(['run', '--init', 'randomized', '--m', '16', '--iters', '5',"
+        " '--out', 'run']) == 0\n"
+        "assert main(['benchmark', '--m', '16', '--pairs', '2',"
+        " '--checkpoints', '5', '--out', 'bench']) == 0",
+        []),
+    "planar": (
+        "from levelgeo.cli import main\n"
+        "assert main(['planar', '--m', '8', '--iters', '4', '--out', 'planar']) == 0",
+        ["scipy", "scipy.linalg"]),
+}
+
+
+@pytest.mark.parametrize("snippet,loaded", SCIPY_AFTER.values(), ids=list(SCIPY_AFTER))
+def test_scipy_is_imported_only_where_it_is_used(tmp_path, snippet, loaded):
+    code = (snippet + "\nimport json, sys\nprint(json.dumps(["
+            "name for name in ('scipy', 'scipy.linalg', 'scipy.spatial')"
+            " if name in sys.modules]))")
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded

@@ -38,6 +38,14 @@ from levelgeo.planar import read_ergodic_csv
 from levelgeo.schemes import DivergenceError, SolverConfig, run
 
 
+def _cli_process(tmp_path, *argv):
+    """levelgeo argv in a fresh interpreter, run in tmp_path."""
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "levelgeo.cli", *argv],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+
+
 def write_cloud(path, n=200, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
@@ -362,13 +370,8 @@ def test_non_finite_input_exits_1_and_writes_nothing(tmp_path, capsys, argv):
 
 
 def test_cli_process_reports_a_bad_config_on_stderr(tmp_path):
-    src = Path(levelgeo.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "levelgeo.cli", "run", "--surface", "moebius",
-         "--out", str(tmp_path / "out")],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True,
-    )
+    proc = _cli_process(tmp_path, "run", "--surface", "moebius",
+                        "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == ("error: unknown surface kind 'moebius'; expected "
@@ -381,14 +384,9 @@ def test_cli_process_reports_a_bad_config_on_stderr(tmp_path):
                          ids=["empty", "comments-only"])
 def test_cli_process_reports_an_empty_cloud_on_stderr_alone(tmp_path, text):
     # numpy.loadtxt warns on a file without data; the one stderr line is the error
-    src = Path(levelgeo.__file__).resolve().parents[1]
     (tmp_path / "cloud.xyz").write_text(text)
-    proc = subprocess.run(
-        [sys.executable, "-m", "levelgeo.cli", "run", "--surface", "point-cloud",
-         "--points", "cloud.xyz", "--out", str(tmp_path / "out")],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True,
-    )
+    proc = _cli_process(tmp_path, "run", "--surface", "point-cloud",
+                        "--points", "cloud.xyz", "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == ("error: bad surface descriptor 'point-cloud': point cloud "
@@ -856,13 +854,7 @@ def test_planar_divergence_exits_2_with_the_records(tmp_path, capsys):
 
 
 def test_diverging_planar_process_writes_nothing_to_stderr(tmp_path):
-    src = Path(levelgeo.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "levelgeo.cli", *DIVERGING_PLANAR,
-         "--out", str(tmp_path / "out")],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True,
-    )
+    proc = _cli_process(tmp_path, *DIVERGING_PLANAR, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr == ""
     assert "warning: divergence at iteration 309" in proc.stdout
@@ -871,14 +863,10 @@ def test_diverging_planar_process_writes_nothing_to_stderr(tmp_path):
 def test_planar_process_at_the_step_boundary_runs(tmp_path):
     # tau_l tau_g |a|^2 is just below 1, where the A-norm's block matrix has a
     # least eigenvalue of 0.0 in floating point
-    src = Path(levelgeo.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "levelgeo.cli", "planar", "--a", "0,0,2", "--p", "0,0,0",
-         "--q", "0,1,0", "--tau-lambda", "0.7", "--tau-gamma", "0.3571428571428571",
-         "--m", "8", "--iters", "8", "--out", str(tmp_path / "out")],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True,
-    )
+    proc = _cli_process(tmp_path, "planar", "--a", "0,0,2", "--p", "0,0,0",
+                        "--q", "0,1,0", "--tau-lambda", "0.7",
+                        "--tau-gamma", "0.3571428571428571",
+                        "--m", "8", "--iters", "8", "--out", str(tmp_path / "out"))
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert (tmp_path / "out" / "planar_ergodic.csv").exists()
@@ -937,6 +925,32 @@ def test_check_surface_unusable_band_exits_1(capsys, band, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("band", ["1e308", "1e200"])
+def test_check_surface_band_beyond_the_float_range_is_one_error_line(tmp_path, band):
+    # the inflated sampling box, or its squared extent, is not finite: no
+    # traceback from the sampler, no overflow warning, no million attempts
+    proc = _cli_process(tmp_path, "check-surface", "--band", band)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: band half-width {float(band):g} overflows "
+                           "the sampling box\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["run", "--tau-gamma", "1e300", "--iters", "5", "--init", "randomized",
+      "--seed", "1"], 2),
+    (["sweep", "--parameter", "tau-gamma", "--values", "1e300", "--init",
+      "randomized"], 0),
+    (["benchmark", "--tau-gamma", "1e300", "--pairs", "2", "--checkpoints", "5"], 0),
+    (["compare", "--tau-gamma", "1e300", "--iters", "5", "--init", "randomized"], 0),
+], ids=["run", "sweep", "benchmark", "compare"])
+def test_diverging_solver_process_writes_nothing_to_stderr(tmp_path, argv, code):
+    proc = _cli_process(tmp_path, *argv, "--out", "out")
+    assert proc.returncode == code
+    assert proc.stderr == ""
+    assert "diverged" in proc.stdout
 
 
 def test_check_surface_bad_descriptor(capsys):

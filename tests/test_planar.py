@@ -17,11 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.planar import (
     ERGODIC_CSV_HEADER,
+    _gtsv,
     ErgodicRecord,
     PlanarProblem,
     greens_function,
@@ -108,6 +111,19 @@ def test_implicit_solve_equals_solve_banded_bit_for_bit(m, log_tau, columns, see
         got, want = implicit_gamma_solve(rhs, tau), _banded_solve(rhs, tau)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def test_gtsv_reports_a_singular_matrix_as_numpys_error():
+    # zero bands: gtsv meets a zero pivot and reports it through info > 0
+    def solve():
+        return _gtsv(dgtsv, np.zeros(2), np.zeros(3), np.ones((3, 2), order="F"))
+
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        solve()
+    assert type(info.value) is np.linalg.LinAlgError
+    assert str(info.value) == "singular matrix"
+    with pytest.raises(scipy.linalg.LinAlgError):  # the same class
+        solve()
 
 
 def test_implicit_solve_validates_arguments():
