@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -40,12 +41,14 @@ __all__ = ["main", "build_parser", "parse_args"]
 
 class _Parser(argparse.ArgumentParser):
     """Lists defaults in --help, keeps each flag's action in ``options`` by
-    dest, and exits bad usage with 1 (a config error) instead of 2."""
+    dest, reads -1,0,0 or -1e-3 after a flag as its value (argparse does so
+    only for a plain number), and exits bad usage with 1 instead of 2."""
 
     def __init__(self, **kwargs):
         self.options = {}
         super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter,
                          **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

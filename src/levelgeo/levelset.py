@@ -17,7 +17,8 @@ PointCloud       phi(x) = min_p |x - p|  (unsigned distance to samples)
 
 The point-cloud field is an unsigned minimum distance, so it is 0 on the
 samples and positive elsewhere; its gradient points away from the nearest
-sample.  No inside/outside sign is recovered.
+sample.  No inside/outside sign is recovered.  Its value_and_grad skips the
+k-d tree for nodes whose nearest sample provably did not change (PointCloud).
 """
 
 from __future__ import annotations
@@ -293,7 +294,15 @@ class Plane(LevelSet):
 
 
 class PointCloud(LevelSet):
-    """Unsigned minimum distance to a finite sample set, with a k-d tree index."""
+    """Unsigned minimum distance to a finite sample set, with a k-d tree index.
+
+    value_and_grad keeps, per row, the point of its last tree query, the
+    sample resolved as nearest and the tree's second distance, a lower bound
+    on every other sample's.  On a call of the same shape a row skips the tree
+    when the triangle inequality proves no other sample within the tie band
+    1e-12 (1 + phi): phi is then |x - nearest| as the tree computes it, and
+    each call equals a fresh cloud's bit for bit.
+    """
 
     kind = "point-cloud"
     hessian_is_approximate = True
@@ -316,19 +325,17 @@ class PointCloud(LevelSet):
         self.points.setflags(write=False)
         from scipy.spatial import cKDTree  # the one field that needs scipy
         self._tree = cKDTree(self.points)
+        self._hint = np.empty((0, 3)), np.zeros(0, np.intp), np.zeros(0)
 
     def value(self, x):
         pts, single = _as_points(x)
         d, _ = self._tree.query(pts)
         return d[0] if single else d
 
-    def value_and_grad(self, x):
-        pts, single = _as_points(x)
-        # column 0 is the distance value() gets from a one-neighbour query
+    def _query(self, pts):
+        """(n, 2): the nearest sample's distance, a bound on the others'; its index."""
         d, idx = self._tree.query(pts, k=2)
         near, second = d[:, 0], d[:, 1]
-        if np.any(near == 0.0):
-            raise SingularityError("distance gradient undefined at a cloud point")
         index = idx[:, 0].copy()
         # Exact ties are resolved toward the lowest sample index so the field
         # stays deterministic regardless of tree layout.
@@ -336,7 +343,32 @@ class PointCloud(LevelSet):
         for row in ties:
             cands = self._tree.query_ball_point(pts[row], near[row] * (1.0 + 1e-12))
             index[row] = min(cands)
-        grad = (pts - self.points[index]) / near[:, None]
+        second[ties] = near[ties]  # a tie may pass over the tree's first, at near
+        return d, index
+
+    def value_and_grad(self, x):
+        pts, single = _as_points(x)
+        last, index, bound = self._hint
+        if last.shape != pts.shape:  # nan anchors send every row to the tree
+            last, index, bound = np.full(pts.shape, np.nan), np.zeros(len(pts), np.intp), 0.0
+        # phi is column 0 of an (n, 2) array on both paths, as the tree returns
+        # it: trace_row's dot product sums a strided vector in another order
+        d = np.empty((len(pts), 2))
+        near, step, diff = d[:, 0], _row_norms(pts - last), pts - self.points[index]
+        near[:] = _row_norms(diff)
+        # every other sample is at least bound - step away (triangle inequality);
+        # 1e-14 (bound + step) covers the rounding of bound, step and near
+        kept = bound - step - near > 1e-12 * (1.0 + near) + 1e-14 * (bound + step)
+        miss = np.nonzero(~kept)[0]
+        if len(miss):
+            d[miss], found = self._query(pts[miss])
+            last, index, bound = last.copy(), index.copy(), np.where(kept, bound, d[:, 1])
+            last[miss], index[miss] = pts[miss], found
+            diff[miss] = pts[miss] - self.points[found]
+        if not near.all():
+            raise SingularityError("distance gradient undefined at a cloud point")
+        self._hint = last, index, bound
+        grad = diff / near[:, None]
         return (near[0], grad[0]) if single else (near, grad)
 
     def hessian(self, x):

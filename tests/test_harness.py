@@ -7,6 +7,7 @@ iterations); these tests exercise plumbing, not convergence.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,31 @@ def test_bad_choice_exits_1():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--scheme", "bogus"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["run", "--q", "0,1,0"], "--p", "-1,0,0"),
+    (["run", "--p", "0,0,1"], "--q", "-1,0,0"),
+    (["sweep", "--p", "0,0,1", "--parameter", "omega"], "--values", "-0.5,0.5"),
+    (["compare", "--q", "0,1,0", "--schemes", "var2"], "--p", "-1,0,0"),
+    (["planar"], "--a", "-1,0,0"),
+    (["planar", "--a", "0,0,1", "--q", "0,1,0"], "--p", "-1,0,0"),
+    (["planar", "--a", "0,0,1"], "--q", "-1,1,0"),
+], ids=["run-p", "run-q", "sweep-values", "compare-p", "planar-a", "planar-p", "planar-q"])
+def test_negative_first_value_after_its_flag_reads_as_with_an_equals_sign(
+        tmp_path, capsys, argv, flag, value):
+    # argparse takes "-1,0,0" for an option unless the parser says otherwise
+    seen = []
+    for name, given in (("apart", [flag, value]), ("joined", [f"{flag}={value}"])):
+        out = tmp_path / name
+        rc = main([*argv, *given, "--m", "8", "--iters", "5", "--out", str(out)])
+        captured = capsys.readouterr()
+        files = {path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+                 if path.is_file() and path.name != "run.log"}  # run.log has a clock
+        stdout = re.sub(r"in [0-9.]+s", "in Ts", captured.out.replace(str(out), "OUT"))
+        seen.append((rc, stdout, captured.err, files))
+    assert "expected one argument" not in seen[0][2]
+    assert seen[0] == seen[1]
 
 
 def test_config_file_precedence(tmp_path):

@@ -531,3 +531,85 @@ def test_point_cloud_value_and_grad_breaks_exact_ties_to_lowest_index(first):
     assert phi == np.sqrt(5.0)
     assert np.allclose(g, (x - pts[0]) / np.sqrt(5.0))
     assert same_bits(g, cloud.grad(x))
+
+
+def field_call(cloud, x):
+    """cloud.value_and_grad(x) as bytes, with phi's strides, or the class and
+    message of the ValueError (a SingularityError, or the tree's complaint
+    about a non-finite row) it raised."""
+    try:
+        phi, grad = cloud.value_and_grad(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return phi.tobytes(), phi.strides, grad.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    lattice=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    nodes=st.integers(1, 12),
+    moves=st.lists(st.tuples(st.sampled_from(["step", "drift", "drift", "nan", "sample",
+                                              "shape"]),
+                             st.floats(-12.0, 0.0), st.integers(1, 6)),
+                   min_size=1, max_size=12),
+)
+def test_point_cloud_field_along_a_walk_equals_a_fresh_cloud(scale, lattice, seed,
+                                                             nodes, moves):
+    # value_and_grad skips the tree for a row its last call proves unchanged;
+    # every call must still equal a fresh cloud's, at every scale and step
+    rng = np.random.default_rng(seed)
+    if lattice:
+        # nodes start at centres of lattice edges, faces and cells: exact ties
+        # at a power-of-two spacing
+        scale = 2.0 ** np.round(np.log2(scale))
+        grid = np.arange(3.0) * scale
+        samples = np.stack(np.meshgrid(grid, grid, grid), -1).reshape(-1, 3)
+        offsets = rng.integers(0, 2, size=(nodes, 3))
+        offsets[offsets.sum(axis=1) == 0, 0] = 1
+        x = scale * (rng.integers(0, 2, size=(nodes, 3)) + 0.5 * offsets)
+    else:
+        samples = rng.normal(size=(40, 3)) * scale
+        x = rng.normal(size=(nodes, 3)) * scale
+    cloud, heading = PointCloud(samples), rng.normal(size=(2 * nodes, 3))
+    assert field_call(cloud, x) == field_call(PointCloud(samples), x)
+    for move, exponent, repeats in moves:
+        if move == "shape":
+            x = x[:-1].copy() if len(x) > 1 else np.vstack([x, x + scale])
+            assert field_call(cloud, x) == field_call(PointCloud(samples), x)
+        elif move in ("nan", "sample"):  # one call a step away; the walk goes on from x
+            probe = x + rng.normal(size=x.shape) * (10.0**exponent * scale)
+            probe[rng.integers(len(x))] = (np.nan if move == "nan"
+                                           else samples[rng.integers(len(samples))])
+            assert field_call(cloud, probe) == field_call(PointCloud(samples), probe)
+        for _ in range(repeats if move in ("step", "drift") else 0):
+            # in place, as the solver moves its nodes; a drift keeps its heading
+            direction = rng.normal(size=x.shape) if move == "step" else heading[:len(x)]
+            x += direction * (10.0**exponent * scale)
+            assert field_call(cloud, x) == field_call(PointCloud(samples), x)
+
+
+def test_point_cloud_node_walking_into_the_tie_band_is_queried():
+    # the node leaves x0, where sample 1 is nearest and sample 0 second, and
+    # walks straight toward sample 0 to 1e-13 short of the bisector: the
+    # triangle inequality still puts sample 0 farther than sample 1, but only
+    # by 2e-13, inside the tie band, so the tie goes to sample 0 as in a fresh cloud
+    samples = np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 9.0, 0.0]])
+    cloud = PointCloud(samples)
+    cloud.value_and_grad(np.array([[0.5, 0.0, 0.0]]))
+    x = np.array([[1e-13, 0.0, 0.0]])
+    assert field_call(cloud, x) == field_call(PointCloud(samples), x)
+    assert np.array_equal(cloud.value_and_grad(x)[1], (x - samples[0]) / (1.0 - 1e-13))
+
+
+def test_point_cloud_call_that_raises_leaves_later_calls_exact():
+    # node 0 drifts from x = 1 toward the bisector x = 5 of samples 0 and 1
+    # without a query; then a call that moves it across and puts node 1 on a
+    # sample raises, and the call back at x = 4.9 must not see that move
+    samples = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
+    cloud = PointCloud(samples)
+    for nodes in ([[1.0, 0.0, 0.0], [0.0, 40.0, 0.0]], [[4.9, 0.0, 0.0], [0.0, 40.0, 0.0]],
+                  [[5.1, 0.0, 0.0], [0.0, 50.0, 0.0]], [[4.9, 0.0, 0.0], [0.0, 40.0, 0.0]]):
+        x = np.array(nodes)
+        assert field_call(cloud, x) == field_call(PointCloud(samples), x)

@@ -15,8 +15,14 @@ from levelgeo.curve import (
     init_randomized,
     init_straight_line,
 )
-from levelgeo.diagnostics import IterationTrace, trace_row
-from levelgeo.levelset import Plane, SingularityError, SphereQuadratic, SphereSDF
+from levelgeo.diagnostics import IterationTrace, trace_row, write_trace_csv
+from levelgeo.levelset import (
+    Plane,
+    PointCloud,
+    SingularityError,
+    SphereQuadratic,
+    SphereSDF,
+)
 from levelgeo.schemes import (
     DIVERGENCE_LENGTH_FACTOR,
     DivergenceError,
@@ -514,6 +520,74 @@ def test_one_field_call_per_state(members, record_every, record_at, monkeypatch)
         assert _rows(outcome.trace) == _rows(
             _unstacked_run(problem.cfg, SphereQuadratic(), problem.init,
                            problem.reference_distance, record_at)[1])
+
+
+def _straight_cloud_problem(n=500, m=100, seed=0):
+    """A jittered Fibonacci lattice of n points on the unit sphere, with the
+    endpoints of a 0.3 rad chord in place of their nearest lattice points, and
+    a straight-init run of 50 iterations that records every state."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    azimuth = math.pi * (3.0 - math.sqrt(5.0)) * i
+    rho = np.sqrt(1.0 - z * z)
+    cloud = np.column_stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z])
+    cloud += rng.uniform(-0.2, 0.2, size=cloud.shape) * math.sqrt(4.0 * math.pi / n)
+    cloud /= np.linalg.norm(cloud, axis=1, keepdims=True)
+    p = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    q = math.cos(0.3) * p + math.sin(0.3) * np.array([3.0, 0.0, -1.0]) / math.sqrt(10.0)
+    for end in (p, q):
+        cloud[np.argmax(cloud @ end)] = end
+    cfg = SolverConfig(tau_gamma=0.2 / m**2, max_iters=50, record_every=1)
+    return cloud, cfg, init_straight_line(p, q, m)
+
+
+class _QueryLog:
+    """A k-d tree that logs the (rows, k) of each query."""
+
+    def __init__(self, tree):
+        self.tree, self.queries = tree, []
+
+    def query(self, x, k=1):
+        self.queries.append((len(x), k))
+        return self.tree.query(x, k=k)
+
+    def query_ball_point(self, x, r):
+        return self.tree.query_ball_point(x, r)
+
+
+class _UnhintedCloud(PointCloud):
+    """A point cloud that forgets its last field call: every row is queried."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self._cleared = self._hint
+
+    def value_and_grad(self, x):
+        self._hint = self._cleared
+        return super().value_and_grad(x)
+
+
+def test_straight_cloud_run_queries_the_tree_once():
+    # the explicit step moves each node far less than its distance to the
+    # nearest bisector of two samples, so the first field call's nearest
+    # samples serve the other 50 (the k = 1 queries are the endpoint checks)
+    points, cfg, init = _straight_cloud_problem()
+    cloud = PointCloud(points)
+    cloud._tree = _QueryLog(cloud._tree)
+    run(cfg, cloud, init)
+    assert [q for q in cloud._tree.queries if q[1] == 2] == [(init[1].m - 1, 2)]
+
+
+def test_straight_cloud_run_equals_the_run_that_queries_every_row(tmp_path):
+    # phi keeps the tree's strided layout on both paths: trace_row's dot
+    # product sums a strided vector in another order than a contiguous one
+    points, cfg, init = _straight_cloud_problem()
+    runs = [run(cfg, cls(points), init) for cls in (PointCloud, _UnhintedCloud)]
+    for (_, trace), name in zip(runs, ("hinted.csv", "unhinted.csv")):
+        write_trace_csv(trace, tmp_path / name)
+    assert (tmp_path / "hinted.csv").read_bytes() == (tmp_path / "unhinted.csv").read_bytes()
+    assert runs[0][0].curve.points.tobytes() == runs[1][0].curve.points.tobytes()
 
 
 class _SingularPastPlane(SphereQuadratic):
