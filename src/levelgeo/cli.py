@@ -261,10 +261,8 @@ def main(argv=None) -> int:
             return harness.cmd_sweep(_experiment_spec(args), parameter, values)
         if args.command == "benchmark":
             spec = _experiment_spec(args)
-            checkpoints = [int(v) for v in _float_list(args.checkpoints,
-                                                       "--checkpoints")]
-            return harness.cmd_benchmark(spec, n_pairs=args.pairs,
-                                         checkpoints=checkpoints)
+            checkpoints = _float_list(args.checkpoints, "--checkpoints")
+            return harness.cmd_benchmark(spec, n_pairs=args.pairs, checkpoints=checkpoints)
         if args.command == "compare":
             schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
             return harness.cmd_compare_schemes(_experiment_spec(args), schemes)

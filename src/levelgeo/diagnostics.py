@@ -172,6 +172,16 @@ def tangency_defect(state, surface) -> float:
     return float((dots[mask] / speed[mask]).max())
 
 
+def _field(surface, x):
+    """(phi, grad, None) from surface.value_and_grad(x); where the gradient is
+    undefined at a node, (value(x), a nan gradient, the SingularityError)."""
+    try:
+        return (*surface.value_and_grad(x), None)
+    except SingularityError as error:
+        phi = surface.value(x)
+        return phi, np.full((len(phi), 3), math.nan), error
+
+
 def trace_row(state, cfg, surface, reference_distance: float | None = None,
               field=None) -> TraceRow:
     """Assemble one diagnostics row for the current state.
@@ -192,11 +202,7 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None,
     else:
         abs_err = rel_err = None
     # one field evaluation feeds the residuals, J and the surface error
-    try:
-        phi, grad = field or surface.value_and_grad(state.curve.interior)
-    except SingularityError:  # grad phi is undefined at a node: R_gamma and J are nan
-        phi = surface.value(state.curve.interior)
-        grad = np.full((len(phi), 3), math.nan)
+    phi, grad = field or _field(surface, state.curve.interior)[:2]
     norm_l, norm_g, J = _residual_terms(state, cfg, phi, grad)
     return TraceRow(
         iteration=state.iteration,

@@ -435,9 +435,9 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
     seed.
     """
     surface = parse_surface(spec.surface, spec.points_path)
+    if not checkpoints or any(c < 1 or not float(c).is_integer() for c in checkpoints):
+        raise ConfigError("checkpoints must be positive whole iteration counts")
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    if not checkpoints or checkpoints[0] < 1:
-        raise ConfigError("checkpoints must be positive iteration counts")
     if n_pairs < 1:
         raise ConfigError("n_pairs must be at least 1")
     pairs = sample_endpoint_pairs(surface, n_pairs, spec.seed)

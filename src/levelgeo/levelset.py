@@ -46,7 +46,8 @@ __all__ = [
 
 
 class SingularityError(ValueError):
-    """Gradient requested exactly at a point where the field is not differentiable."""
+    """Gradient requested exactly at a point where the field is not differentiable,
+    or at a point so far from a point cloud that its distance overflows."""
 
 
 class SamplingError(RuntimeError):
@@ -302,6 +303,10 @@ class PointCloud(LevelSet):
     when the triangle inequality proves no other sample within the tie band
     1e-12 (1 + phi): phi is then |x - nearest| as the tree computes it, and
     each call equals a fresh cloud's bit for bit.
+
+    A node so far out (about 1e154 or more) that its distance overflows has
+    value inf; value_and_grad raises SingularityError there, and the hint
+    stays as it was.
     """
 
     kind = "point-cloud"
@@ -336,6 +341,8 @@ class PointCloud(LevelSet):
         """(n, 2): the nearest sample's distance, a bound on the others'; its index."""
         d, idx = self._tree.query(pts, k=2)
         near, second = d[:, 0], d[:, 1]
+        if np.isinf(near).any():  # the tree found no sample: its squared distance overflowed
+            raise SingularityError("distance to the nearest cloud point overflows")
         index = idx[:, 0].copy()
         # Exact ties are resolved toward the lowest sample index so the field
         # stays deterministic regardless of tree layout.
@@ -354,8 +361,9 @@ class PointCloud(LevelSet):
         # phi is column 0 of an (n, 2) array on both paths, as the tree returns
         # it: trace_row's dot product sums a strided vector in another order
         d = np.empty((len(pts), 2))
-        near, step, diff = d[:, 0], _row_norms(pts - last), pts - self.points[index]
-        near[:] = _row_norms(diff)
+        near, diff = d[:, 0], pts - self.points[index]
+        with np.errstate(over="ignore"):  # a far node's norms are inf: _query raises for it
+            step, near[:] = _row_norms(pts - last), _row_norms(diff)
         # every other sample is at least bound - step away (triangle inequality);
         # 1e-14 (bound + step) covers the rounding of bound, step and near
         kept = bound - step - near > 1e-12 * (1.0 + near) + 1e-14 * (bound + step)

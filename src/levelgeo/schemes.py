@@ -26,14 +26,15 @@ and the endpoints never touched.  Regularized is exactly BasePDHG with
 omega = 0 and shares its code path.
 
 One kernel serves every path: run_batch() stacks B >= 1 problems that
-share scheme and m, makes one field call (value_and_grad) per state on all
-their interior nodes, and updates preallocated buffers in place, each
-member with its own step sizes.  A recorded state's field call feeds both
-its trace rows and the next step.  The operations and their order do not
-depend on B, so every member's numbers are bit for bit those of its run
-alone.  run() is a batch of one and step() one iteration of it.  States are
-copied out only at record points.  A member stops at its iteration budget,
-on divergence, or at a field singularity; the others go on.
+share scheme and m and updates preallocated buffers in place, each member
+with its own step sizes.  It evaluates each state once, right after it
+exists: one field call (value_and_grad) on all the members' interior nodes,
+which feeds both the state's trace rows and the next step.  Only when that
+call raises are the members evaluated one by one.  The operations and their
+order do not depend on B, so every member's numbers are bit for bit those of
+its run alone.  run() is a batch of one and step() one iteration of it.
+States are copied out only at record points.  A member stops at its
+iteration budget, on divergence, or at a field singularity; the others go on.
 """
 
 from __future__ import annotations
@@ -111,10 +112,10 @@ class SolverConfig:
             raise ValueError("omega must be nonnegative and finite")
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ValueError("alpha must be nonnegative and finite")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError("max_iters must be a nonnegative integer")
+        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+            raise ValueError("record_every must be an integer of at least 1")
 
     def validate_strict(self):
         """Raise unless the regularization invariant holds (epsilon > 0 off GDA)."""
@@ -160,9 +161,8 @@ class _Workspace:
     numpy's loop over two contiguous operands of one shape is faster than a
     broadcast, at B = 1 too, and the products are the same.  `members` maps
     each row to its member.  A member that stops leaves the stack: every
-    stacked array drops its row.  `field` holds the field of the current
-    state once a record point has evaluated it; the next advance takes it,
-    and a member leaving clears it.
+    stacked array drops its row.  Each state is evaluated once, by one stacked
+    call or, only if that raises, one call per member (evaluate()).
     """
 
     _STACKED = ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma",
@@ -190,14 +190,23 @@ class _Workspace:
             float(np.linalg.norm(s.curve.q - s.curve.p)), 1e-6) for s in states])
         self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
         self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
-        self.field = None
 
     def evaluate(self):
-        """phi (B, m-1) and grad (B, m-1, 3) at every member's interior nodes of
-        the current state, from one field call."""
-        rows = len(self.members)
-        phi, grad = self.surface.value_and_grad(self.buffers[0][1].reshape(-1, 3))
-        return phi.reshape(rows, -1), grad.reshape(rows, -1, 3)
+        """(phi, grad, {row: SingularityError}) for the current state's interior
+        nodes: (B, m-1) and (B, m-1, 3) from one field call or, if it raises,
+        each member's own call as it returns them, uncopied, since trace_row
+        sums a strided phi in another order (nan gradient where singular)."""
+        interior = self.buffers[0][1]
+        try:
+            phi, grad = self.surface.value_and_grad(interior.reshape(-1, 3))
+        except SingularityError:
+            rows = [diagnostics._field(self.surface, x) for x in interior]
+            singular = {row: error for row, (_, _, error) in enumerate(rows) if error}
+            if not singular:
+                raise
+            phi, grad, _ = zip(*rows)
+            return phi, grad, singular
+        return phi.reshape(len(interior), -1), grad.reshape(len(interior), -1, 3), {}
 
     def state(self, row: int, iteration: int) -> SolverState:
         pts, lam = self.buffers[0][0], self.buffers[0][-1]
@@ -212,32 +221,12 @@ class _Workspace:
         kept = np.ones(len(self.members), dtype=bool)
         kept[rows] = False
         self.members = [member for member, k in zip(self.members, kept) if k]
-        self.field = None
         self.buffers = [_buffer(buf[0][kept], buf[-1][kept]) for buf in self.buffers]
         for name in self._STACKED:
             setattr(self, name, getattr(self, name)[kept])
 
-    def _singular(self, error: SingularityError, iteration: int, stops):
-        """The rare path after the stacked field call raised `error`: the
-        members go through the field one by one, and each that raises stops.
-        Returns evaluate() for the members left, or None when no member is
-        left."""
-        interior = self.buffers[0][1]
-        singular = {}
-        for row in range(len(self.members)):
-            try:
-                self.surface.value_and_grad(interior[row])
-            except SingularityError as exc:
-                singular[row] = exc
-        if not singular:
-            raise error
-        self._leave(list(singular), iteration, singular.values(), stops)
-        if not self.members:
-            return None
-        return self.evaluate()
-
-    def advance(self, iteration: int):
-        """Step every member to `iteration`.
+    def advance(self, iteration: int, field):
+        """Step every member to `iteration` from `field`, the current state's evaluate().
 
         Returns the members that stopped, as (member, state at iteration - 1,
         reason); they have left the stack.  The reason is the field's
@@ -245,17 +234,13 @@ class _Workspace:
         or a curve longer than its length cap.
         """
         stops = []
-        # the field of the state being left: the one a record point evaluated
-        # (taken, so that no later state reads it) or one field call
-        field, self.field = self.field, None
-        if field is None:
-            try:
-                field = self.evaluate()
-            except SingularityError as exc:
-                field = self._singular(exc, iteration, stops)
-                if field is None:
-                    return stops
-        phi, grad = field
+        phi, grad, singular = field
+        if singular:  # the singular rows stop; the others' own results are stacked
+            self._leave(list(singular), iteration, singular.values(), stops)
+            if not self.members:
+                return stops
+            phi, grad = (np.stack([v for row, v in enumerate(a) if row not in singular])
+                         for a in (phi, grad))
         rows = len(phi)
         sd, force, tmp = self.sd, self.force, self.tmp
         (_, interior, ahead, behind, lam), (new_pts, new_interior, _, _, new_lam) = self.buffers
@@ -325,7 +310,7 @@ def step(state, cfg, surface) -> SolverState:
     """One iteration of whichever scheme cfg selects, with run()'s divergence check."""
     work = _Workspace([state], [cfg], surface)
     iteration = state.iteration + 1
-    stops = work.advance(iteration)
+    stops = work.advance(iteration, work.evaluate())
     if stops:
         _, last, reason = stops[0]
         raise _stop_error(reason, iteration, None, last)
@@ -400,9 +385,9 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     iteration 0, every record_every iterations, at max_iters and at each
     iteration in record_at.  A member that diverges or meets a field
     singularity stops there with its last finite state and its trace so
-    far; the others go on.  A record point's field call feeds every
-    member's row and the next step, so a batch without stops makes
-    max_iters + 1 field calls whatever it records.
+    far; the others go on.  Each state is evaluated once, and that field
+    call feeds its trace rows and the next step, so a batch without stops
+    makes max_iters + 1 field calls whatever it records.
 
     Returns (BatchRun, [Outcome of each problem, in order]).  The warning
     about off-surface endpoints names the caller's line (run() passes
@@ -422,23 +407,21 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     outcomes = [Outcome(state, diagnostics.IterationTrace()) for state in states]
     work = _Workspace(states, [p.cfg for p in problems], surface)
 
-    def record(k):
-        try:
-            work.field = work.evaluate()
-        except SingularityError:  # each row evaluates its own; advance stops the culprit
-            pass
+    def record(k, field):
+        phi, grad, _ = field
         for row, member in enumerate(work.members):
             out, problem = outcomes[member], problems[member]
             if k:
                 out.state = work.state(row, k)
-            field = work.field and (work.field[0][row], work.field[1][row])
-            out.trace.append(diagnostics.trace_row(
-                out.state, problem.cfg, surface, problem.reference_distance, field=field))
+            out.trace.append(diagnostics.trace_row(out.state, problem.cfg, surface,
+                                                   problem.reference_distance,
+                                                   field=(phi[row], grad[row])))
 
-    record(0)
+    field = work.evaluate()
+    record(0, field)
     record_at, seconds = frozenset(record_at), {}
     for k in range(1, cfg.max_iters + 1):
-        stops = work.advance(k)
+        stops = work.advance(k, field)
         if stops:
             for member, state, reason in stops:
                 out = outcomes[member]
@@ -449,8 +432,9 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
         wanted = k in record_at
         if wanted:
             seconds[k] = time.monotonic() - start
+        field = work.evaluate()
         if wanted or k % cfg.record_every == 0 or k == cfg.max_iters:
-            record(k)
+            record(k, field)
 
     elapsed = time.monotonic() - start
     for member in work.members:

@@ -709,6 +709,18 @@ def test_benchmark_csv_deterministic(tmp_path):
         (out_b / "benchmark.csv").read_bytes()
 
 
+def test_benchmark_rejects_a_fractional_checkpoint(tmp_path, capsys):
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--pairs", "2", "--checkpoints", "10.9,20",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.splitlines() == [
+        "error: checkpoints must be positive whole iteration counts"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_benchmark_isolates_diverged_pairs(tmp_path, capsys):
     out = tmp_path / "bench"
     rc = main(["benchmark", "--pairs", "2", "--checkpoints", "10,50",
@@ -784,9 +796,9 @@ def test_benchmark_non_finite_checkpoint_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_benchmark_checkpoints_are_truncated_to_integers(tmp_path):
+def test_benchmark_reads_whole_checkpoints_written_as_floats(tmp_path):
     out = tmp_path / "out"
-    rc = main(["benchmark", "--pairs", "2", "--checkpoints", "2.5,1e1",
+    rc = main(["benchmark", "--pairs", "2", "--checkpoints", "2.0,1e1",
                "--m", "8", "--out", str(out)])
     assert rc == 0
     rows = (out / "benchmark.csv").read_text().splitlines()

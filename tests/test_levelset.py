@@ -1,5 +1,7 @@
 """Field values, gradients, Hessians and the band check for every surface kind."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -613,3 +615,20 @@ def test_point_cloud_call_that_raises_leaves_later_calls_exact():
                   [[5.1, 0.0, 0.0], [0.0, 50.0, 0.0]], [[4.9, 0.0, 0.0], [0.0, 40.0, 0.0]]):
         x = np.array(nodes)
         assert field_call(cloud, x) == field_call(PointCloud(samples), x)
+
+
+def test_point_cloud_node_whose_distance_overflows_is_a_singularity():
+    # the tree's squared distance to a node 1e200 away overflows: value is
+    # inf, value_and_grad raises without a warning and keeps its hint
+    cloud = PointCloud(np.random.default_rng(0).normal(size=(20, 3)))
+    near = np.array([[0.3, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    far = np.array([[1e200, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    cloud.value_and_grad(near)
+    hint = cloud._hint
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cloud.value(far)[0] == np.inf
+        with pytest.raises(SingularityError, match="overflows"):
+            cloud.value_and_grad(far)
+    assert cloud._hint is hint
+    assert field_call(cloud, near) == field_call(PointCloud(cloud.points), near)

@@ -210,6 +210,16 @@ def test_config_validation():
         SolverConfig(scheme="var2", epsilon=0.0).validate_strict()
 
 
+def test_config_rejects_a_fractional_max_iters():
+    with pytest.raises(ValueError, match="max_iters must be a nonnegative integer"):
+        SolverConfig(max_iters=2.5)
+
+
+def test_config_rejects_a_fractional_record_every():
+    with pytest.raises(ValueError, match="record_every must be an integer"):
+        SolverConfig(record_every=2.5)
+
+
 def test_state_validates_resolution_match():
     curve, _ = init_straight_line(np.zeros(3), np.ones(3), 10)
     from levelgeo.curve import MultiplierField
@@ -467,6 +477,52 @@ def test_batch_stops_only_a_singular_member():
         assert np.array_equal(outcomes[i].state.curve.points, state.curve.points)
         assert _rows(outcomes[i].trace) == _rows(trace)
     assert batch.iteration == 60
+
+
+def test_a_singular_state_costs_one_stacked_call_and_one_per_member():
+    # test_batch_stops_only_a_singular_member's problem: state 0 makes the
+    # stacked call, which raises, and one call per member; the 30 states
+    # after it one stacked call each
+    calls = []
+
+    class CountingSDF(SphereSDF):
+        def value_and_grad(self, x):
+            calls.append(len(x))
+            return super().value_and_grad(x)
+
+    surface, m = CountingSDF(), 16
+    pole, equator = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    inits = [init_straight_line(pole, equator, m), init_straight_line(pole, -pole, m),
+             init_randomized(pole, -pole, m, surface, tau_r=1.0, seed=2)]
+    _, outcomes = run_batch([Problem(SolverConfig(max_iters=30, record_every=10), init)
+                             for init in inits], surface)
+    assert [outcome.stop for outcome in outcomes] == ["budget", "singularity", "budget"]
+    assert calls == [3 * (m - 1)] + [m - 1] * 3 + [2 * (m - 1)] * 30
+
+
+def test_cloud_batch_stops_only_the_member_on_a_sample(tmp_path):
+    # the middle member's chord has node 25 exactly on a sample; the others
+    # start with nonzero multipliers, so the surface error of the rows at the
+    # singular state depends on the order in which phi is summed
+    points, cfg, (curve, _) = _straight_cloud_problem()
+    m, rng = curve.m, np.random.default_rng(5)
+    chord = init_straight_line(curve.p, points[7], m)
+    cloud = PointCloud(np.vstack([points, chord[0].points[25]]))
+    inits = [(curve, MultiplierField(rng.normal(size=m - 1))), chord,
+             (init_randomized(curve.p, curve.q, m, cloud, tau_r=0.05, seed=3)[0],
+              MultiplierField(rng.normal(size=m - 1)))]
+    _, outcomes = run_batch([Problem(cfg, init, 0.3) for init in inits], cloud)
+
+    assert [outcome.stop for outcome in outcomes] == ["budget", "singularity", "budget"]
+    assert outcomes[1].state.iteration == 0
+    with pytest.raises(SingularityError, match="cloud point"):
+        run(cfg, cloud, inits[1])
+    for i in (0, 2):
+        state, trace = run(cfg, cloud, inits[i], 0.3)
+        write_trace_csv(outcomes[i].trace, tmp_path / "batch.csv")
+        write_trace_csv(trace, tmp_path / "serial.csv")
+        assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert outcomes[i].state.curve.points.tobytes() == state.curve.points.tobytes()
 
 
 class _CountingSphere(SphereQuadratic):
