@@ -11,7 +11,7 @@ Layout:
 * :mod:`levelgeo.levelset`    surface catalogue and band sampling checks
 * :mod:`levelgeo.curve`       discrete curves, inits, stencils
 * :mod:`levelgeo.schemes`     the five iteration rules and the run loop
-* :mod:`levelgeo.diagnostics` a state's numbers (trace_row), trace CSV
+* :mod:`levelgeo.diagnostics` a state's numbers (trace_row), record CSV files
 * :mod:`levelgeo.planar`      plane-constraint model problem and its
   ergodic convergence-rate check
 * :mod:`levelgeo.harness`     experiment orchestration and artifact files

@@ -103,8 +103,8 @@ def init_straight_line(p, q, m: int):
     """gamma_0(t) = p(1-t) + q t with a zero multiplier."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if m < 2:
-        raise ValueError("grid resolution m must be at least 2")
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError("grid resolution m must be an integer of at least 2")
     t = _grid(m)[:, None]
     pts = p * (1.0 - t) + q * t
     pts[0], pts[-1] = p, q  # exact endpoints, no roundoff from the blend

@@ -5,6 +5,9 @@ against a reference distance, surface error, the two equilibrium residuals,
 J and the geodesic defect.  Everything here is a pure function of a solver
 state; nothing mutates.
 
+write_records and read_records write and read every record table (trace.csv
+of TraceRow, planar_ergodic.csv of planar.ErgodicRecord), exactly.
+
 The equilibrium residuals discretize the stationary conditions of the
 primal-dual flow:
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,15 +53,11 @@ __all__ = [
     "first_difference",
     "trace_row",
     "write_csv",
+    "write_records",
+    "read_records",
     "write_trace_csv",
     "read_trace_csv",
-    "TRACE_CSV_HEADER",
 ]
-
-TRACE_CSV_HEADER = (
-    "iteration,length,absolute_error,relative_error,surface_error,"
-    "lyapunov_J,lambda_residual,gamma_residual,geodesic_defect"
-)
 
 
 @dataclass
@@ -237,36 +236,39 @@ def write_csv(path, header: str, rows):
         writer.writerows([_csv_field(v) for v in row] for row in rows)
 
 
+def write_records(path, cls, records):
+    """Write records of the dataclass cls, one column per field, in field order."""
+    names = [field.name for field in fields(cls)]
+    write_csv(path, ",".join(names), ([getattr(r, name) for name in names] for r in records))
+
+
+#: each column's parser, by its field's annotation (a string: annotations are postponed)
+_PARSERS = {"int": int, "float": float, "float | None": lambda s: float(s) if s else None}
+
+
+def read_records(path, cls) -> list:
+    """The cls records of a write_records file, each field parsed by its annotation
+    (empty is None only in a `float | None` column).  ValueError for another
+    header (an empty file has none), another row width or an unparsable field."""
+    names = [field.name for field in fields(cls)]
+    parsers = [_PARSERS[field.type] for field in fields(cls)]
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if (header := next(reader, None)) != names:
+            raise ValueError(f"unexpected {cls.__name__} header: {header}")
+        for values in reader:
+            try:
+                records.append(cls(*(parse(v) for parse, v in zip(parsers, values, strict=True))))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return records
+
+
 def write_trace_csv(trace: IterationTrace, path):
-    """Write the pinned CSV schema; optional columns serialize as empty fields."""
-    write_csv(path, TRACE_CSV_HEADER, (
-        [r.iteration, r.length, r.absolute_error, r.relative_error,
-         r.surface_error, r.lyapunov_J, r.lambda_residual, r.gamma_residual,
-         r.geodesic_defect]
-        for r in trace
-    ))
+    """Write trace.csv; optional columns serialize as empty fields."""
+    write_records(path, TraceRow, trace)
 
 
 def read_trace_csv(path) -> IterationTrace:
-    trace = IterationTrace()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != TRACE_CSV_HEADER:
-            raise ValueError(f"unexpected trace header: {header}")
-        for fields in reader:
-            it, length, a, r, s, j, rl, rg, gd = fields
-            trace.append(
-                TraceRow(
-                    iteration=int(it),
-                    length=float(length),
-                    absolute_error=float(a) if a else None,
-                    relative_error=float(r) if r else None,
-                    surface_error=float(s),
-                    lyapunov_J=float(j),
-                    lambda_residual=float(rl),
-                    gamma_residual=float(rg),
-                    geodesic_defect=float(gd),
-                )
-            )
-    return trace
+    return IterationTrace(read_records(path, TraceRow))

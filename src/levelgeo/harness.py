@@ -15,12 +15,13 @@ stack; a comparison runs one scheme at a time, as a stack shares its scheme.
 Determinism contract: every CSV/JSON artifact is byte-identical across
 re-runs with the same inputs.  Wall-clock times therefore never enter those
 files; they go to stdout and to `run.log` next to the artifacts.
+diagnostics.write_records writes trace.csv and planar_ergodic.csv, write_csv the
+sweep, benchmark and comparison tables; summary.json has null for inf and nan.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import time
@@ -42,7 +43,7 @@ from .levelset import (
     check_assumption_a,
     load_point_cloud,
 )
-from .planar import PlanarProblem, run_planar, write_ergodic_csv
+from .planar import ErgodicRecord, PlanarProblem, run_planar
 from .schemes import DivergenceError, Problem, Scheme, SolverConfig
 from .schemes import run_batch as run
 
@@ -78,9 +79,6 @@ COMPARISON_CSV_HEADER = (
 )
 #: exit code of ``run`` for each way a run stops
 EXIT_CODES = {"budget": 0, "diverged": 2, "singularity": 3}
-
-#: around every solve: a diverging iterate is reported by its stop, not by numpy
-_quiet_overflow = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 SWEEPABLE_PARAMETERS = ("epsilon", "tau_lambda", "tau_gamma", "omega", "alpha")
 INIT_KINDS = ("straight", "randomized")
@@ -193,6 +191,8 @@ class ExperimentSpec:
             raise ConfigError(f"m must be at least 2, got {self.m}")
         if self.init not in INIT_KINDS:
             raise ConfigError(f"init must be one of {', '.join(INIT_KINDS)}, got {self.init!r}")
+        if not 0 <= self.tau_r < math.inf:  # summary.json records it, used or not
+            raise ConfigError(f"tau_r must be nonnegative and finite, got {self.tau_r}")
         if not isinstance(surface, PointCloud):
             for name, pt in (("p", p), ("q", q)):
                 off = abs(float(surface.value(pt)))
@@ -264,9 +264,10 @@ def parse_config_file(path):
 
 def _summary_payload(spec, outcome):
     """summary.json of one run: `diverged` is true for any early stop, and a
-    nan diagnostic (J out of its regime, or at a singularity) is null."""
+    non-finite diagnostic (nan J out of its regime or at a singularity, an
+    infinite residual of a diverging run) is null."""
     state, cfg = outcome.state, spec.solver
-    final = {name: None if isinstance(value, float) and math.isnan(value) else value
+    final = {name: None if isinstance(value, float) and not math.isfinite(value) else value
              for name, value in dataclasses.asdict(outcome.trace.final).items()}
     del final["iteration"]
     return {
@@ -293,7 +294,7 @@ def _summary_payload(spec, outcome):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -313,8 +314,7 @@ def cmd_run(spec) -> int:
     """
     spec.solver.validate_strict()
     surface, _, _, reference, init = spec.build()
-    with _quiet_overflow():
-        _, (outcome,) = run([Problem(spec.solver, init, reference)], surface)
+    _, (outcome,) = run([Problem(spec.solver, init, reference)], surface)
     state, final = outcome.state, outcome.trace.final
 
     out = Path(spec.out_dir)
@@ -381,9 +381,7 @@ def cmd_sweep(spec, parameter: str, values) -> int:
     solvers = [dataclasses.replace(spec.solver, **{parameter: value})
                for value in values]
     surface, _, _, reference, init = spec.build()
-    with _quiet_overflow():
-        _, outcomes = run([Problem(solver, init, reference) for solver in solvers],
-                          surface)
+    _, outcomes = run([Problem(solver, init, reference) for solver in solvers], surface)
 
     out = Path(spec.out_dir)
     rows = []
@@ -448,8 +446,7 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
     for pair_index, (p, q) in enumerate(pairs):
         d, init = exact._problem(surface, p, q, spec.seed + 97 * pair_index)
         problems.append(Problem(cfg, init, d))
-    with _quiet_overflow():
-        batch, outcomes = run(problems, surface, record_at=checkpoints)
+    batch, outcomes = run(problems, surface, record_at=checkpoints)
 
     for pair_index, outcome in enumerate(outcomes):
         if outcome.error is not None:
@@ -493,8 +490,7 @@ def cmd_compare_schemes(spec, schemes) -> int:
     rows = []
     for scheme in scheme_list:
         cfg = dataclasses.replace(spec.solver, scheme=scheme)
-        with _quiet_overflow():
-            _, (outcome,) = run([Problem(cfg, init, reference)], surface)
+        _, (outcome,) = run([Problem(cfg, init, reference)], surface)
         final = _report(scheme.value, outcome)
         rows.append([scheme.value] + (
             [None, None, None, True] if final is None else
@@ -532,9 +528,8 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
     init = default_planar_perturbation(problem) if perturbed else None
     import scipy.linalg.lapack  # noqa: F401  (run_planar's, before the clock starts)
     start = time.monotonic()
-    # each warning once, on stdout: run_planar's step-condition warning repeats
-    # the one above, and numpy's overflow warnings precede the divergence below
-    with warnings.catch_warnings(), _quiet_overflow():
+    # each warning once, on stdout: run_planar's repeats the one above
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
             _, records = run_planar(problem, max_iters, init=init)
@@ -543,7 +538,7 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
             records, diverged = list(exc.trace or []), True
             print(f"warning: {exc}")
     elapsed = time.monotonic() - start
-    write_ergodic_csv(records, out / "planar_ergodic.csv")
+    diagnostics.write_records(out / "planar_ergodic.csv", ErgodicRecord, records)
 
     held = all(r.gap <= r.bound + 1e-9 for r in records) and not diverged
     print(f"bound held: {str(held).lower()}")

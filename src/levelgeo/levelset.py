@@ -24,6 +24,7 @@ k-d tree for nodes whose nearest sample provably did not change (PointCloud).
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -450,6 +451,7 @@ def _raise_at_bad_line(fh):
             ) from None
 
 
+@dataclass(frozen=True)
 class AssumptionAReport:
     """Result of sampling the band |phi| <= a for the convergence assumptions.
 
@@ -457,21 +459,12 @@ class AssumptionAReport:
     2 a ||D^2 phi|| <= nu over the band.
     """
 
-    def __init__(self, band_half_width, nu, hessian_bound, satisfied,
-                 n_samples, hessian_approximate=False):
-        self.band_half_width = float(band_half_width)
-        self.nu = float(nu)
-        self.hessian_bound = float(hessian_bound)
-        self.satisfied = bool(satisfied)
-        self.n_samples = int(n_samples)
-        self.hessian_approximate = bool(hessian_approximate)
-
-    def __repr__(self):
-        return (
-            f"AssumptionAReport(a={self.band_half_width:g}, nu={self.nu:.6g}, "
-            f"hessian_bound={self.hessian_bound:.6g}, satisfied={self.satisfied}, "
-            f"n_samples={self.n_samples})"
-        )
+    band_half_width: float
+    nu: float
+    hessian_bound: float
+    satisfied: bool
+    n_samples: int
+    hessian_approximate: bool = False
 
 
 _MAX_BAND_ATTEMPTS = 1_000_000
@@ -528,9 +521,9 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
     nu = float(np.min(np.einsum("ij,ij->i", grads, grads)))
     eigs = np.linalg.eigvalsh(surface.hessian(samples))
     hessian_bound = float(np.max(np.abs(eigs)))
-    satisfied = nu > 0 and 2.0 * a * hessian_bound <= nu
+    satisfied = bool(nu > 0 and 2.0 * a * hessian_bound <= nu)
     return AssumptionAReport(
-        band_half_width=a,
+        band_half_width=float(a),
         nu=nu,
         hessian_bound=hessian_bound,
         satisfied=satisfied,

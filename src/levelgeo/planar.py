@@ -27,12 +27,13 @@ tau_l * tau_g * |a|^2 < 1, the running averages over iterates 1..k satisfy
 
 for ANY comparison pair xi = (lambda, gamma), where the A-norm is the
 dt-weighted block form  sum_i [dl_i^2/tau_l + 2 dl_i (a . dg_i) + |dg_i|^2/tau_g] * dt.
-run_planar records the gap and this bound at dyadic iteration counts.
+run_planar records the gap and this bound at dyadic iteration counts, as
+ErgodicRecord rows; a diverging iterate raises DivergenceError, with numpy's
+overflow warnings off.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import DiscreteCurve, MultiplierField, init_straight_line
-from .diagnostics import write_csv
 from .levelset import Plane
 from .schemes import SolverState, DivergenceError
 
@@ -52,12 +52,7 @@ __all__ = [
     "run_planar",
     "lagrangian_eps",
     "kinetic_energy",
-    "write_ergodic_csv",
-    "read_ergodic_csv",
-    "ERGODIC_CSV_HEADER",
 ]
-
-ERGODIC_CSV_HEADER = "k,gap,bound"
 
 
 def _tridiagonal(m: int, tau_gamma: float):
@@ -175,8 +170,8 @@ class PlanarProblem:
                 raise ValueError(f"{name} must be a finite 3-vector")
             if abs(float(self.a @ pt)) > 1e-12:
                 raise ValueError(f"{name} must satisfy a.{name} = 0 (within 1e-12)")
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
+        if not isinstance(self.m, (int, np.integer)) or self.m < 2:
+            raise ValueError("m must be an integer of at least 2")
         if not (0 < self.tau_gamma < np.inf and 0 < self.tau_lambda < np.inf):
             raise ValueError("step sizes must be positive and finite")
         if not 0 <= self.epsilon < np.inf:
@@ -239,8 +234,8 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     A violated step condition only warns; iteration proceeds and divergence,
     if it happens, raises DivergenceError with the records gathered so far.
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
+        raise ValueError("max_iters must be a nonnegative integer")
     if not problem.step_condition_ok:
         warnings.warn(
             f"step product tau_l*tau_g*|a|^2 = {problem.step_product:.3g} >= 1; "
@@ -286,39 +281,40 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     records: list[ErgodicRecord] = []
     next_record = 1
 
-    for k in range(1, max_iters + 1):
-        np.matmul(x, a, out=lam_new)
-        lam_new *= problem.tau_lambda
-        lam_new += lam
-        lam_new *= shrink
-        np.multiply(lam_new, 2.0, out=lam_tilde)
-        lam_tilde -= lam
-        np.multiply(lam_tilde[:, None], a, out=prod)
-        prod *= problem.tau_gamma
-        np.subtract(x, prod, out=rhs)
-        rhs[0] += c_p
-        rhs[-1] += c_q
-        x[...] = _gtsv(dgtsv, off, diag, rhs)
-        lam, lam_new = lam_new, lam
-        gamma_sum += x
-        lam_sum += lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iters + 1):
+            np.matmul(x, a, out=lam_new)
+            lam_new *= problem.tau_lambda
+            lam_new += lam
+            lam_new *= shrink
+            np.multiply(lam_new, 2.0, out=lam_tilde)
+            lam_tilde -= lam
+            np.multiply(lam_tilde[:, None], a, out=prod)
+            prod *= problem.tau_gamma
+            np.subtract(x, prod, out=rhs)
+            rhs[0] += c_p
+            rhs[-1] += c_q
+            x[...] = _gtsv(dgtsv, off, diag, rhs)
+            lam, lam_new = lam_new, lam
+            gamma_sum += x
+            lam_sum += lam
 
-        # count_nonzero is numpy's cheapest reduction, as in the curve solver
-        if (np.count_nonzero(np.isfinite(pts)) + np.count_nonzero(np.isfinite(lam))
-                != pts.size + lam.size):
-            raise DivergenceError(k, "non-finite planar iterate", trace=records)
+            # count_nonzero is numpy's cheapest reduction, as in the curve solver
+            if (np.count_nonzero(np.isfinite(pts)) + np.count_nonzero(np.isfinite(lam))
+                    != pts.size + lam.size):
+                raise DivergenceError(k, "non-finite planar iterate", trace=records)
 
-        if k == next_record or k == max_iters:
-            avg_pts = pts.copy()
-            avg_pts[1:-1] = gamma_sum / k
-            avg_curve = DiscreteCurve(avg_pts)
-            avg_mult = MultiplierField(lam_sum / k, problem.m)
-            gap = lagrangian_eps(
-                avg_curve, ref_mult, field, problem.epsilon
-            ) - lagrangian_eps(ref_curve, avg_mult, field, problem.epsilon)
-            records.append(ErgodicRecord(k=k, gap=gap, bound=bound_base / (2.0 * k)))
-            while next_record <= k:
-                next_record *= 2
+            if k == next_record or k == max_iters:
+                avg_pts = pts.copy()
+                avg_pts[1:-1] = gamma_sum / k
+                avg_curve = DiscreteCurve(avg_pts)
+                avg_mult = MultiplierField(lam_sum / k, problem.m)
+                gap = lagrangian_eps(
+                    avg_curve, ref_mult, field, problem.epsilon
+                ) - lagrangian_eps(ref_curve, avg_mult, field, problem.epsilon)
+                records.append(ErgodicRecord(k=k, gap=gap, bound=bound_base / (2.0 * k)))
+                while next_record <= k:
+                    next_record *= 2
 
     final = SolverState(
         curve=DiscreteCurve(pts),
@@ -327,18 +323,3 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     )
     return final, records
 
-
-def write_ergodic_csv(records, path):
-    write_csv(path, ERGODIC_CSV_HEADER, ([r.k, r.gap, r.bound] for r in records))
-
-
-def read_ergodic_csv(path):
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != ERGODIC_CSV_HEADER:
-            raise ValueError(f"unexpected ergodic header: {header}")
-        for k, gap, bound in reader:
-            records.append(ErgodicRecord(k=int(k), gap=float(gap), bound=float(bound)))
-    return records

@@ -34,7 +34,8 @@ call raises are the members evaluated one by one.  The operations and their
 order do not depend on B, so every member's numbers are bit for bit those of
 its run alone.  run() is a batch of one and step() one iteration of it.
 States are copied out only at record points.  A member stops at its
-iteration budget, on divergence, or at a field singularity; the others go on.
+iteration budget, on divergence (reported by the stop alone: numpy's overflow
+warnings are off), or at a field singularity; the others go on.
 """
 
 from __future__ import annotations
@@ -310,7 +311,8 @@ def step(state, cfg, surface) -> SolverState:
     """One iteration of whichever scheme cfg selects, with run()'s divergence check."""
     work = _Workspace([state], [cfg], surface)
     iteration = state.iteration + 1
-    stops = work.advance(iteration, work.evaluate())
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_batch
+        stops = work.advance(iteration, work.evaluate())
     if stops:
         _, last, reason = stops[0]
         raise _stop_error(reason, iteration, None, last)
@@ -417,24 +419,25 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
                                                    problem.reference_distance,
                                                    field=(phi[row], grad[row])))
 
-    field = work.evaluate()
-    record(0, field)
     record_at, seconds = frozenset(record_at), {}
-    for k in range(1, cfg.max_iters + 1):
-        stops = work.advance(k, field)
-        if stops:
-            for member, state, reason in stops:
-                out = outcomes[member]
-                out.state, out.seconds = state, time.monotonic() - start
-                out.error = _stop_error(reason, k, out.trace, state)
-            if not work.members:
-                break
-        wanted = k in record_at
-        if wanted:
-            seconds[k] = time.monotonic() - start
+    with np.errstate(over="ignore", invalid="ignore"):
         field = work.evaluate()
-        if wanted or k % cfg.record_every == 0 or k == cfg.max_iters:
-            record(k, field)
+        record(0, field)
+        for k in range(1, cfg.max_iters + 1):
+            stops = work.advance(k, field)
+            if stops:
+                for member, state, reason in stops:
+                    out = outcomes[member]
+                    out.state, out.seconds = state, time.monotonic() - start
+                    out.error = _stop_error(reason, k, out.trace, state)
+                if not work.members:
+                    break
+            wanted = k in record_at
+            if wanted:
+                seconds[k] = time.monotonic() - start
+            field = work.evaluate()
+            if wanted or k % cfg.record_every == 0 or k == cfg.max_iters:
+                record(k, field)
 
     elapsed = time.monotonic() - start
     for member in work.members:

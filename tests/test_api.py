@@ -2,6 +2,7 @@
 examples run as written, and scipy loads only where it is used."""
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -68,3 +69,14 @@ def test_scipy_is_imported_only_where_it_is_used(tmp_path, snippet, loaded):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # bench/run.py --trace 1 wraps these by name and stops on a missing one
+    path = README.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, name) for module, name, *_ in tracing.WRAPPED_FUNCTIONS
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []

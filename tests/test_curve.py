@@ -36,6 +36,11 @@ def test_straight_line_endpoints_exact():
     assert np.array_equal(mult.values, np.zeros(99))
 
 
+def test_straight_line_rejects_a_fractional_m():
+    with pytest.raises(ValueError, match="must be an integer"):
+        init_straight_line(P, Q, 10.5)
+
+
 def test_straight_line_is_affine_in_t():
     curve, _ = init_straight_line(P, Q, 10)
     t = np.arange(11) / 10

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.diagnostics import (
-    TRACE_CSV_HEADER,
     IterationTrace,
     TraceRow,
     effective_alpha,
     geodesic_defect,
+    read_records,
     read_trace_csv,
     tangency_defect,
     trace_row,
     write_trace_csv,
 )
 from levelgeo.levelset import Plane, PointCloud, SphereQuadratic, SphereSDF, Torus
+from levelgeo.planar import ErgodicRecord
 from levelgeo.schemes import SolverConfig, SolverState, run
 
 
@@ -205,7 +206,8 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     header = path.read_text().splitlines()[0]
-    assert header == TRACE_CSV_HEADER
+    assert header == ("iteration,length,absolute_error,relative_error,surface_error,"
+                      "lyapunov_J,lambda_residual,gamma_residual,geodesic_defect")
 
     back = read_trace_csv(path)
     assert len(back) == len(trace)
@@ -293,4 +295,28 @@ def test_read_trace_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("iteration,length\n0,1.0\n")
     with pytest.raises(ValueError):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "header: None"),
+    ("k,gap\n1,2.0\n", "header"),
+    ("k,gap,bound\n1,2.0\n", "line 2"),
+    ("k,gap,bound\n1,2.0,3.0\n2,2.0,3.0,4.0\n", "line 3"),
+    ("k,gap,bound\n1,,3.0\n", "line 2"),
+    ("k,gap,bound\n1,2.0,three\n", "line 2"),
+])
+def test_read_records_rejects_a_malformed_table(tmp_path, text, message):
+    # an empty file, a foreign header, a short row, a long row, an empty field
+    # in a column that is not optional, and a field that is not a number
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_records(path, ErgodicRecord)
+
+
+def test_read_trace_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="header"):
         read_trace_csv(path)

@@ -19,7 +19,7 @@ import levelgeo
 from levelgeo import harness
 from levelgeo.cli import build_parser, main, parse_args
 from levelgeo.curve import curve_from_json, init_straight_line
-from levelgeo.diagnostics import read_trace_csv
+from levelgeo.diagnostics import read_records, read_trace_csv
 from levelgeo.harness import (
     ConfigError,
     ExperimentSpec,
@@ -35,7 +35,7 @@ from levelgeo.levelset import (
     SphereSDF,
     Torus,
 )
-from levelgeo.planar import read_ergodic_csv
+from levelgeo.planar import ErgodicRecord
 from levelgeo.schemes import DivergenceError, SolverConfig, run
 
 
@@ -192,6 +192,19 @@ def test_spec_build_validation():
         ExperimentSpec(init="zigzag").build()
 
 
+def test_spec_rejects_a_fractional_m():
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExperimentSpec(m=10.5).build()
+
+
+def test_run_rejects_a_non_finite_tau_r_even_with_the_straight_init(tmp_path, capsys):
+    # summary.json records tau_r even where the straight init does not use it
+    out = tmp_path / "out"
+    assert main(["run", "--tau-r", "inf", "--out", str(out)]) == 1
+    assert "tau_r must be nonnegative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spec_default_endpoints_are_antipodal_on_any_sphere():
     _, p, q, _, _ = ExperimentSpec(surface="sphere-sdf:2").build()
     assert np.array_equal(p, [0.0, 0.0, 2.0])
@@ -290,6 +303,24 @@ def test_run_divergence_exits_2_with_artifacts(tmp_path):
     assert summary["diverged"] is True
     assert summary["iterations"] >= 1
     assert (out / "trace.csv").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_summary_json_writes_null_for_an_infinite_number(tmp_path):
+    # a huge multiplier step: the residuals and J overflow to inf in the trace
+    out = tmp_path / "out"
+    rc = main(["run", "--scheme", "gda", "--tau-lambda", "1e200", "--tau-gamma", "1e-300",
+               "--iters", "3", "--record-every", "1", "--init", "randomized",
+               "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    assert math.isinf(read_trace_csv(out / "trace.csv").final.gamma_residual)
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert [summary[k] for k in ("gamma_residual", "lambda_residual", "lyapunov_J")] == \
+        [None, None, None]
 
 
 def test_run_singularity_exits_3_with_artifacts(tmp_path, capsys):
@@ -861,7 +892,7 @@ def test_planar_command(tmp_path, capsys):
     assert "bound held: true" in stdout
     assert "log-log slope:" in stdout
 
-    records = read_ergodic_csv(out / "planar_ergodic.csv")
+    records = read_records(out / "planar_ergodic.csv", ErgodicRecord)
     assert [r.k for r in records] == [1, 2, 4, 8, 16]
     assert all(r.gap <= r.bound + 1e-9 for r in records)
 
@@ -887,7 +918,7 @@ def test_planar_divergence_exits_2_with_the_records(tmp_path, capsys):
     assert "warning: step product 2.5e+03 >= 1" in stdout
     assert "warning: divergence at iteration 309: non-finite planar iterate" in stdout
     assert "bound held: false" in stdout
-    records = read_ergodic_csv(out / "planar_ergodic.csv")
+    records = read_records(out / "planar_ergodic.csv", ErgodicRecord)
     assert [r.k for r in records] == [2 ** i for i in range(9)]
 
 

@@ -22,8 +22,9 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
+from levelgeo.diagnostics import read_records, write_records
+from levelgeo.harness import default_planar_perturbation
 from levelgeo.planar import (
-    ERGODIC_CSV_HEADER,
     _gtsv,
     ErgodicRecord,
     PlanarProblem,
@@ -31,9 +32,7 @@ from levelgeo.planar import (
     implicit_gamma_solve,
     kinetic_energy,
     lagrangian_eps,
-    read_ergodic_csv,
     run_planar,
-    write_ergodic_csv,
 )
 from levelgeo.levelset import Plane
 from levelgeo.schemes import DivergenceError
@@ -284,6 +283,28 @@ def test_planar_problem_rejects_non_finite_input(field, value):
         PlanarProblem(**{**ok, field: value})
 
 
+def test_planar_problem_rejects_a_fractional_m():
+    with pytest.raises(ValueError, match="m must be an integer"):
+        PlanarProblem(a=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0], q=[0.0, 1.0, 0.0], m=10.5)
+
+
+def test_run_planar_rejects_a_fractional_iteration_count():
+    problem = PlanarProblem(a=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0], q=[0.0, 1.0, 0.0], m=10)
+    with pytest.raises(ValueError, match="max_iters must be a nonnegative integer"):
+        run_planar(problem, 2.5)
+
+
+def test_a_diverging_planar_run_raises_without_numpy_warnings():
+    problem = PlanarProblem(a=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0], q=[0.0, 1.0, 0.0], m=8,
+                            tau_gamma=100.0, tau_lambda=100.0, epsilon=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError, match="iteration 235: non-finite planar"):
+            run_planar(problem, 4000, init=default_planar_perturbation(problem))
+    # the step-condition warning, and no overflow warning from numpy
+    assert [w.category for w in caught] == [UserWarning]
+
+
 def test_run_planar_from_saddle_keeps_zero_gap():
     problem = PlanarProblem(
         a=np.array([1.0, 0.0, 0.0]),
@@ -500,9 +521,9 @@ def test_ergodic_csv_round_trip(tmp_path):
     )
     _, records = run_planar(problem, max_iters=32, init=perturbed_init(problem))
     path = tmp_path / "ergodic.csv"
-    write_ergodic_csv(records, path)
-    assert path.read_text().splitlines()[0] == ERGODIC_CSV_HEADER
-    back = read_ergodic_csv(path)
+    write_records(path, ErgodicRecord, records)
+    assert path.read_text().splitlines()[0] == "k,gap,bound"
+    back = read_records(path, ErgodicRecord)
     assert [(r.k, r.gap, r.bound) for r in back] == [
         (r.k, r.gap, r.bound) for r in records
     ]
@@ -514,5 +535,5 @@ def test_ergodic_csv_round_trip(tmp_path):
 def test_ergodic_csv_round_trip_is_exact(records, tmp_path_factory):
     records = [ErgodicRecord(k, gap, bound) for k, gap, bound in records]
     path = tmp_path_factory.mktemp("ergodic") / "ergodic.csv"
-    write_ergodic_csv(records, path)
-    assert [repr(r) for r in read_ergodic_csv(path)] == [repr(r) for r in records]
+    write_records(path, ErgodicRecord, records)
+    assert [repr(r) for r in read_records(path, ErgodicRecord)] == [repr(r) for r in records]

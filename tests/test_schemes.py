@@ -1,6 +1,7 @@
 """Iteration schemes: fixed points, equivalences, bounds, divergence handling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,22 @@ def test_batch_names_each_members_divergence():
     assert str(outcomes[1].error).endswith("curve length exceeded 1.41e+03")
     assert outcomes[2].state.iteration == 50
     assert batch.iteration == 1 + outcomes[1].error.iteration + 50
+
+
+def test_a_diverging_run_or_step_raises_without_numpy_warnings():
+    # the member of test_batch_names_each_members_divergence that overflows,
+    # alone; the suite turns a RuntimeWarning into an error, so record them
+    surface = SphereQuadratic()
+    init = init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                           20, surface, tau_r=1.0, seed=0)
+    cfg = SolverConfig(tau_gamma=1.7e308, max_iters=50)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError, match="iteration 1: non-finite value"):
+            run(cfg, surface, init)
+        with pytest.raises(DivergenceError, match="iteration 1: non-finite value"):
+            step(SolverState(*init), cfg, surface)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_batch_stops_only_a_singular_member():
