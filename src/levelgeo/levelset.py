@@ -161,7 +161,7 @@ class SphereSDF(_Sphere):
     def value_and_grad(self, x):
         pts, single = _as_points(x)
         r = _row_norms(pts)
-        if not r.all():
+        if np.count_nonzero(r) != len(r):
             raise SingularityError("gradient of R - |x| undefined at the origin")
         phi = self.radius - r
         grad = -pts / r[:, None]
@@ -170,7 +170,7 @@ class SphereSDF(_Sphere):
     def hessian(self, x):
         pts, single = _as_points(x)
         r = _row_norms(pts)
-        if np.any(r == 0.0):
+        if np.count_nonzero(r) != len(r):
             raise SingularityError("Hessian of R - |x| undefined at the origin")
         unit = pts / r[:, None]
         # D^2 (R - |x|) = -(I - u u^T)/|x|
@@ -209,7 +209,7 @@ class Torus(LevelSet):
     def value_and_grad(self, x):
         pts, single = _as_points(x)
         rho, u, w = self._parts(pts)
-        if np.any(rho == 0.0) or np.any(w == 0.0):
+        if np.count_nonzero(rho) + np.count_nonzero(w) != 2 * len(rho):
             raise SingularityError("torus field gradient undefined on the axis or core circle")
         phi = w - self.minor_radius
         gx = (u / w) * (pts[:, 0] / rho)
@@ -221,7 +221,7 @@ class Torus(LevelSet):
     def hessian(self, x):
         pts, single = _as_points(x)
         rho, u, w = self._parts(pts)
-        if np.any(rho == 0.0) or np.any(w == 0.0):
+        if np.count_nonzero(rho) + np.count_nonzero(w) != 2 * len(rho):
             raise SingularityError("torus field Hessian undefined on the axis or core circle")
         n = len(pts)
         rho_hat = np.zeros((n, 3))

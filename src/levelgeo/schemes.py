@@ -167,7 +167,7 @@ class _Workspace:
     """
 
     _STACKED = ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma",
-                "length_cap", "sd", "force", "tilde", "tmp")
+                "length_cap", "chord_bound", "sd", "force", "tilde", "tmp", "chords")
 
     def __init__(self, states, cfgs, surface):
         self.scheme, self.surface, self.m = cfgs[0].scheme, surface, states[0].multiplier.m
@@ -189,6 +189,12 @@ class _Workspace:
         self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
         self.length_cap = np.array([DIVERGENCE_LENGTH_FACTOR * max(
             float(np.linalg.norm(s.curve.q - s.curve.p)), 1e-6) for s in states])
+        # _within_caps's bound on sum |chord|^2: cap^2 (1 - margin) / m.  The
+        # margin exceeds the (5m + 7) 2^-53 that rounding can take; a cap beyond
+        # 1e150 counts as 1e150, so every sum that passes stays far from overflow
+        margin = 16 * (self.m + 1) * 2.0**-53
+        self.chord_bound = np.minimum(self.length_cap, 1e150) ** 2 * (1 - margin) / self.m
+        self.chords = np.empty((len(states), self.m, 3))
         self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
         self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
 
@@ -242,7 +248,6 @@ class _Workspace:
                 return stops
             phi, grad = (np.stack([v for row, v in enumerate(a) if row not in singular])
                          for a in (phi, grad))
-        rows = len(phi)
         sd, force, tmp = self.sd, self.force, self.tmp
         (_, interior, ahead, behind, lam), (new_pts, new_interior, _, _, new_lam) = self.buffers
 
@@ -277,20 +282,37 @@ class _Workspace:
         np.multiply(force, self.tau_gamma, out=force)
         np.subtract(interior, force, out=new_interior)
 
-        # one test of the whole stack, and the failing members located only
-        # when it fails: a length within its cap (nan is not) implies finite
-        # points, and count_nonzero is numpy's cheapest reduction
-        lengths = curve_length(new_pts)
-        if (np.count_nonzero(lengths <= self.length_cap) + np.count_nonzero(
-                np.isfinite(new_lam)) != rows + new_lam.size):
-            finite = (np.isfinite(new_interior).all(axis=(1, 2))
-                      & np.isfinite(new_lam).all(axis=1))
-            stopped = np.flatnonzero(~finite | (lengths > self.length_cap))
-            self._leave(stopped, iteration, [
-                f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
-                else "non-finite value in update" for row in stopped], stops)
+        # two tiers: a cheap test that can only pass the whole stack, and only
+        # when it fails the exact test of the whole stack, with the failing
+        # members located only when that fails too: a length within its cap
+        # (nan is not) implies finite points
+        if not self._within_caps(new_pts, new_lam):
+            lengths = curve_length(new_pts)
+            if (np.count_nonzero(lengths <= self.length_cap) + np.count_nonzero(
+                    np.isfinite(new_lam)) != len(lengths) + new_lam.size):
+                finite = (np.isfinite(new_interior).all(axis=(1, 2))
+                          & np.isfinite(new_lam).all(axis=1))
+                stopped = np.flatnonzero(~finite | (lengths > self.length_cap))
+                self._leave(stopped, iteration, [
+                    f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
+                    else "non-finite value in update" for row in stopped], stops)
         self.buffers.reverse()
         return stops
+
+    def _within_caps(self, pts, lam) -> bool:
+        """True only if every member's curve_length(pts) is within its length_cap
+        and all of lam is finite, from one dot product S = sum |chord|^2 per member.
+
+        By Cauchy-Schwarz a length is at most sqrt(m S), and the margin in
+        chord_bound covers the rounding of S and of curve_length in any
+        summation order.  A finite S implies finite points: nan, inf and
+        overflow all fail.  False says nothing; count_nonzero is numpy's
+        cheapest reduction.
+        """
+        np.subtract(pts[:, 1:], pts[:, :-1], out=self.chords)
+        flat = self.chords.reshape(len(pts), -1)
+        return (np.count_nonzero(np.vecdot(flat, flat) <= self.chord_bound)
+                + np.count_nonzero(np.isfinite(lam)) == len(pts) + lam.size)
 
 
 def _buffer(pts, lam):

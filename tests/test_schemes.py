@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levelgeo import diagnostics, schemes
@@ -452,6 +452,63 @@ def test_batch_names_each_members_divergence():
     assert batch.iteration == 1 + outcomes[1].error.iteration + 50
 
 
+_CLEAR = 2**40  # a cap 2^-12 above the length
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(2, 1000),
+    members=st.lists(st.tuples(
+        st.sampled_from(["nodes", "equal chords"]),
+        st.sampled_from([1e-3, 1.0, 1e154, 1e300]),  # of the nodes or chords
+        st.integers(-4500, 4500) | st.just(_CLEAR),  # cap = length (1 + k 2^-52)
+        st.sampled_from([None, math.nan, math.inf, -math.inf]),  # at one coordinate
+        st.sampled_from([None, math.nan, math.inf])),  # at one multiplier
+        min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=500, members=[("equal chords", 1.0, -1, None, None)], seed=14)  # needs the margin
+@example(m=1000, members=[("equal chords", 1.0, _CLEAR, None, None)] * 4, seed=0)
+@example(m=3, members=[("equal chords", 1.0, _CLEAR, None, math.inf)], seed=0)
+def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, seed):
+    # hand-built (B, m+1, 3) stacks against the step's cheap test: when it
+    # passes, every curve_length is within its cap and every multiplier finite
+    rng = np.random.default_rng(seed)
+    points, multipliers, states = [], [], []
+    for kind, scale, k, bad_node, bad_lam in members:
+        if kind == "nodes":
+            x = rng.normal(size=(m + 1, 3)) * scale
+        else:  # where Cauchy-Schwarz is tight: m sum |chord|^2 = length^2
+            u = rng.normal(size=(m, 3))
+            x = np.cumsum(np.vstack([np.zeros(3), scale * u / np.linalg.norm(
+                u, axis=1, keepdims=True)]), axis=0)
+        lam = rng.normal(size=m - 1)
+        if bad_node is not None:
+            x[rng.integers(m + 1), rng.integers(3)] = bad_node
+        if bad_lam is not None:
+            lam[rng.integers(m - 1)] = bad_lam
+        with np.errstate(over="ignore", invalid="ignore"):
+            length = curve_length(x[None])[0]
+        cap = length * (1 + k * 2.0**-52) if 0 < length < 1e300 else 10.0 * scale
+        # a straight init from 0 to (cap / 1e3, 0, 0) has (about) this cap
+        init = init_straight_line(np.zeros(3), np.array([cap / 1e3, 0.0, 0.0]), m)
+        states.append(SolverState(*init))
+        points.append(x)
+        multipliers.append(lam)
+    points, multipliers = np.stack(points), np.stack(multipliers)
+    with np.errstate(over="ignore", invalid="ignore"):  # |q - p| may overflow too
+        work = schemes._Workspace(states, [SolverConfig()] * len(states), SphereQuadratic())
+        cheap = work._within_caps(points, multipliers)
+        exact = (np.count_nonzero(curve_length(points) <= work.length_cap) == len(points)
+                 and np.isfinite(multipliers).all())
+    assert exact or not cheap
+    # and it passes equal chords of moderate size 2^-12 below their caps
+    if all(kind == "equal chords" and scale <= 1.0 and k == _CLEAR
+           and bad_node is None and bad_lam is None
+           for kind, scale, k, bad_node, bad_lam in members):
+        assert cheap
+
+
 def test_a_diverging_run_or_step_raises_without_numpy_warnings():
     # the member of test_batch_names_each_members_divergence that overflows,
     # alone; the suite turns a RuntimeWarning into an error, so record them
@@ -580,14 +637,15 @@ def test_one_field_call_per_state(members, record_every, record_at, monkeypatch)
                                         m, surface, tau_r=1.0, seed=seed), math.pi / 2)
                 for seed in range(members)]
     # the step and trace_row look curve_length up by these names at call time,
-    # which is where the benchmark's tracer wraps it: one stacked call per
-    # iteration, one call per trace row
+    # which is where the benchmark's tracer wraps it: the step calls it only
+    # when its cheap length test fails, which a budget run's never does, and
+    # trace_row once per row
     stacked = _count_lengths(monkeypatch, schemes)
     per_row = _count_lengths(monkeypatch, diagnostics)
     _, outcomes = run_batch(problems, surface, record_at=record_at)
     assert [outcome.stop for outcome in outcomes] == ["budget"] * members
     assert surface.calls == [members * (m - 1)] * 26
-    assert stacked == [(members, m + 1, 3)] * 25
+    assert stacked == []
     assert per_row == [(m + 1, 3)] * sum(len(outcome.trace) for outcome in outcomes)
     for problem, outcome in zip(problems, outcomes):  # and the rows are those of run()
         assert _rows(outcome.trace) == _rows(
