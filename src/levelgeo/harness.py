@@ -563,7 +563,6 @@ def cmd_check_surface(surface_desc: str, points_path, band: float,
     print(f"band_half_width: {report.band_half_width:g}")
     print(f"nu: {report.nu:.6g}")
     print(f"hessian_bound: {report.hessian_bound:.6g}")
-    print(f"hessian_approximate: {str(report.hessian_approximate).lower()}")
     print(f"n_samples: {report.n_samples}")
     print(f"satisfied: {str(report.satisfied).lower()}")
     return 0

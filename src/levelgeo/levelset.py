@@ -1,11 +1,12 @@
 """Implicit surfaces represented as scalar level-set fields.
 
 A surface is the zero set {x in R^3 : phi(x) = 0} of a scalar field phi.
-Every surface here exposes the field value, its gradient and its Hessian,
-which is all the curve solvers need: the constraint force is lambda * grad(phi)
-and the convergence theory constrains |grad phi|^2 and ||D^2 phi|| on a band
-around the surface.  value_and_grad(x) returns phi and grad phi from one
-evaluation that shares their intermediate results.
+A field implements value and value_and_grad, which returns phi and grad phi
+from one evaluation that shares their intermediate results; LevelSet derives
+grad from it and a finite-difference Hessian from grad.  The curve solvers
+need only phi and grad phi (the constraint force is lambda * grad(phi)); the
+convergence theory constrains |grad phi|^2 and ||D^2 phi|| on a band around
+the surface, which check_assumption_a samples.
 
 Analytic kinds
 --------------
@@ -19,6 +20,8 @@ The point-cloud field is an unsigned minimum distance, so it is 0 on the
 samples and positive elsewhere; its gradient points away from the nearest
 sample.  No inside/outside sign is recovered.  Its value_and_grad skips the
 k-d tree for nodes whose nearest sample provably did not change (PointCloud).
+The field is only C^0 across the Voronoi ridges of the samples, where the
+finite-difference Hessian reads about 1/h.
 """
 
 from __future__ import annotations
@@ -77,8 +80,6 @@ class LevelSet:
     """Base class for scalar fields whose zero set is the surface of interest."""
 
     kind: str = "abstract"
-    #: True when hessian() is a finite-difference estimate rather than analytic.
-    hessian_is_approximate: bool = False
 
     def value(self, x):
         """phi(x); vectorized over a leading point axis."""
@@ -93,8 +94,15 @@ class LevelSet:
         raise NotImplementedError
 
     def hessian(self, x):
-        """D^2 phi(x) as (..., 3, 3)."""
-        raise NotImplementedError
+        """D^2 phi(x) as (..., 3, 3): central differences of grad with step 1e-5,
+        symmetrized, from one grad call on x and x +- h e_i; raises where grad(x) does."""
+        pts, single = _as_points(x)
+        h = 1e-5
+        offsets = np.concatenate([np.zeros((1, 3)), h * np.eye(3), -h * np.eye(3)])
+        g = self.grad((pts[:, None, :] + offsets).reshape(-1, 3)).reshape(-1, 7, 3)
+        H = (g[:, 1:4] - g[:, 4:]) / (2.0 * h)  # row i: d grad / d x_i
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        return H[0] if single else H
 
     def bounding_box(self):
         """Axis-aligned (lo, hi) box containing the nominal surface."""
@@ -139,6 +147,7 @@ class SphereQuadratic(_Sphere):
         return (phi[0], grad[0]) if single else (phi, grad)
 
     def hessian(self, x):
+        """Exactly I, where central differences read 1 + 7e-12."""
         pts, single = _as_points(x)
         out = np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
         return out[0] if single else out
@@ -166,17 +175,6 @@ class SphereSDF(_Sphere):
         phi = self.radius - r
         grad = -pts / r[:, None]
         return (phi[0], grad[0]) if single else (phi, grad)
-
-    def hessian(self, x):
-        pts, single = _as_points(x)
-        r = _row_norms(pts)
-        if np.count_nonzero(r) != len(r):
-            raise SingularityError("Hessian of R - |x| undefined at the origin")
-        unit = pts / r[:, None]
-        # D^2 (R - |x|) = -(I - u u^T)/|x|
-        proj = np.eye(3)[None] - unit[:, :, None] * unit[:, None, :]
-        out = -proj / r[:, None, None]
-        return out[0] if single else out
 
 
 class Torus(LevelSet):
@@ -218,33 +216,6 @@ class Torus(LevelSet):
         grad = np.stack([gx, gy, gz], axis=1)
         return (phi[0], grad[0]) if single else (phi, grad)
 
-    def hessian(self, x):
-        pts, single = _as_points(x)
-        rho, u, w = self._parts(pts)
-        if np.count_nonzero(rho) + np.count_nonzero(w) != 2 * len(rho):
-            raise SingularityError("torus field Hessian undefined on the axis or core circle")
-        n = len(pts)
-        rho_hat = np.zeros((n, 3))
-        rho_hat[:, 0] = pts[:, 0] / rho
-        rho_hat[:, 1] = pts[:, 1] / rho
-        g = self.grad(pts)
-        # H = (rho_hat rho_hat^T + (u/rho) P_theta + e3 e3^T - g g^T) / w, where
-        # P_theta projects onto the azimuthal direction.  Eigenvalues: 0 along g,
-        # 1/w in the meridian plane, u/(rho w) azimuthally.
-        theta_hat = np.zeros((n, 3))
-        theta_hat[:, 0] = -pts[:, 1] / rho
-        theta_hat[:, 1] = pts[:, 0] / rho
-        e3 = np.zeros((n, 3))
-        e3[:, 2] = 1.0
-        outer = lambda v: v[:, :, None] * v[:, None, :]
-        H = (
-            outer(rho_hat)
-            + (u / rho)[:, None, None] * outer(theta_hat)
-            + outer(e3)
-            - outer(g)
-        ) / w[:, None, None]
-        return H[0] if single else H
-
     def bounding_box(self):
         R, r = self.major_radius, self.minor_radius
         lo = np.array([-(R + r), -(R + r), -r])
@@ -279,11 +250,6 @@ class Plane(LevelSet):
         grad = np.broadcast_to(self.normal, (len(pts), 3)).copy()
         return (phi[0], grad[0]) if single else (phi, grad)
 
-    def hessian(self, x):
-        pts, single = _as_points(x)
-        out = np.zeros((len(pts), 3, 3))
-        return out[0] if single else out
-
     def bounding_box(self):
         # The plane is unbounded; this conventional box only feeds band sampling.
         return -2.0 * np.ones(3), 2.0 * np.ones(3)
@@ -311,8 +277,6 @@ class PointCloud(LevelSet):
     """
 
     kind = "point-cloud"
-    hessian_is_approximate = True
-    _fd_step = 1e-3
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -380,25 +344,6 @@ class PointCloud(LevelSet):
         grad = diff / near[:, None]
         return (near[0], grad[0]) if single else (near, grad)
 
-    def hessian(self, x):
-        pts, single = _as_points(x)
-        h = self._fd_step
-        n = len(pts)
-        H = np.empty((n, 3, 3))
-        eye = np.eye(3) * h
-        f0 = self.value(pts)
-        for i in range(3):
-            fp = self.value(pts + eye[i])
-            fm = self.value(pts - eye[i])
-            H[:, i, i] = (fp - 2.0 * f0 + fm) / h**2
-            for j in range(i + 1, 3):
-                fpp = self.value(pts + eye[i] + eye[j])
-                fpm = self.value(pts + eye[i] - eye[j])
-                fmp = self.value(pts - eye[i] + eye[j])
-                fmm = self.value(pts - eye[i] - eye[j])
-                H[:, i, j] = H[:, j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h**2)
-        return H[0] if single else H
-
     def bounding_box(self):
         return self.points.min(axis=0), self.points.max(axis=0)
 
@@ -464,7 +409,6 @@ class AssumptionAReport:
     hessian_bound: float
     satisfied: bool
     n_samples: int
-    hessian_approximate: bool = False
 
 
 _MAX_BAND_ATTEMPTS = 1_000_000
@@ -528,5 +472,4 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
         hessian_bound=hessian_bound,
         satisfied=satisfied,
         n_samples=len(samples),
-        hessian_approximate=surface.hessian_is_approximate,
     )

@@ -187,8 +187,7 @@ class _Workspace:
         self.keep = per_node([1.0 - c.alpha * c.epsilon for c in cfgs])  # var2's weight of lam+
         self.alpha = per_node([c.alpha for c in cfgs])
         self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
-        self.length_cap = np.array([DIVERGENCE_LENGTH_FACTOR * max(
-            float(np.linalg.norm(s.curve.q - s.curve.p)), 1e-6) for s in states])
+        self.length_cap = np.array([_length_cap(s.curve.p, s.curve.q) for s in states])
         # _within_caps's bound on sum |chord|^2: cap^2 (1 - margin) / m.  The
         # margin exceeds the (5m + 7) 2^-53 that rounding can take; a cap beyond
         # 1e150 counts as 1e150, so every sum that passes stays far from overflow
@@ -313,6 +312,18 @@ class _Workspace:
         flat = self.chords.reshape(len(pts), -1)
         return (np.count_nonzero(np.vecdot(flat, flat) <= self.chord_bound)
                 + np.count_nonzero(np.isfinite(lam)) == len(pts) + lam.size)
+
+
+def _length_cap(p, q) -> float:
+    """DIVERGENCE_LENGTH_FACTOR max(|q - p|, 1e-6), at most the largest float
+    so that an inf length exceeds it.  |q - p| is numpy.linalg.norm's where
+    |q - p|^2 does not overflow, and hypot's, which scales, where it does."""
+    with np.errstate(over="ignore"):
+        chord = q - p
+        distance = float(np.linalg.norm(chord))
+        if distance == np.inf:
+            distance = float(np.hypot.reduce(chord))
+        return min(DIVERGENCE_LENGTH_FACTOR * max(distance, 1e-6), np.finfo(float).max)
 
 
 def _buffer(pts, lam):

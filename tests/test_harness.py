@@ -983,6 +983,8 @@ def test_check_surface_report(capsys):
     assert "surface: sphere-sdf" in stdout
     assert "nu:" in stdout and "hessian_bound:" in stdout
     assert "satisfied: true" in stdout
+    assert [line.split(":")[0] for line in stdout.splitlines()] == [
+        "surface", "band_half_width", "nu", "hessian_bound", "n_samples", "satisfied"]
 
 
 @pytest.mark.parametrize("band,message", [
@@ -1020,6 +1022,14 @@ def test_diverging_solver_process_writes_nothing_to_stderr(tmp_path, argv, code)
     assert proc.returncode == code
     assert proc.stderr == ""
     assert "diverged" in proc.stdout
+
+
+def test_far_endpoints_process_writes_nothing_to_stderr(tmp_path):
+    # |q - p| = 2e155: its square overflows, which the length cap must not show
+    proc = _cli_process(tmp_path, "run", "--surface", "plane", "--p=-1e155,0,0",
+                        "--q", "1e155,0,0", "--iters", "3", "--out", "out")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_check_surface_bad_descriptor(capsys):

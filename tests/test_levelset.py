@@ -76,6 +76,42 @@ def test_hessian_matches_finite_difference_gradient(surface):
             assert np.linalg.norm(H[:, i] - col) <= 5e-4 * max(1.0, np.linalg.norm(col))
 
 
+def _spectrum_error(surface, x, exact):
+    """Largest eigenvalue error of surface.hessian(x), relative to each
+    point's largest |eigenvalue| in exact, an (n, 3) array."""
+    exact = np.sort(exact, axis=1)
+    eigs = np.linalg.eigvalsh(surface.hessian(x))
+    return np.max(np.abs(eigs - exact) / np.abs(exact).max(axis=1, keepdims=True))
+
+
+def test_hessian_spectrum_matches_the_closed_forms():
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-3.0, 3.0, size=(400, 3))
+    r = np.linalg.norm(pts, axis=1)
+    x, r = pts[r > 0.3], r[r > 0.3]
+    for surface in (SphereSDF(), SphereSDF(radius=0.7)):  # D^2 = -(I - u u^T) / |x|
+        assert _spectrum_error(surface, x, np.stack([-1 / r, -1 / r, 0 * r], 1)) <= 1e-9
+    for surface in (Torus(), Torus(major_radius=3.0, minor_radius=0.5)):
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        u = rho - surface.major_radius
+        w = np.hypot(u, pts[:, 2])
+        away = (rho > 0.3) & (w > 0.3)  # from the z-axis and the core circle
+        rho, u, w = rho[away], u[away], w[away]
+        # 0 along grad, 1/w in the meridian plane, u/(rho w) azimuthally
+        exact = np.stack([0 * w, 1 / w, u / (rho * w)], 1)
+        assert _spectrum_error(surface, pts[away], exact) <= 1e-9
+    # the distance d to the nearest sample, where the second is 1e-3 farther:
+    # the stencil's +-1e-5 stays in the nearest sample's Voronoi cell
+    samples = rng.normal(size=(200, 3))
+    cloud = PointCloud(samples / np.linalg.norm(samples, axis=1, keepdims=True))
+    x = rng.uniform(-1.5, 1.5, size=(400, 3))
+    d = np.sort(np.linalg.norm(x[:, None] - cloud.points[None], axis=2), axis=1)
+    clear = d[:, 1] - d[:, 0] > 1e-3
+    x, d = x[clear], d[clear, 0]
+    assert len(x) > 300
+    assert _spectrum_error(cloud, x, np.stack([0 * d, 1 / d, 1 / d], 1)) <= 1e-6
+
+
 def test_surface_points_lie_on_zero_set():
     rng = np.random.default_rng(5)
     for surface in ANALYTIC_SURFACES:
@@ -396,6 +432,23 @@ def test_assumption_a_can_fail():
     assert not report.satisfied
 
 
+def test_assumption_a_torus_plane_and_cloud():
+    # nu = 1 on the torus, whose Hessian's eigenvalues 1/w and u/(rho w) are at
+    # most 1/(r - a) on the band |w - r| <= a when R >= 2r: 2a/(r - a) > 1 for
+    # r = 0.5, a = 0.2.  The point-cloud field is not C^2 across Voronoi ridges
+    torus = check_assumption_a(Torus(2.0, 1.0), a=0.3, seed=0)
+    assert torus.satisfied
+    assert torus.hessian_bound <= 1.0 / (1.0 - 0.3) + 1e-9
+    assert not check_assumption_a(Torus(3.0, 0.5), a=0.2, seed=0).satisfied
+    plane = check_assumption_a(Plane((1.0, -2.0, 0.5)), a=0.5, seed=0)
+    assert plane.satisfied
+    assert plane.hessian_bound == 0.0
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(2000, 3))
+    cloud = PointCloud(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    assert not check_assumption_a(cloud, a=0.05, n_samples=2000, seed=0).satisfied
+
+
 def test_assumption_a_validates_arguments():
     with pytest.raises(ValueError):
         check_assumption_a(SphereSDF(), a=0.0)
@@ -417,13 +470,6 @@ def test_assumption_a_sampling_error_when_band_unreachable():
 
     with pytest.raises(SamplingError):
         check_assumption_a(FarField(), a=1e-3, n_samples=100, seed=0)
-
-
-def test_point_cloud_hessian_flagged_approximate():
-    rng = np.random.default_rng(4)
-    cloud = PointCloud(rng.normal(size=(50, 3)))
-    assert cloud.hessian_is_approximate
-    assert not SphereSDF().hessian_is_approximate
 
 
 # ------------------------------------------------------------ value_and_grad

@@ -496,8 +496,8 @@ def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, se
         points.append(x)
         multipliers.append(lam)
     points, multipliers = np.stack(points), np.stack(multipliers)
-    with np.errstate(over="ignore", invalid="ignore"):  # |q - p| may overflow too
-        work = schemes._Workspace(states, [SolverConfig()] * len(states), SphereQuadratic())
+    work = schemes._Workspace(states, [SolverConfig()] * len(states), SphereQuadratic())
+    with np.errstate(over="ignore", invalid="ignore"):
         cheap = work._within_caps(points, multipliers)
         exact = (np.count_nonzero(curve_length(points) <= work.length_cap) == len(points)
                  and np.isfinite(multipliers).all())
@@ -523,6 +523,26 @@ def test_a_diverging_run_or_step_raises_without_numpy_warnings():
         with pytest.raises(DivergenceError, match="iteration 1: non-finite value"):
             step(SolverState(*init), cfg, surface)
     assert [str(w.message) for w in caught] == []
+
+
+def test_far_endpoints_keep_a_finite_length_cap():
+    # |q - p| = 2e155 overflows |q - p|^2: the cap is still 1e3 |q - p|, and
+    # an update that sends the one interior node to inf (the curve's length is
+    # then inf, not nan) stops the run at that iteration
+    p, q = np.array([-1e155, 0.0, 0.0]), np.array([1e155, 0.0, 0.0])
+    curve, multiplier = init_straight_line(p, q, 2)
+    curve.points[1, 2] = 1.0  # off the plane z = 0, so that the force is not 0
+    work = schemes._Workspace([SolverState(curve, multiplier)], [SolverConfig()], Plane())
+    assert work.length_cap[0] == 2e158
+    cfg = SolverConfig(tau_gamma=1.7e308, max_iters=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError, match="iteration 1: non-finite value") as exc:
+            run(cfg, Plane(), (curve, multiplier))
+    assert [str(w.message) for w in caught] == []
+    assert exc.value.state.iteration == 0
+    assert np.isfinite(exc.value.state.curve.points).all()
+    assert schemes._length_cap(-1e308 * np.ones(3), 1e308 * np.ones(3)) == np.finfo(float).max
 
 
 def test_batch_stops_only_a_singular_member():
