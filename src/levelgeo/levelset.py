@@ -3,10 +3,10 @@
 A surface is the zero set {x in R^3 : phi(x) = 0} of a scalar field phi.
 A field implements value and value_and_grad, which returns phi and grad phi
 from one evaluation that shares their intermediate results; LevelSet derives
-grad from it and a finite-difference Hessian from grad.  The curve solvers
-need only phi and grad phi (the constraint force is lambda * grad(phi)); the
-convergence theory constrains |grad phi|^2 and ||D^2 phi|| on a band around
-the surface, which check_assumption_a samples.
+grad from it and a finite-difference Hessian, scaled to the bounding box, from
+grad.  The curve solvers need only phi and grad phi (the constraint force is
+lambda * grad(phi)); the convergence theory constrains |grad phi|^2 and
+||D^2 phi|| on a band around the surface, which check_assumption_a samples.
 
 Analytic kinds
 --------------
@@ -94,12 +94,16 @@ class LevelSet:
         raise NotImplementedError
 
     def hessian(self, x):
-        """D^2 phi(x) as (..., 3, 3): central differences of grad with step 1e-5,
-        symmetrized, from one grad call on x and x +- h e_i; raises where grad(x) does."""
+        """D^2 phi(x) as (..., 3, 3): central differences of grad, symmetrized, from
+        one grad call on x and x +- h e_i; raises where grad(x) does.  The step h
+        is 1e-5 times the smallest nonzero half-extent of bounding_box(), the
+        surface's scale, and at least 1e-8 max|x_i|, which x +- h e_i resolves."""
         pts, single = _as_points(x)
-        h = 1e-5
-        offsets = np.concatenate([np.zeros((1, 3)), h * np.eye(3), -h * np.eye(3)])
-        g = self.grad((pts[:, None, :] + offsets).reshape(-1, 3)).reshape(-1, 7, 3)
+        lo, hi = self.bounding_box()
+        feature = np.min(hi - lo, where=hi > lo, initial=np.max(hi - lo)) / 2.0
+        h = 1e-5 * np.maximum(feature, 1e-3 * np.abs(pts).max(axis=1))[:, None, None]
+        offsets = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3)])
+        g = self.grad((pts[:, None, :] + h * offsets).reshape(-1, 3)).reshape(-1, 7, 3)
         H = (g[:, 1:4] - g[:, 4:]) / (2.0 * h)  # row i: d grad / d x_i
         H = 0.5 * (H + H.transpose(0, 2, 1))
         return H[0] if single else H
