@@ -4,20 +4,24 @@ Each case runs one small fixed-seed command and compares every file it
 writes with tests/golden/<case>/, except run.log, which carries wall times.
 After an intended change of the artifacts, regenerate them with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 
-and say in the change which files moved and why.
+and say in the change which files moved and why.  The run-cloud case reads
+its input cloud from tests/golden/run-cloud.xyz, which regenerating that case
+writes anew from a fixed seed.
 """
 
 import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levelgeo.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CLOUD = GOLDEN / "run-cloud.xyz"
 
 SMALL_ARC = ["--p", "1,0,0", "--q", "0,1,0", "--m", "16"]
 
@@ -41,7 +45,20 @@ CASES = {
                  "sphere-exact", "--schemes",
                  "gda,regularized,base-pdhg,var1,var2"], 0),
     "planar": (["planar", "--m", "20", "--iters", "64"], 0),
+    "run-cloud": (["run", "--surface", "point-cloud", "--points", str(CLOUD),
+                   "--p", "1,0,0", "--q", "0,1,0", "--m", "64", "--tau-gamma", "1e-4",
+                   "--tau-lambda", "5", "--iters", "80", "--record-every", "1"], 0),
 }
+
+
+def write_cloud(path: Path, n: int = 400, seed: int = 17) -> None:
+    """A seeded unit-sphere cloud of n samples, (1,0,0) and (0,1,0) among
+    them, with no x value repeated, written as %.17g."""
+    pts = np.random.default_rng(seed).normal(size=(n, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[:2] = np.eye(3)[:2]
+    assert len(np.unique(pts[:, 0])) == n
+    np.savetxt(path, pts, fmt="%.17g", header=f"unit sphere, {n} samples, seed {seed}")
 
 
 def artifacts(root: Path) -> dict:
@@ -71,6 +88,8 @@ def test_artifacts_match_golden(case, tmp_path):
 
 if __name__ == "__main__":
     for case in sys.argv[1:] or sorted(CASES):
+        if case == "run-cloud":
+            write_cloud(CLOUD)
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         produce(case, GOLDEN / case)
         (GOLDEN / case / "run.log").unlink(missing_ok=True)
