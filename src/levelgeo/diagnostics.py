@@ -117,15 +117,15 @@ def effective_alpha(cfg) -> float:
     return (1.0 + omega) * cfg.tau_gamma
 
 
-def _residual_terms(state, cfg, phi, grad):
-    """(norm R_lambda, norm R_gamma, J) from the field at the interior nodes;
-    J is nan outside the regime alpha*eps < 1."""
+def _residual_terms(state, cfg, phi, grad, sd):
+    """(norm R_lambda, norm R_gamma, J) from the field at the interior nodes and
+    sd = second_difference(state.curve); J is nan outside the regime alpha*eps < 1."""
     lam = state.multiplier.values
     alpha = effective_alpha(cfg)
     eps = cfg.epsilon
     r_lambda = -eps * lam + phi
     coeff = (1.0 - alpha * eps) * lam + alpha * phi
-    r_gamma = second_difference(state.curve) - coeff[:, None] * grad
+    r_gamma = sd - coeff[:, None] * grad
     sum_l = float(np.dot(r_lambda, r_lambda))
     sum_g = float(np.einsum("ij,ij->", r_gamma, r_gamma))
     dt, ae = state.curve.dt, alpha * eps
@@ -151,8 +151,13 @@ def geodesic_defect(curve: DiscreteCurve, normalized: bool = True) -> float:
     them.  The normalized form divides by (1 + |gamma'_i|^2) to stay finite
     on degenerate curves.
     """
-    sd = second_difference(curve)
-    vel = first_difference(curve)[1:-1]
+    return _geodesic_defect(curve, second_difference(curve), normalized)
+
+
+def _geodesic_defect(curve, sd, normalized=True):
+    """geodesic_defect(curve, normalized) from sd = second_difference(curve), with
+    the interior velocities of first_difference(curve)."""
+    vel = (curve.points[2:] - curve.points[:-2]) * (curve.m / 2.0)
     dots = np.abs(np.einsum("ij,ij->i", sd, vel))
     if normalized:
         dots = dots / (1.0 + np.einsum("ij,ij->i", vel, vel))
@@ -200,9 +205,11 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None,
         rel_err = abs_err / reference_distance
     else:
         abs_err = rel_err = None
-    # one field evaluation feeds the residuals, J and the surface error
+    # one field evaluation feeds the residuals, J and the surface error, and one
+    # second difference the gamma residual and the geodesic defect
     phi, grad = field or _field(surface, state.curve.interior)[:2]
-    norm_l, norm_g, J = _residual_terms(state, cfg, phi, grad)
+    sd = second_difference(state.curve)
+    norm_l, norm_g, J = _residual_terms(state, cfg, phi, grad, sd)
     return TraceRow(
         iteration=state.iteration,
         length=length,
@@ -212,7 +219,7 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None,
         lyapunov_J=J,
         lambda_residual=norm_l,
         gamma_residual=norm_g,
-        geodesic_defect=geodesic_defect(state.curve),
+        geodesic_defect=_geodesic_defect(state.curve, sd),
     )
 
 

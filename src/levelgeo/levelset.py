@@ -283,22 +283,27 @@ class PointCloud(LevelSet):
     kind = "point-cloud"
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)  # the cloud's own copy, frozen below
         if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
             raise ValueError("point cloud must be a nonempty (n, 3) array")
         if not np.isfinite(pts).all():
             raise ValueError("point cloud coordinates must be finite")
-        # exact duplicates go: in a stable sort of the rows a repeat follows an
-        # equal row, so each row's first occurrence stays, in the input order
-        order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-        ranked = pts[order]
-        keep = np.empty(len(pts), dtype=bool)
-        keep[order[0]] = True
-        keep[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        self.points = pts[keep]
+        xs = np.sort(pts[:, 0])
+        if (xs[1:] == xs[:-1]).any():  # equal rows share x: only then can a row repeat
+            # exact duplicates go: in a stable sort of the rows a repeat follows an
+            # equal row, so each row's first occurrence stays, in the input order
+            order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+            ranked = pts[order]
+            keep = np.empty(len(pts), dtype=bool)
+            keep[order[0]] = True
+            keep[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
+            pts = pts[keep]
+        self.points = pts
         self.points.setflags(write=False)
         from scipy.spatial import cKDTree  # the one field that needs scipy
-        self._tree = cKDTree(self.points)
+        # midpoint splits build faster than median ones; a distance does not
+        # depend on the tree's shape, so neither does the field
+        self._tree = cKDTree(self.points, balanced_tree=False)
         self._hint = np.empty((0, 3)), np.zeros(0, np.intp), np.zeros(0)
 
     def value(self, x):

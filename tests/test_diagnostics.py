@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
+from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line, second_difference
 from levelgeo.diagnostics import (
     IterationTrace,
     TraceRow,
     effective_alpha,
+    first_difference,
     geodesic_defect,
     read_records,
     read_trace_csv,
@@ -276,6 +277,33 @@ def test_trace_row_from_a_given_field_is_bit_identical(surface, scheme, m, stack
     assert repr(by_field) == repr(own)  # repr is exact for floats and equal for nan
     assert repr(trace_row(state, cfg, surface, reference_distance,
                           field=surface.value_and_grad(state.curve.interior))) == repr(own)
+
+
+@settings(max_examples=100, deadline=None)
+@given(surface=st.sampled_from([SphereSDF(), Torus(), _CLOUD]),
+       scheme=st.sampled_from(["gda", "regularized", "base-pdhg", "var1", "var2"]),
+       m=st.integers(2, 50), seed=st.integers(0, 10**6),
+       scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_trace_row_keeps_its_defect_and_gamma_residual(surface, scheme, m, seed, scale):
+    # trace_row takes one second difference for the gamma residual and the
+    # geodesic defect; each must equal its own recomputation bit for bit
+    rng = np.random.default_rng(seed)
+    state = SolverState(DiscreteCurve(rng.normal(size=(m + 1, 3)) * scale),
+                        MultiplierField(rng.normal(size=m - 1), m))
+    cfg = SolverConfig(scheme=scheme, tau_gamma=float(rng.uniform(1e-4, 1.0)),
+                       epsilon=float(rng.uniform(0.0, 0.1)), alpha=float(rng.uniform(0, 50)))
+    phi, grad = surface.value_and_grad(state.curve.interior)
+    row = trace_row(state, cfg, surface, field=(phi, grad))
+
+    sd, vel = second_difference(state.curve), first_difference(state.curve)[1:-1]
+    dots = np.abs(np.einsum("ij,ij->i", sd, vel)) / (1.0 + np.einsum("ij,ij->i", vel, vel))
+    assert repr(row.geodesic_defect) == repr(geodesic_defect(state.curve))
+    assert repr(row.geodesic_defect) == repr(float(dots.max()))
+    alpha, lam = effective_alpha(cfg), state.multiplier.values
+    coeff = (1.0 - alpha * cfg.epsilon) * lam + alpha * phi
+    r_gamma = sd - coeff[:, None] * grad
+    expected = math.sqrt(state.curve.dt * float(np.einsum("ij,ij->", r_gamma, r_gamma)))
+    assert repr(row.gamma_residual) == repr(expected)
 
 
 def test_trace_column_and_final():

@@ -279,6 +279,54 @@ def test_point_cloud_dedupe_equals_numpy_unique(rows):
     assert len(cloud.points) == len(set(rows))
 
 
+def _keeps_every_row(pts):
+    """PointCloud(pts).points equals pts bit for bit, in a copy of its own."""
+    cloud = PointCloud(pts)
+    return cloud.points.tobytes() == pts.tobytes() and not np.shares_memory(cloud.points, pts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40, unique=True),
+       data=st.data())
+def test_point_cloud_with_distinct_x_keeps_every_row(xs, data):
+    # no x repeats, so no row can: nothing goes, whatever y and z repeat
+    yz = data.draw(st.lists(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 1.0])] * 2),
+                            min_size=len(xs), max_size=len(xs)))
+    assert _keeps_every_row(np.column_stack([xs, np.array(yz).reshape(-1, 2)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-10.0, 10.0),
+                               st.floats(-10.0, 10.0)),
+                     min_size=4, max_size=40, unique=True))
+def test_point_cloud_with_repeated_x_but_distinct_rows_keeps_every_row(rows):
+    # four rows or more on three x values: some x repeats, so the rows are sorted
+    assert _keeps_every_row(np.array(rows))
+
+
+def test_point_cloud_keeps_each_rows_first_occurrence():
+    pts = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0],
+                    [0.0, 0.0, 0.0], [1.0, 2.0, 4.0], [5.0, 0.0, 0.0]])
+    cloud = PointCloud(pts)
+    assert cloud.points.tobytes() == _unique_rows(pts).tobytes()
+    assert cloud.points.tobytes() == pts[[0, 1, 2, 6]].tobytes()
+
+
+@pytest.mark.parametrize("pts", [
+    np.random.default_rng(3).normal(size=(30, 3)),  # distinct x: kept as it is
+    np.tile(np.random.default_rng(4).normal(size=(10, 3)), (3, 1)),  # repeats go
+], ids=["distinct-x", "repeated-rows"])
+def test_point_cloud_copies_the_callers_array_and_freezes_its_own(pts):
+    before = pts.copy()
+    cloud = PointCloud(pts)
+    assert pts.flags.writeable and not np.shares_memory(cloud.points, pts)
+    assert not cloud.points.flags.writeable
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 7.0
+    pts[0] = 7.0
+    assert cloud.points.tobytes() == _unique_rows(before).tobytes()
+
+
 def test_point_cloud_rejects_bad_shapes():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((0, 3)))
@@ -673,6 +721,50 @@ def test_point_cloud_field_along_a_walk_equals_a_fresh_cloud(scale, lattice, see
             direction = rng.normal(size=x.shape) if move == "step" else heading[:len(x)]
             x += direction * (10.0**exponent * scale)
             assert field_call(cloud, x) == field_call(PointCloud(samples), x)
+
+
+def median_split(samples):
+    """PointCloud(samples) with its tree rebuilt as a median-split cKDTree."""
+    from scipy.spatial import cKDTree
+    cloud = PointCloud(samples)
+    cloud._tree = cKDTree(cloud.points)
+    return cloud
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "lattice", "repeated-x"]),
+    scale=st.floats(-6.0, 6.0).map(lambda e: 2.0 ** np.round(np.log2(10.0**e))),
+    seed=st.integers(0, 2**32 - 1),
+    nodes=st.integers(1, 12),
+    walk=st.lists(st.tuples(st.floats(-12.0, 0.0), st.booleans()), min_size=1, max_size=8),
+)
+def test_point_cloud_field_does_not_see_the_tree_shape(kind, scale, seed, nodes, walk):
+    # the tree splits at the midpoint; each distance is computed the same way
+    # whatever the tree's shape, and ties go to the lowest index, so the field
+    # equals a median-split tree's bit for bit, fresh and along a walk
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":  # nodes at centres of edges, faces and cells: exact ties
+        grid = np.arange(3.0) * scale
+        samples = np.stack(np.meshgrid(grid, grid, grid), -1).reshape(-1, 3)
+        offsets = rng.integers(0, 2, size=(nodes, 3))
+        offsets[offsets.sum(axis=1) == 0, 0] = 1
+        x = scale * (rng.integers(0, 2, size=(nodes, 3)) + 0.5 * offsets)
+    else:
+        samples = rng.normal(size=(60, 3)) * scale
+        if kind == "repeated-x":  # four x values, and some rows repeated outright
+            samples[:, 0] = rng.integers(-2, 2, size=60) * scale
+            samples[40:] = samples[rng.integers(0, 40, size=20)]
+        x = rng.normal(size=(nodes, 3)) * scale
+    cloud, median = PointCloud(samples), median_split(samples)
+    assert cloud.points.tobytes() == median.points.tobytes()
+    assert cloud.value(x).tobytes() == median.value(x).tobytes()
+    assert field_call(cloud, x) == field_call(median, x)
+    heading = rng.normal(size=x.shape)
+    for exponent, drift in walk:  # in place, as the solver moves its nodes
+        x += (heading if drift else rng.normal(size=x.shape)) * (10.0**exponent * scale)
+        assert cloud.value(x).tobytes() == median.value(x).tobytes()
+        assert field_call(cloud, x) == field_call(median, x)
 
 
 def test_point_cloud_node_walking_into_the_tie_band_is_queried():
