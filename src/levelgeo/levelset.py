@@ -21,7 +21,12 @@ samples and positive elsewhere; its gradient points away from the nearest
 sample.  No inside/outside sign is recovered.  Its value_and_grad skips the
 k-d tree for nodes whose nearest sample provably did not change (PointCloud).
 The field is only C^0 across the Voronoi ridges of the samples, where the
-finite-difference Hessian reads about 1/h.
+finite-difference Hessian reads about 1/h.  A cloud drops repeated samples
+with a sort of its rows, which runs only when some x value repeats, since
+equal rows share x.  Its tree splits at the sliding midpoint, which builds
+faster than a median split; the field does not depend on the tree's shape,
+since the tree computes each sample's distance the same way whatever path
+leads to it, and ties go to the lowest sample index.
 """
 
 from __future__ import annotations

@@ -723,14 +723,6 @@ def test_point_cloud_field_along_a_walk_equals_a_fresh_cloud(scale, lattice, see
             assert field_call(cloud, x) == field_call(PointCloud(samples), x)
 
 
-def median_split(samples):
-    """PointCloud(samples) with its tree rebuilt as a median-split cKDTree."""
-    from scipy.spatial import cKDTree
-    cloud = PointCloud(samples)
-    cloud._tree = cKDTree(cloud.points)
-    return cloud
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     kind=st.sampled_from(["random", "lattice", "repeated-x"]),
@@ -756,7 +748,9 @@ def test_point_cloud_field_does_not_see_the_tree_shape(kind, scale, seed, nodes,
             samples[:, 0] = rng.integers(-2, 2, size=60) * scale
             samples[40:] = samples[rng.integers(0, 40, size=20)]
         x = rng.normal(size=(nodes, 3)) * scale
-    cloud, median = PointCloud(samples), median_split(samples)
+    from scipy.spatial import cKDTree
+    cloud, median = PointCloud(samples), PointCloud(samples)
+    median._tree = cKDTree(median.points)  # median splits, scipy's default
     assert cloud.points.tobytes() == median.points.tobytes()
     assert cloud.value(x).tobytes() == median.value(x).tobytes()
     assert field_call(cloud, x) == field_call(median, x)
