@@ -17,7 +17,9 @@ library's, where it has one); ``levelgeo CMD --help`` lists the defaults.
 A flat ``key = value`` config file (--config, '#' comments) can set any flag
 of the chosen subcommand: each value goes through the action of the flag it
 names (true or false for a switch) and becomes that flag's default, so
-explicit flags still win.
+explicit flags still win.  parse_args gives flags to the invoked command's
+parser alone, since building every command's costs each cold start about a
+millisecond.
 """
 
 from __future__ import annotations
@@ -112,8 +114,66 @@ def _add_run_flags(p):
                    help="reference distance: a number, sphere-exact, or none")
 
 
-def build_parser() -> _Parser:
-    """The levelgeo parser; its ``commands`` maps each subcommand to its parser."""
+def _add_sweep_flags(p):
+    p.add_argument("--parameter", help=f"one of {', '.join(SWEEPABLE_PARAMETERS)}")
+    p.add_argument("--values", help="comma separated parameter values")
+
+
+def _add_benchmark_flags(p):
+    p.add_argument("--pairs", type=int, default=10, help="number of endpoint pairs")
+    p.add_argument("--checkpoints", default="100,1000,2000",
+                   help="comma separated iteration budgets")
+
+
+def _add_compare_flags(p):
+    p.add_argument("--schemes", default="base-pdhg,var1,var2",
+                   help="comma separated scheme names")
+
+
+def _add_planar_flags(p):
+    p.add_argument("--out", default=ExperimentSpec.out_dir, help="output directory")
+    p.add_argument("--a", default="1,0,0", help="plane normal ax,ay,az")
+    p.add_argument("--p", default="0,0,0", help="start point x,y,z in the plane")
+    p.add_argument("--q", default="0,1,0", help="end point x,y,z in the plane")
+    _add_step_flags(p, PlanarProblem, PlanarProblem.m)
+    p.add_argument("--iters", type=int, default=16384, help="iteration budget")
+    p.add_argument("--saddle-init", action="store_true",
+                   help="start exactly at the saddle instead of the "
+                        "default perturbed curve")
+
+
+def _add_check_surface_flags(p):
+    p.add_argument("--seed", type=int, default=ExperimentSpec.seed,
+                   help="band sampling seed")
+    p.add_argument("--band", type=float, default=0.25, help="band half width")
+    p.add_argument("--samples", type=int, default=20000, help="band sample count")
+
+
+#: each subcommand's help and the functions that add its flags, after --config
+_COMMANDS = {
+    "run": ("single solver run with full artifacts",
+            (_add_problem_flags, _add_run_flags)),
+    "sweep": ("repeat a run across one parameter",
+              (_add_problem_flags, _add_run_flags, _add_sweep_flags)),
+    "benchmark": ("averaged errors over random sphere endpoint pairs",
+                  (_add_problem_flags, _add_benchmark_flags)),
+    "compare": ("same problem, several schemes",
+                (_add_problem_flags, _add_run_flags, _add_compare_flags)),
+    "planar": ("plane-constraint model problem with the ergodic gap bound",
+               (_add_planar_flags,)),
+    "check-surface": ("sample a band around the surface and check the "
+                      "gradient/curvature assumptions",
+                      (_add_surface_flags, _add_check_surface_flags)),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The levelgeo parser; its ``commands`` maps each subcommand to its parser.
+
+    Every subcommand is listed, but only `command`'s parser gets its flags
+    (every parser does when `command` is None): a command never reads
+    another's, and building them all is most of argparse's cost.
+    """
     parser = _Parser(prog="levelgeo",
                      description="Geodesics on implicit surfaces by "
                                  "relaxed primal-dual iteration.")
@@ -121,61 +181,12 @@ def build_parser() -> _Parser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     parser.commands = sub.choices
-
-    def command(name, help, *add_flags):
+    for name, (help, add_flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", help="flat key = value config file")
-        for add in add_flags:
-            add(p)
-        return p
-
-    command("run", "single solver run with full artifacts",
-            _add_problem_flags, _add_run_flags)
-
-    p_sweep = command("sweep", "repeat a run across one parameter",
-                      _add_problem_flags, _add_run_flags)
-    p_sweep.add_argument("--parameter",
-                         help=f"one of {', '.join(SWEEPABLE_PARAMETERS)}")
-    p_sweep.add_argument("--values", help="comma separated parameter values")
-
-    p_bench = command("benchmark",
-                      "averaged errors over random sphere endpoint pairs",
-                      _add_problem_flags)
-    p_bench.add_argument("--pairs", type=int, default=10,
-                         help="number of endpoint pairs")
-    p_bench.add_argument("--checkpoints", default="100,1000,2000",
-                         help="comma separated iteration budgets")
-
-    p_cmp = command("compare", "same problem, several schemes",
-                    _add_problem_flags, _add_run_flags)
-    p_cmp.add_argument("--schemes", default="base-pdhg,var1,var2",
-                       help="comma separated scheme names")
-
-    p_planar = command("planar", "plane-constraint model problem with the "
-                                 "ergodic gap bound")
-    p_planar.add_argument("--out", default=ExperimentSpec.out_dir,
-                          help="output directory")
-    p_planar.add_argument("--a", default="1,0,0", help="plane normal ax,ay,az")
-    p_planar.add_argument("--p", default="0,0,0",
-                          help="start point x,y,z in the plane")
-    p_planar.add_argument("--q", default="0,1,0",
-                          help="end point x,y,z in the plane")
-    _add_step_flags(p_planar, PlanarProblem, PlanarProblem.m)
-    p_planar.add_argument("--iters", type=int, default=16384,
-                          help="iteration budget")
-    p_planar.add_argument("--saddle-init", action="store_true",
-                          help="start exactly at the saddle instead of the "
-                               "default perturbed curve")
-
-    p_chk = command("check-surface", "sample a band around the surface and "
-                                     "check the gradient/curvature assumptions",
-                    _add_surface_flags)
-    p_chk.add_argument("--seed", type=int, default=ExperimentSpec.seed,
-                       help="band sampling seed")
-    p_chk.add_argument("--band", type=float, default=0.25, help="band half width")
-    p_chk.add_argument("--samples", type=int, default=20000,
-                       help="band sample count")
-
+        if command is None or command == name:
+            p.add_argument("--config", help="flat key = value config file")
+            for add in add_flags:
+                add(p)
     return parser
 
 
@@ -206,7 +217,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
     Raises ConfigError for an unknown key or a bad value in that file.
     """
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command is the first argument that is not an option: levelgeo's
+    # own options (-h, --version) take no value
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         command = parser.commands[args.command]

@@ -102,10 +102,13 @@ def parse_surface(descriptor: str, points_path=None) -> LevelSet:
         if kind == "sphere-quadratic":
             return SphereQuadratic(float(params) if params else 1.0)
         if kind == "torus":
-            if params:
-                major, minor = (float(v) for v in params.split(","))
-                return Torus(major, minor)
-            return Torus()
+            if not params:
+                return Torus()
+            radii = params.split(",")
+            if len(radii) != 2:
+                raise ConfigError(f"bad surface descriptor {descriptor!r}: "
+                                  "expected torus:R,r")
+            return Torus(*(float(v) for v in radii))
         if kind == "plane":
             if params:
                 return Plane([float(v) for v in params.split(",")])
@@ -158,6 +161,12 @@ def _central_angle(p, q, radius: float) -> float:
     return math.acos(max(-1.0, min(1.0, cosang)))
 
 
+def _check_seed(seed: int):
+    """Raise ConfigError for a negative seed, before numpy's generator does."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+
+
 @dataclass
 class ExperimentSpec:
     """Everything needed to execute one solver run and persist its artifacts."""
@@ -173,6 +182,9 @@ class ExperimentSpec:
     solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
     reference: str | float | None = None
     out_dir: str = "out"
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
     def build(self):
         """Materialize (surface, p, q, reference_distance, init pair).
@@ -557,6 +569,7 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
 def cmd_check_surface(surface_desc: str, points_path, band: float,
                       n_samples: int, seed: int) -> int:
     """Print the band-sampling report for the convergence assumptions."""
+    _check_seed(seed)
     surface = parse_surface(surface_desc, points_path)
     report = check_assumption_a(surface, band, n_samples=n_samples, seed=seed)
     print(f"surface: {surface_desc}")

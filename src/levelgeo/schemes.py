@@ -40,7 +40,7 @@ warnings are off), or at a field singularity; the others go on.
 
 from __future__ import annotations
 
-import logging
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -52,8 +52,6 @@ import numpy as np
 from .curve import DiscreteCurve, MultiplierField, curve_length
 from .levelset import SingularityError
 from . import diagnostics
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Scheme",
@@ -251,35 +249,35 @@ class _Workspace:
         (_, interior, ahead, behind, lam), (new_pts, new_interior, _, _, new_lam) = self.buffers
 
         # in place: one ufunc per operation, in the order of (lam + tau_l phi) * shrink
-        np.multiply(phi, self.tau_lambda, out=new_lam)
-        np.add(lam, new_lam, out=new_lam)
+        np.multiply(phi, self.tau_lambda, new_lam)
+        np.add(lam, new_lam, new_lam)
         if self.scheme is Scheme.GDA:
             tilde = new_lam
         else:
             tilde = self.tilde
-            np.multiply(new_lam, self.shrink, out=new_lam)  # lam+
+            np.multiply(new_lam, self.shrink, new_lam)  # lam+
             if self.scheme is Scheme.VAR2:
-                np.multiply(new_lam, self.keep, out=tilde)
-                np.multiply(phi, self.alpha, out=tmp)
-                np.add(tilde, tmp, out=tilde)
+                np.multiply(new_lam, self.keep, tilde)
+                np.multiply(phi, self.alpha, tmp)
+                np.add(tilde, tmp, tilde)
             else:
-                np.subtract(new_lam, lam, out=tilde)
-                np.multiply(tilde, self.omega, out=tilde)
-                np.add(new_lam, tilde, out=tilde)
+                np.subtract(new_lam, lam, tilde)
+                np.multiply(tilde, self.omega, tilde)
+                np.add(new_lam, tilde, tilde)
                 if self.scheme is Scheme.VAR1:  # commit lam_bar
-                    np.multiply(phi, self.tau_lambda, out=new_lam)
-                    np.add(tilde, new_lam, out=new_lam)
-                    np.multiply(new_lam, self.shrink, out=new_lam)
+                    np.multiply(phi, self.tau_lambda, new_lam)
+                    np.add(tilde, new_lam, new_lam)
+                    np.multiply(new_lam, self.shrink, new_lam)
 
-        np.multiply(interior, 2.0, out=sd)  # second difference
-        np.subtract(ahead, sd, out=sd)
-        np.add(sd, behind, out=sd)
-        np.multiply(sd, self.m**2, out=sd)
+        np.multiply(interior, 2.0, sd)  # second difference
+        np.subtract(ahead, sd, sd)
+        np.add(sd, behind, sd)
+        np.multiply(sd, self.m**2, sd)
         # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
-        np.multiply(tilde[:, :, None], grad, out=force)
-        np.subtract(force, sd, out=force)
-        np.multiply(force, self.tau_gamma, out=force)
-        np.subtract(interior, force, out=new_interior)
+        np.multiply(tilde[:, :, None], grad, force)
+        np.subtract(force, sd, force)
+        np.multiply(force, self.tau_gamma, force)
+        np.subtract(interior, force, new_interior)
 
         # two tiers: a cheap test that can only pass the whole stack, and only
         # when it fails the exact test of the whole stack, with the failing
@@ -308,7 +306,7 @@ class _Workspace:
         overflow all fail.  False says nothing; count_nonzero is numpy's
         cheapest reduction.
         """
-        np.subtract(pts[:, 1:], pts[:, :-1], out=self.chords)
+        np.subtract(pts[:, 1:], pts[:, :-1], self.chords)
         flat = self.chords.reshape(len(pts), -1)
         return (np.count_nonzero(np.vecdot(flat, flat) <= self.chord_bound)
                 + np.count_nonzero(np.isfinite(lam)) == len(pts) + lam.size)
@@ -388,8 +386,9 @@ class BatchRun(NamedTuple):
 
 def _initial_state(problem: Problem, surface, stacklevel: int) -> SolverState:
     """The state at iteration 0.  Warns if the init's endpoints are off the
-    surface (stacklevel as the caller would pass it to warnings.warn), and
-    logs a tau_gamma that differs from the one the diagnostics assume."""
+    surface (stacklevel as the caller would pass it to warnings.warn), and,
+    once logging is loaded, logs a tau_gamma that differs from the one the
+    diagnostics assume."""
     (curve0, mult0), cfg = problem.init, problem.cfg
     endpoint_phi = max(abs(float(surface.value(curve0.p))),
                        abs(float(surface.value(curve0.q))))
@@ -402,12 +401,17 @@ def _initial_state(problem: Problem, surface, stacklevel: int) -> SolverState:
     if cfg.scheme not in (Scheme.GDA, Scheme.VAR2):
         tau_implied = cfg.tau_lambda / (1.0 + cfg.epsilon * cfg.tau_lambda)
         if abs(cfg.tau_gamma - tau_implied) > 1e-12 * max(1.0, tau_implied):
-            logger.info(
-                "tau_gamma=%g differs from tau_lambda/(1+eps*tau_lambda)=%g; "
-                "diagnostics reconstruct alpha as (1+omega)*tau_gamma",
-                cfg.tau_gamma,
-                tau_implied,
-            )
+            # looked up, not imported: loading logging costs a cold start
+            # milliseconds, and until something has loaded it nothing can have
+            # configured it, so an info record would go nowhere
+            logging = sys.modules.get("logging")
+            if logging is not None:
+                logging.getLogger(__name__).info(
+                    "tau_gamma=%g differs from tau_lambda/(1+eps*tau_lambda)=%g; "
+                    "diagnostics reconstruct alpha as (1+omega)*tau_gamma",
+                    cfg.tau_gamma,
+                    tau_implied,
+                )
     return SolverState(curve=curve0.copy(), multiplier=mult0.copy(), iteration=0)
 
 

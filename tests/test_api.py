@@ -1,5 +1,5 @@
 """The public surface: every exported name exists, the README's library
-examples run as written, and scipy loads only where it is used."""
+examples run as written, and scipy and logging load only where they are used."""
 
 import importlib
 import importlib.util
@@ -38,12 +38,13 @@ def test_readme_library_examples_run(capsys):
     assert all(line.startswith("budget ") for line in printed[1:])
 
 
-# Each snippet runs in a fresh interpreter (this one has scipy loaded already)
-# and prints which scipy modules it loaded: no sphere run or import of the
-# library may pay for scipy, and planar needs scipy.linalg but not scipy.spatial.
+# Each snippet runs in a fresh interpreter (this one has scipy and logging
+# loaded already) and prints which of them it loaded: no sphere run or import
+# of the library may pay for either, and planar needs scipy.linalg (which
+# loads logging) but not scipy.spatial.
 SCIPY_AFTER = {
-    "import": ("import levelgeo.schemes, levelgeo.diagnostics, levelgeo.harness",
-               []),
+    "import": ("import levelgeo.schemes, levelgeo.diagnostics, levelgeo.harness,"
+               " levelgeo.cli", []),
     "sphere-run-and-benchmark": (
         "from levelgeo.cli import main\n"
         "assert main(['run', '--init', 'randomized', '--m', '16', '--iters', '5',"
@@ -54,14 +55,14 @@ SCIPY_AFTER = {
     "planar": (
         "from levelgeo.cli import main\n"
         "assert main(['planar', '--m', '8', '--iters', '4', '--out', 'planar']) == 0",
-        ["scipy", "scipy.linalg"]),
+        ["logging", "scipy", "scipy.linalg"]),
 }
 
 
 @pytest.mark.parametrize("snippet,loaded", SCIPY_AFTER.values(), ids=list(SCIPY_AFTER))
 def test_scipy_is_imported_only_where_it_is_used(tmp_path, snippet, loaded):
     code = (snippet + "\nimport json, sys\nprint(json.dumps(["
-            "name for name in ('scipy', 'scipy.linalg', 'scipy.spatial')"
+            "name for name in ('logging', 'scipy', 'scipy.linalg', 'scipy.spatial')"
             " if name in sys.modules]))")
     src = Path(levelgeo.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,

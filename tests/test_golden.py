@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levelgeo.cli import main
+from levelgeo import cli
+from levelgeo.cli import build_parser, main, parse_args
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CLOUD = GOLDEN / "run-cloud.xyz"
@@ -84,6 +85,40 @@ def test_artifacts_match_golden(case, tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], f"{case}/{name} differs from the golden"
+
+
+# every golden argv, and check-surface's, which writes no artifact
+PARSED_ARGVS = [argv for argv, _ in CASES.values()] + [
+    ["check-surface", "--surface", "torus:3,1", "--band", "0.1", "--seed", "2"]]
+# one config entry per command that no argv above sets
+CONFIG_ENTRY = {"run": ("tau-r", "2.5"), "sweep": ("alpha", "3.5"),
+                "benchmark": ("omega", "0.5"), "compare": ("epsilon", "0.02"),
+                "planar": ("epsilon", "0.5"), "check-surface": ("samples", "99")}
+
+
+def _parsed_by_every_command(argv):
+    """argv parsed as parse_args does, by the parser that has every command's flags."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command = parser.commands[args.command]
+        command.set_defaults(**cli._config_defaults(command, args.command, args.config))
+        args = parser.parse_args(argv)
+    return args
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
+def test_parse_args_reads_each_argv_as_the_parser_of_every_command(argv, tmp_path):
+    # parse_args gives flags to the named command alone: the namespace is
+    # the one the parser with every command's flags reads, with a file too
+    assert parse_args(argv) == _parsed_by_every_command(argv)
+    key, value = CONFIG_ENTRY[argv[0]]
+    conf = tmp_path / "flags.conf"
+    conf.write_text(f"{key} = {value}\n")
+    with_file = argv + ["--config", str(conf)]
+    args = parse_args(with_file)
+    assert args == _parsed_by_every_command(with_file)
+    assert str(getattr(args, key.replace("-", "_"))) == value
 
 
 if __name__ == "__main__":

@@ -112,6 +112,17 @@ def test_parse_surface_errors(tmp_path):
         parse_surface("point-cloud:5", points_path=str(tmp_path / "x"))
 
 
+@pytest.mark.parametrize("radii", ["2", "3,1,1"])
+def test_a_torus_takes_two_radii(radii, tmp_path, capsys):
+    descriptor = f"torus:{radii}"
+    rc = main(["run", "--surface", descriptor, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: bad surface descriptor {descriptor!r}: "
+                            "expected torus:R,r\n")
+    assert captured.out == ""
+
+
 def test_parse_point():
     surface = SphereSDF(2.0)
     assert np.array_equal(parse_point("antipodal-z", surface, role="p"),
@@ -203,6 +214,26 @@ def test_run_rejects_a_non_finite_tau_r_even_with_the_straight_init(tmp_path, ca
     assert main(["run", "--tau-r", "inf", "--out", str(out)]) == 1
     assert "tau_r must be nonnegative and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--iters", "5"],
+    ["run", "--iters", "5", "--init", "randomized"],
+    ["sweep", "--iters", "5", "--parameter", "omega", "--values", "0.5"],
+    ["compare", "--iters", "5", "--init", "randomized"],
+    ["benchmark", "--pairs", "2", "--checkpoints", "5"],
+    ["check-surface", "--samples", "100"],
+], ids=" ".join)
+def test_a_negative_seed_is_rejected_up_front(argv, tmp_path, capsys):
+    # numpy's generators reject it, but only deep inside a command, and a
+    # straight-line run would record it
+    if argv[0] != "check-surface":
+        argv = argv + ["--m", "8", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--seed=-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be nonnegative, got -1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_spec_default_endpoints_are_antipodal_on_any_sphere():
@@ -600,6 +631,44 @@ def test_help_lists_the_defaults(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert (f"--tau-gamma TAU_GAMMA curve step size "
             f"(default: {SolverConfig.tau_gamma})") in out
+
+
+COMMANDS = ["run", "sweep", "benchmark", "compare", "planar", "check-surface"]
+
+
+def test_a_named_command_alone_gets_its_flags():
+    def flagged(command):
+        return [name for name, parser in build_parser(command).commands.items()
+                if set(parser.options) != {"help"}]
+
+    assert flagged(None) == COMMANDS
+    assert flagged("") == []
+    for command in COMMANDS:
+        assert flagged(command) == [command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_the_full_parsers(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().commands[command].format_help()
+
+
+@pytest.mark.parametrize("argv,unrecognized", [
+    (["run", "--pairs", "3"], "--pairs 3"),
+    (["planar", "--seed", "1"], "--seed 1"),
+    (["--bogus", "run", "--m", "5"], "--bogus"),
+    (["check-surface", "extra"], "extra"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_an_unrecognized_argument_lists_every_command(argv, unrecognized, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert " ".join(capsys.readouterr().err.split()) == (
+        "usage: levelgeo [-h] [--version] "
+        "{run,sweep,benchmark,compare,planar,check-surface} ... "
+        f"levelgeo: error: unrecognized arguments: {unrecognized}")
 
 
 def test_config_file_validates_choices(tmp_path, capsys):

@@ -463,13 +463,13 @@ def test_run_planar_equals_the_allocating_loop(seed, m, log_tau_gamma, log_tau_l
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    m=st.integers(min_value=2, max_value=40),
-    product=st.floats(min_value=0.01, max_value=0.999),
+    m=st.integers(min_value=2, max_value=60),
+    product=st.floats(min_value=1e-6, max_value=0.999),
     log_tau_gamma=st.floats(min_value=-3.0, max_value=2.0),
     epsilon=st.just(0.0) | st.floats(min_value=1e-4, max_value=10.0),
     amplitude=st.floats(min_value=0.0, max_value=3.0),
     lam_scale=st.floats(min_value=0.0, max_value=5.0),
-    iters=st.integers(min_value=1, max_value=256),
+    iters=st.integers(min_value=1, max_value=512),
 )
 def test_run_planar_gap_stays_below_bound(seed, m, product, log_tau_gamma, epsilon,
                                           amplitude, lam_scale, iters):
