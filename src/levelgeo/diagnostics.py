@@ -15,10 +15,10 @@ primal-dual flow:
     R_gamma(t_i)  = gamma''_i - ((1 - alpha*eps) * lambda_i
                                  + alpha * phi(gamma_i)) * grad phi(gamma_i)
 
-with alpha reconstructed from the config: cfg.alpha for Var2, and
-(1 + omega) * tau_gamma otherwise (tau_gamma stands in for
-tau_lambda / (1 + eps*tau_lambda); when the two differ the solver logs the
-mismatch once and diagnostics proceed with tau_gamma).
+with alpha reconstructed from the config as SolverConfig.effective_alpha:
+cfg.alpha for Var2, and (1 + omega) * tau_gamma otherwise, omega being 0 for
+GDA and Regularized (tau_gamma stands in for tau_lambda / (1 + eps*tau_lambda),
+whether or not the two agree).
 
 The Lyapunov functional of the convergence theory is
 
@@ -40,14 +40,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import schemes
 from .curve import DiscreteCurve, _row_norms, curve_length, second_difference
 from .levelset import SingularityError
 
 __all__ = [
     "TraceRow",
     "IterationTrace",
-    "effective_alpha",
     "geodesic_defect",
     "tangency_defect",
     "first_difference",
@@ -107,21 +105,11 @@ class IterationTrace:
         )
 
 
-def effective_alpha(cfg) -> float:
-    """Relaxation alpha implied by a config: cfg.alpha for Var2, else (1+omega)*tau_gamma."""
-    if cfg.scheme is schemes.Scheme.VAR2:
-        return cfg.alpha
-    if cfg.scheme is schemes.Scheme.GDA:
-        return cfg.tau_gamma
-    omega = 0.0 if cfg.scheme is schemes.Scheme.REGULARIZED else cfg.omega
-    return (1.0 + omega) * cfg.tau_gamma
-
-
 def _residual_terms(state, cfg, phi, grad, sd):
     """(norm R_lambda, norm R_gamma, J) from the field at the interior nodes and
     sd = second_difference(state.curve); J is nan outside the regime alpha*eps < 1."""
     lam = state.multiplier.values
-    alpha = effective_alpha(cfg)
+    alpha = cfg.effective_alpha
     eps = cfg.epsilon
     r_lambda = -eps * lam + phi
     coeff = (1.0 - alpha * eps) * lam + alpha * phi

@@ -282,6 +282,8 @@ def _summary_payload(spec, outcome):
     final = {name: None if isinstance(value, float) and not math.isfinite(value) else value
              for name, value in dataclasses.asdict(outcome.trace.final).items()}
     del final["iteration"]
+    config = dataclasses.asdict(cfg)
+    del config["scheme"]  # a top-level key
     return {
         "scheme": cfg.scheme.value,
         "surface": spec.surface,
@@ -289,18 +291,7 @@ def _summary_payload(spec, outcome):
         "iterations": state.iteration,
         "diverged": outcome.error is not None,
         **final,
-        "config": {
-            "tau_gamma": cfg.tau_gamma,
-            "tau_lambda": cfg.tau_lambda,
-            "epsilon": cfg.epsilon,
-            "omega": cfg.omega,
-            "alpha": cfg.alpha,
-            "max_iters": cfg.max_iters,
-            "record_every": cfg.record_every,
-            "init": spec.init,
-            "tau_r": spec.tau_r,
-            "seed": spec.seed,
-        },
+        "config": {**config, "init": spec.init, "tau_r": spec.tau_r, "seed": spec.seed},
     }
 
 

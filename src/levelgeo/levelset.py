@@ -1,12 +1,15 @@
 """Implicit surfaces represented as scalar level-set fields.
 
 A surface is the zero set {x in R^3 : phi(x) = 0} of a scalar field phi.
-A field implements value and value_and_grad, which returns phi and grad phi
-from one evaluation that shares their intermediate results; LevelSet derives
-grad from it and a finite-difference Hessian, scaled to the bounding box, from
-grad.  The curve solvers need only phi and grad phi (the constraint force is
-lambda * grad(phi)); the convergence theory constrains |grad phi|^2 and
-||D^2 phi|| on a band around the surface, which check_assumption_a samples.
+LevelSet's value, value_and_grad, grad and hessian take a (3,) point or (n, 3)
+rows; they alone handle the two shapes, and a field implements only row
+hooks: _value, and _value_and_grad, which returns phi and grad phi from one
+evaluation that shares their intermediate results.  LevelSet derives grad
+from it and a finite-difference Hessian, scaled to the bounding box, from
+grad (the hook _hessian, which a field may override).  The curve solvers
+need only phi and grad phi (the constraint force is lambda * grad(phi)); the
+convergence theory constrains |grad phi|^2 and ||D^2 phi|| on a band around
+the surface, which check_assumption_a samples.
 
 Analytic kinds
 --------------
@@ -82,13 +85,21 @@ def _as_points(x):
 
 
 class LevelSet:
-    """Base class for scalar fields whose zero set is the surface of interest."""
+    """Base class for scalar fields whose zero set is the surface of interest.
+
+    The public methods take a (3,) point or (n, 3) rows and return a scalar,
+    (3,) or (3, 3) per point for the one and (n,), (n, 3) or (n, 3, 3) for the
+    other.  A field implements the hooks _value and _value_and_grad on (n, 3)
+    rows, and bounding_box; it may override _hessian.
+    """
 
     kind: str = "abstract"
 
     def value(self, x):
         """phi(x); vectorized over a leading point axis."""
-        raise NotImplementedError
+        pts, single = _as_points(x)
+        out = self._value(pts)
+        return out[0] if single else out
 
     def grad(self, x):
         """grad phi(x); vectorized like value()."""
@@ -96,22 +107,36 @@ class LevelSet:
 
     def value_and_grad(self, x):
         """(value(x), grad(x)) bit for bit, from one evaluation; raises where grad() does."""
-        raise NotImplementedError
+        pts, single = _as_points(x)
+        phi, grad = self._value_and_grad(pts)
+        return (phi[0], grad[0]) if single else (phi, grad)
 
     def hessian(self, x):
-        """D^2 phi(x) as (..., 3, 3): central differences of grad, symmetrized, from
-        one grad call on x and x +- h e_i; raises where grad(x) does.  The step h
-        is 1e-5 times the smallest nonzero half-extent of bounding_box(), the
-        surface's scale, and at least 1e-8 max|x_i|, which x +- h e_i resolves."""
+        """D^2 phi(x), (3, 3) per point; raises where grad(x) does."""
         pts, single = _as_points(x)
+        out = self._hessian(pts)
+        return out[0] if single else out
+
+    def _value(self, pts):
+        """phi at (n, 3) rows, as an (n,) array."""
+        raise NotImplementedError
+
+    def _value_and_grad(self, pts):
+        """(phi, grad phi) at (n, 3) rows, as (n,) and (n, 3) arrays."""
+        raise NotImplementedError
+
+    def _hessian(self, pts):
+        """(n, 3, 3) central differences of grad, symmetrized, from one grad call
+        on the rows x and x +- h e_i.  The step h is 1e-5 times the smallest
+        nonzero half-extent of bounding_box(), the surface's scale, and at least
+        1e-8 max|x_i|, which x +- h e_i resolves."""
         lo, hi = self.bounding_box()
         feature = np.min(hi - lo, where=hi > lo, initial=np.max(hi - lo)) / 2.0
         h = 1e-5 * np.maximum(feature, 1e-3 * np.abs(pts).max(axis=1))[:, None, None]
         offsets = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3)])
         g = self.grad((pts[:, None, :] + h * offsets).reshape(-1, 3)).reshape(-1, 7, 3)
         H = (g[:, 1:4] - g[:, 4:]) / (2.0 * h)  # row i: d grad / d x_i
-        H = 0.5 * (H + H.transpose(0, 2, 1))
-        return H[0] if single else H
+        return 0.5 * (H + H.transpose(0, 2, 1))
 
     def bounding_box(self):
         """Axis-aligned (lo, hi) box containing the nominal surface."""
@@ -126,9 +151,10 @@ class _Sphere(LevelSet):
     """A field whose zero set is the sphere of a given radius about the origin."""
 
     def __init__(self, radius: float = 1.0):
-        if not 0 < radius < np.inf:
-            raise ValueError("sphere radius must be positive and finite")
-        self.radius = float(radius)
+        radius = float(radius)
+        if not (radius > 0 and radius * radius < np.inf):  # a float product: no warning
+            raise ValueError("sphere radius must be positive with a finite square")
+        self.radius = radius
 
     def bounding_box(self):
         r = self.radius
@@ -144,22 +170,15 @@ class SphereQuadratic(_Sphere):
 
     kind = "sphere-quadratic"
 
-    def value(self, x):
-        pts, single = _as_points(x)
-        out = 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2)
-        return out[0] if single else out
+    def _value(self, pts):
+        return 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2)
 
-    def value_and_grad(self, x):
-        pts, single = _as_points(x)
-        phi = 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2)
-        grad = pts.copy()
-        return (phi[0], grad[0]) if single else (phi, grad)
+    def _value_and_grad(self, pts):
+        return self._value(pts), pts.copy()
 
-    def hessian(self, x):
+    def _hessian(self, pts):
         """Exactly I, where central differences read 1 + 7e-12."""
-        pts, single = _as_points(x)
-        out = np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
-        return out[0] if single else out
+        return np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
 
 
 class SphereSDF(_Sphere):
@@ -171,19 +190,14 @@ class SphereSDF(_Sphere):
 
     kind = "sphere-sdf"
 
-    def value(self, x):
-        pts, single = _as_points(x)
-        out = self.radius - _row_norms(pts)
-        return out[0] if single else out
+    def _value(self, pts):
+        return self.radius - _row_norms(pts)
 
-    def value_and_grad(self, x):
-        pts, single = _as_points(x)
+    def _value_and_grad(self, pts):
         r = _row_norms(pts)
         if np.count_nonzero(r) != len(r):
             raise SingularityError("gradient of R - |x| undefined at the origin")
-        phi = self.radius - r
-        grad = -pts / r[:, None]
-        return (phi[0], grad[0]) if single else (phi, grad)
+        return self.radius - r, -pts / r[:, None]
 
 
 class Torus(LevelSet):
@@ -207,14 +221,10 @@ class Torus(LevelSet):
         w = np.hypot(u, pts[:, 2])
         return rho, u, w
 
-    def value(self, x):
-        pts, single = _as_points(x)
-        _, _, w = self._parts(pts)
-        out = w - self.minor_radius
-        return out[0] if single else out
+    def _value(self, pts):
+        return self._parts(pts)[2] - self.minor_radius
 
-    def value_and_grad(self, x):
-        pts, single = _as_points(x)
+    def _value_and_grad(self, pts):
         rho, u, w = self._parts(pts)
         if np.count_nonzero(rho) + np.count_nonzero(w) != 2 * len(rho):
             raise SingularityError("torus field gradient undefined on the axis or core circle")
@@ -222,8 +232,7 @@ class Torus(LevelSet):
         gx = (u / w) * (pts[:, 0] / rho)
         gy = (u / w) * (pts[:, 1] / rho)
         gz = pts[:, 2] / w
-        grad = np.stack([gx, gy, gz], axis=1)
-        return (phi[0], grad[0]) if single else (phi, grad)
+        return phi, np.stack([gx, gy, gz], axis=1)
 
     def bounding_box(self):
         R, r = self.major_radius, self.minor_radius
@@ -244,20 +253,16 @@ class Plane(LevelSet):
 
     def __init__(self, normal=(0.0, 0.0, 1.0)):
         a = np.asarray(normal, dtype=float)
-        if a.shape != (3,) or not 0 < np.linalg.norm(a) < np.inf:
-            raise ValueError("plane normal must be a finite nonzero 3-vector")
+        with np.errstate(over="ignore"):
+            if a.shape != (3,) or not 0 < float(a @ a) < np.inf:
+                raise ValueError("plane normal must be a 3-vector with a.a finite and nonzero")
         self.normal = a
 
-    def value(self, x):
-        pts, single = _as_points(x)
-        out = pts @ self.normal
-        return out[0] if single else out
+    def _value(self, pts):
+        return pts @ self.normal
 
-    def value_and_grad(self, x):
-        pts, single = _as_points(x)
-        phi = pts @ self.normal
-        grad = np.broadcast_to(self.normal, (len(pts), 3)).copy()
-        return (phi[0], grad[0]) if single else (phi, grad)
+    def _value_and_grad(self, pts):
+        return pts @ self.normal, np.broadcast_to(self.normal, (len(pts), 3)).copy()
 
     def bounding_box(self):
         # The plane is unbounded; this conventional box only feeds band sampling.
@@ -311,10 +316,8 @@ class PointCloud(LevelSet):
         self._tree = cKDTree(self.points, balanced_tree=False)
         self._hint = np.empty((0, 3)), np.zeros(0, np.intp), np.zeros(0)
 
-    def value(self, x):
-        pts, single = _as_points(x)
-        d, _ = self._tree.query(pts)
-        return d[0] if single else d
+    def _value(self, pts):
+        return self._tree.query(pts)[0]
 
     def _query(self, pts):
         """(n, 2): the nearest sample's distance, a bound on the others'; its index."""
@@ -332,8 +335,7 @@ class PointCloud(LevelSet):
         second[ties] = near[ties]  # a tie may pass over the tree's first, at near
         return d, index
 
-    def value_and_grad(self, x):
-        pts, single = _as_points(x)
+    def _value_and_grad(self, pts):
         last, index, bound = self._hint
         if last.shape != pts.shape:  # nan anchors send every row to the tree
             last, index, bound = np.full(pts.shape, np.nan), np.zeros(len(pts), np.intp), 0.0
@@ -355,8 +357,7 @@ class PointCloud(LevelSet):
         if not near.all():
             raise SingularityError("distance gradient undefined at a cloud point")
         self._hint = last, index, bound
-        grad = diff / near[:, None]
-        return (near[0], grad[0]) if single else (near, grad)
+        return near, diff / near[:, None]
 
     def bounding_box(self):
         return self.points.min(axis=0), self.points.max(axis=0)

@@ -160,11 +160,9 @@ class PlanarProblem:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
+        self.a = Plane(self.a).normal  # the field's own check of a
         self.p = np.asarray(self.p, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
-        if self.a.shape != (3,) or not 0 < np.linalg.norm(self.a) < np.inf:
-            raise ValueError("a must be a finite nonzero 3-vector")
         for name, pt in (("p", self.p), ("q", self.q)):
             if pt.shape != (3,) or not np.isfinite(pt).all():
                 raise ValueError(f"{name} must be a finite 3-vector")
@@ -270,7 +268,6 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     c, off, diag = _tridiagonal(problem.m, problem.tau_gamma)
     pts = curve.points.copy()
     x = pts[1:-1]
-    c_p, c_q = c * pts[0], c * pts[-1]
     lam = mult.values.copy()
     lam_new = np.empty_like(lam)
     lam_tilde = np.empty_like(lam)
@@ -282,6 +279,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     next_record = 1
 
     with np.errstate(over="ignore", invalid="ignore"):
+        c_p, c_q = c * pts[0], c * pts[-1]  # inf * 0 where c overflowed
         for k in range(1, max_iters + 1):
             np.matmul(x, a, out=lam_new)
             lam_new *= problem.tau_lambda

@@ -40,7 +40,6 @@ warnings are off), or at a field singularity; the others go on.
 
 from __future__ import annotations
 
-import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -116,6 +115,20 @@ class SolverConfig:
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ValueError("record_every must be an integer of at least 1")
 
+    @property
+    def effective_omega(self) -> float:
+        """The extrapolation weight the scheme applies: 0 for GDA and Regularized."""
+        return 0.0 if self.scheme in (Scheme.GDA, Scheme.REGULARIZED) else self.omega
+
+    @property
+    def effective_alpha(self) -> float:
+        """The relaxation alpha of the residuals: alpha for Var2, else
+        (1 + effective_omega) tau_gamma, tau_gamma standing in for
+        tau_lambda / (1 + eps tau_lambda)."""
+        if self.scheme is Scheme.VAR2:
+            return self.alpha
+        return (1.0 + self.effective_omega) * self.tau_gamma
+
     def validate_strict(self):
         """Raise unless the regularization invariant holds (epsilon > 0 off GDA)."""
         if self.scheme is not Scheme.GDA and not self.epsilon > 0:
@@ -180,8 +193,7 @@ class _Workspace:
 
         self.tau_lambda = per_node([c.tau_lambda for c in cfgs])
         self.shrink = per_node([1.0 / (1.0 + c.epsilon * c.tau_lambda) for c in cfgs])
-        self.omega = per_node([0.0 if c.scheme is Scheme.REGULARIZED else c.omega
-                               for c in cfgs])
+        self.omega = per_node([c.effective_omega for c in cfgs])
         self.keep = per_node([1.0 - c.alpha * c.epsilon for c in cfgs])  # var2's weight of lam+
         self.alpha = per_node([c.alpha for c in cfgs])
         self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
@@ -386,10 +398,8 @@ class BatchRun(NamedTuple):
 
 def _initial_state(problem: Problem, surface, stacklevel: int) -> SolverState:
     """The state at iteration 0.  Warns if the init's endpoints are off the
-    surface (stacklevel as the caller would pass it to warnings.warn), and,
-    once logging is loaded, logs a tau_gamma that differs from the one the
-    diagnostics assume."""
-    (curve0, mult0), cfg = problem.init, problem.cfg
+    surface (stacklevel as the caller would pass it to warnings.warn)."""
+    curve0, mult0 = problem.init
     endpoint_phi = max(abs(float(surface.value(curve0.p))),
                        abs(float(surface.value(curve0.q))))
     if endpoint_phi > ENDPOINT_WARN_TOL:
@@ -397,21 +407,6 @@ def _initial_state(problem: Problem, surface, stacklevel: int) -> SolverState:
             f"init endpoints are off-surface: max |phi| = {endpoint_phi:.3g}",
             stacklevel=stacklevel + 1,
         )
-
-    if cfg.scheme not in (Scheme.GDA, Scheme.VAR2):
-        tau_implied = cfg.tau_lambda / (1.0 + cfg.epsilon * cfg.tau_lambda)
-        if abs(cfg.tau_gamma - tau_implied) > 1e-12 * max(1.0, tau_implied):
-            # looked up, not imported: loading logging costs a cold start
-            # milliseconds, and until something has loaded it nothing can have
-            # configured it, so an info record would go nowhere
-            logging = sys.modules.get("logging")
-            if logging is not None:
-                logging.getLogger(__name__).info(
-                    "tau_gamma=%g differs from tau_lambda/(1+eps*tau_lambda)=%g; "
-                    "diagnostics reconstruct alpha as (1+omega)*tau_gamma",
-                    cfg.tau_gamma,
-                    tau_implied,
-                )
     return SolverState(curve=curve0.copy(), multiplier=mult0.copy(), iteration=0)
 
 

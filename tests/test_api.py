@@ -1,6 +1,9 @@
 """The public surface: every exported name exists, the README's library
-examples run as written, and scipy and logging load only where they are used."""
+examples run as written, the modules import one another without a cycle,
+and scipy and logging load only where they are used."""
 
+import ast
+import graphlib
 import importlib
 import importlib.util
 import json
@@ -24,6 +27,24 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"levelgeo.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _package_imports(path, modules):
+    """The levelgeo modules that the module at path imports, in a function too;
+    a name of the package itself (`from . import __version__`) is __init__'s."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update([node.module.split(".")[0]] if node.module
+                            else [alias.name for alias in node.names])
+    return {name if name in modules else "__init__" for name in imported}
+
+
+def test_the_modules_import_one_another_without_a_cycle():
+    paths = {path.stem: path for path in Path(levelgeo.__file__).parent.glob("*.py")}
+    graph = {name: _package_imports(path, paths) for name, path in paths.items()}
+    assert graph["diagnostics"].isdisjoint({"schemes", "harness", "cli", "planar"})
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
 
 
 def test_readme_library_examples_run(capsys):

@@ -11,7 +11,6 @@ from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line, s
 from levelgeo.diagnostics import (
     IterationTrace,
     TraceRow,
-    effective_alpha,
     first_difference,
     geodesic_defect,
     read_records,
@@ -76,15 +75,15 @@ def test_run_rejects_a_bad_reference_distance_before_stepping(d):
 
 
 def test_effective_alpha_per_scheme():
-    assert effective_alpha(SolverConfig(scheme="var2", alpha=42.0)) == 42.0
-    assert effective_alpha(SolverConfig(scheme="gda", tau_gamma=1e-3)) == 1e-3
-    assert effective_alpha(
-        SolverConfig(scheme="base-pdhg", omega=3.0, tau_gamma=1e-3)
-    ) == pytest.approx(4e-3)
     # the regularized scheme drops omega no matter what the config says
-    assert effective_alpha(
-        SolverConfig(scheme="regularized", omega=99.0, tau_gamma=1e-3)
-    ) == pytest.approx(1e-3)
+    for scheme, omega, alpha in [("gda", 0.0, 1e-3), ("regularized", 0.0, 1e-3),
+                                 ("base-pdhg", 3.0, 4e-3), ("var1", 3.0, 4e-3),
+                                 ("var2", 3.0, 42.0)]:
+        cfg = SolverConfig(scheme=scheme, omega=3.0, alpha=42.0, tau_gamma=1e-3)
+        assert cfg.effective_omega == omega
+        # bit for bit: alpha for var2, else (1 + effective_omega) tau_gamma
+        assert cfg.effective_alpha == (42.0 if scheme == "var2" else (1.0 + omega) * 1e-3)
+        assert cfg.effective_alpha == pytest.approx(alpha)
 
 
 def test_residuals_vanish_at_planar_saddle():
@@ -299,7 +298,7 @@ def test_trace_row_keeps_its_defect_and_gamma_residual(surface, scheme, m, seed,
     dots = np.abs(np.einsum("ij,ij->i", sd, vel)) / (1.0 + np.einsum("ij,ij->i", vel, vel))
     assert repr(row.geodesic_defect) == repr(geodesic_defect(state.curve))
     assert repr(row.geodesic_defect) == repr(float(dots.max()))
-    alpha, lam = effective_alpha(cfg), state.multiplier.values
+    alpha, lam = cfg.effective_alpha, state.multiplier.values
     coeff = (1.0 - alpha * cfg.epsilon) * lam + alpha * phi
     r_gamma = sd - coeff[:, None] * grad
     expected = math.sqrt(state.curve.dt * float(np.einsum("ij,ij->", r_gamma, r_gamma)))

@@ -39,12 +39,13 @@ from levelgeo.planar import ErgodicRecord
 from levelgeo.schemes import DivergenceError, SolverConfig, run
 
 
-def _cli_process(tmp_path, *argv):
-    """levelgeo argv in a fresh interpreter, run in tmp_path."""
+def _cli_process(tmp_path, *argv, timeout=None):
+    """levelgeo argv in a fresh interpreter, run in tmp_path; TimeoutExpired
+    after timeout seconds."""
     src = Path(levelgeo.__file__).resolve().parents[1]
     return subprocess.run([sys.executable, "-m", "levelgeo.cli", *argv],
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def write_cloud(path, n=200, seed=0):
@@ -1010,6 +1011,26 @@ def test_planar_process_at_the_step_boundary_runs(tmp_path):
     assert (tmp_path / "out" / "planar_ergodic.csv").exists()
 
 
+@pytest.mark.parametrize("argv,code", [
+    # c = tau_gamma m^2 is inf, and c times the endpoint 0 is nan
+    (["--tau-gamma", "1e308", "--iters", "3", "--m", "4"], 2),
+    # a is finite and nonzero, but a.a overflows
+    (["--a", "1e200,0,0"], 1),
+], ids=["tau-gamma", "a"])
+def test_planar_input_beyond_the_float_range_draws_no_runtime_warning(tmp_path, capsys,
+                                                                      argv, code):
+    # the suite turns a RuntimeWarning into an error
+    rc = main(["planar", *argv, "--out", str(tmp_path / "out")])
+    assert rc == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "warning: divergence at iteration 1: non-finite planar iterate" in captured.out
+        assert captured.err == ""
+    else:
+        assert captured.err == "error: plane normal must be a 3-vector with a.a finite and nonzero\n"
+        assert captured.out == ""
+
+
 def test_planar_bad_vector(tmp_path, capsys):
     rc = main(["planar", "--a", "1,0", "--iters", "4",
                "--out", str(tmp_path / "out")])
@@ -1099,6 +1120,21 @@ def test_far_endpoints_process_writes_nothing_to_stderr(tmp_path):
                         "--q", "1e155,0,0", "--iters", "3", "--out", "out")
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("kind", ["sphere-quadratic", "sphere-sdf"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--init", "randomized", "--iters", "3"],
+    # before the check, no endpoint pair was ever far enough apart: it never ended
+    ["benchmark", "--pairs", "1", "--checkpoints", "2"],
+], ids=["run", "benchmark"])
+def test_a_sphere_radius_whose_square_overflows_is_one_error_line(tmp_path, kind, argv):
+    proc = _cli_process(tmp_path, *argv, "--surface", f"{kind}:1e200", "--m", "4",
+                        "--out", "out", timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: bad surface descriptor '{kind}:1e200': "
+                           "sphere radius must be positive with a finite square\n")
 
 
 def test_check_surface_bad_descriptor(capsys):

@@ -179,6 +179,68 @@ def test_singularities_raise():
         Torus().grad(np.array([2.0, 0.0, 0.0]))  # core circle of the default torus
 
 
+@pytest.mark.parametrize("cls", [SphereQuadratic, SphereSDF])
+def test_a_sphere_radius_whose_square_overflows_is_rejected(cls):
+    # R^2 enters the quadratic field and the central angle of the sphere reference
+    assert cls(1.3e154).radius == 1.3e154
+    for radius in (1.4e154, 1e200, np.float64(1e200), -1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive with a finite square"):
+            cls(radius)
+
+
+@pytest.mark.parametrize("normal", [(1e200, 0.0, 0.0), (1e-200, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                    (np.inf, 0.0, 0.0), (np.nan, 1.0, 0.0), (1.0, 0.0)])
+def test_plane_normal_needs_a_finite_nonzero_square(normal):
+    # 1e200 is finite and nonzero, but a.a overflows; 1e-200's underflows
+    with pytest.raises(ValueError, match=r"a\.a finite and nonzero"):
+        Plane(normal)
+
+
+class _RowHooks(LevelSet):
+    """The unit quadratic sphere from the row hooks alone, with no Hessian hook."""
+
+    kind = "row-hooks"
+
+    def _value(self, pts):
+        return 0.5 * (np.einsum("ij,ij->i", pts, pts) - 1.0)
+
+    def _value_and_grad(self, pts):
+        return self._value(pts), pts.copy()
+
+    def bounding_box(self):
+        return -np.ones(3), np.ones(3)
+
+
+def test_a_field_of_row_hooks_takes_a_point_or_rows():
+    field, rows = _RowHooks(), np.random.default_rng(2).normal(size=(6, 3))
+    phi, grad = field.value_and_grad(rows)
+    assert phi.shape == field.value(rows).shape == (6,)
+    assert grad.shape == field.grad(rows).shape == (6, 3)
+    assert field.hessian(rows).shape == (6, 3, 3)
+    assert np.allclose(field.hessian(rows), np.eye(3), atol=1e-9)
+    for i, x in enumerate(rows):
+        assert np.ndim(field.value(x)) == np.ndim(field.value_and_grad(x)[0]) == 0
+        assert field.value(x) == field.value_and_grad(x)[0] == phi[i]
+        assert np.array_equal(field.grad(x), grad[i]) and field.grad(x).shape == (3,)
+        assert np.array_equal(field.hessian(x), field.hessian(rows)[i])
+    with pytest.raises(ValueError, match="expected shape"):
+        field.value(np.zeros((2, 2)))
+
+
+def test_a_field_of_row_hooks_runs_and_takes_the_band_check():
+    from levelgeo.curve import init_straight_line
+    from levelgeo.schemes import SolverConfig, run
+
+    init = init_straight_line(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 8)
+    cfg = SolverConfig(max_iters=20)
+    (state, trace), (ref_state, ref_trace) = (run(cfg, s, init)
+                                              for s in (_RowHooks(), SphereQuadratic()))
+    assert state.curve.points.tobytes() == ref_state.curve.points.tobytes()
+    assert [vars(r) for r in trace] == [vars(r) for r in ref_trace]
+    report = check_assumption_a(_RowHooks(), a=0.2, n_samples=200, seed=0)
+    assert report.satisfied and report.n_samples == 200
+
+
 def test_torus_value_closed_form():
     t = Torus(major_radius=2.0, minor_radius=1.0)
     # on the outer equator: rho = 3, z = 0 -> phi = 0

@@ -812,25 +812,3 @@ def test_off_surface_warning_names_the_callers_line():
         run_batch([Problem(cfg, init), Problem(cfg, init)], surface)
     assert [w.filename for w in by_run] == [__file__]
     assert [w.filename for w in by_batch] == [__file__] * 2
-
-
-@pytest.mark.parametrize("scheme,tau_gamma,logged", [
-    ("base-pdhg", 1e-5, True),
-    ("var1", 1e-5, True),
-    ("base-pdhg", 0.7 / (1 + 0.01 * 0.7), False),  # tau_lambda / (1 + eps tau_lambda)
-    ("var2", 1e-5, False),
-    ("gda", 1e-5, False),
-])
-def test_a_tau_gamma_the_diagnostics_do_not_assume_is_logged(scheme, tau_gamma,
-                                                              logged, caplog):
-    init = init_straight_line(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 8)
-    cfg = SolverConfig(scheme=scheme, tau_gamma=tau_gamma, tau_lambda=0.7,
-                       epsilon=0.01, max_iters=1)
-    with caplog.at_level("INFO", logger="levelgeo.schemes"):
-        run(cfg, SphereSDF(), init)
-    records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
-    assert records == ([(
-        "levelgeo.schemes", "INFO",
-        f"tau_gamma={tau_gamma:g} differs from tau_lambda/(1+eps*tau_lambda)="
-        f"{0.7 / (1 + 0.01 * 0.7):g}; diagnostics reconstruct alpha as "
-        "(1+omega)*tau_gamma")] if logged else [])
