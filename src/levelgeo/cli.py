@@ -3,14 +3,14 @@
 Subcommands: run, sweep, benchmark, compare, planar, check-surface.
 
 Commands raise, the CLI reports: ``main`` is the one place that turns a
-ConfigError, ValueError, OSError or SamplingError from parsing or from a
-``harness.cmd_*`` command into a single ``error: ...`` line on stderr.
+ConfigError, ValueError, OSError, SamplingError or MemoryError from parsing or
+from a ``harness.cmd_*`` command into a single ``error: ...`` line on stderr.
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
-unusable surface or endpoints), 2 divergence of a single requested run
-(``run`` or ``planar``), 3 a field singularity in ``run``.  Sweeps,
-benchmarks and comparisons record a divergence or a singularity per value,
-pair or scheme instead of failing.
+unusable surface or endpoints, an --m too large to allocate), 2 divergence of
+a single requested run (``run`` or ``planar``), 3 a field singularity in
+``run``.  Sweeps, benchmarks and comparisons record a divergence or a
+singularity per value, pair or scheme instead of failing.
 
 Each flag is declared once, with its type, choices and default (the
 library's, where it has one); ``levelgeo CMD --help`` lists the defaults.
@@ -290,7 +290,7 @@ def main(argv=None) -> int:
                 args.surface, points_path=args.points, band=args.band,
                 n_samples=args.samples, seed=args.seed,
             )
-    except (ValueError, OSError, SamplingError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, SamplingError, MemoryError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

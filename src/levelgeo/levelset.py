@@ -197,7 +197,8 @@ class SphereSDF(_Sphere):
         r = _row_norms(pts)
         if np.count_nonzero(r) != len(r):
             raise SingularityError("gradient of R - |x| undefined at the origin")
-        return self.radius - r, -pts / r[:, None]
+        # -pts / r bit for bit; F order runs down the rows, into C-order rows
+        return self.radius - r, np.divide(pts, -r[:, None], np.empty(pts.shape), order="F")
 
 
 class Torus(LevelSet):
@@ -357,7 +358,7 @@ class PointCloud(LevelSet):
         if not near.all():
             raise SingularityError("distance gradient undefined at a cloud point")
         self._hint = last, index, bound
-        return near, diff / near[:, None]
+        return near, np.divide(diff, near[:, None], diff, order="F")  # as SphereSDF's
 
     def bounding_box(self):
         return self.points.min(axis=0), self.points.max(axis=0)

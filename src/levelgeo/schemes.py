@@ -25,17 +25,22 @@ with all stencils read from the OLD curve (Jacobi sweep, not Gauss-Seidel)
 and the endpoints never touched.  Regularized is exactly BasePDHG with
 omega = 0 and shares its code path.
 
-One kernel serves every path: run_batch() stacks B >= 1 problems that
-share scheme and m and updates preallocated buffers in place, each member
-with its own step sizes.  It evaluates each state once, right after it
-exists: one field call (value_and_grad) on all the members' interior nodes,
-which feeds both the state's trace rows and the next step.  Only when that
-call raises are the members evaluated one by one.  The operations and their
-order do not depend on B, so every member's numbers are bit for bit those of
-its run alone.  run() is a batch of one and step() one iteration of it.
-States are copied out only at record points.  A member stops at its
-iteration budget, on divergence (reported by the stop alone: numpy's overflow
-warnings are off), or at a field singularity; the others go on.
+One kernel serves every path: run_batch() stacks B >= 1 problems that share
+scheme and m and updates preallocated buffers in place, each member with its
+own step sizes.  It evaluates each state once, right after it exists: one
+field call (value_and_grad) on all the members' interior nodes, which feeds
+both the state's trace rows and the next step.  Only when that call raises
+are the members evaluated one by one.  The operations and their order do not
+depend on B, so every member's numbers are bit for bit those of its run
+alone.  run() is a batch of one and step() one iteration of it.  Every view
+a step reads (interiors, neighbours, chord operands, multiplier columns, at
+B = 1 the field's rows) is built once and again only when a member leaves,
+so an iteration is its ufunc calls.  A row broadcast, (n, 1) by (n, 3), runs
+in F order into C-order rows: numpy's loop then runs down the rows, not
+along the length-3 axis, with the same bits.  States are copied out only at
+record points.  A member stops at its iteration budget, on divergence
+(reported by the stop alone: numpy's overflow warnings are off), or at a
+field singularity; the others go on.
 """
 
 from __future__ import annotations
@@ -173,8 +178,9 @@ class _Workspace:
     numpy's loop over two contiguous operands of one shape is faster than a
     broadcast, at B = 1 too, and the products are the same.  `members` maps
     each row to its member.  A member that stops leaves the stack: every
-    stacked array drops its row.  Each state is evaluated once, by one stacked
-    call or, only if that raises, one call per member (evaluate()).
+    stacked array drops its row and the views are built again (_buffer,
+    _bind).  Each state is evaluated once, by one stacked call or, only if
+    that raises, one call per member (evaluate()).
     """
 
     _STACKED = ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma",
@@ -203,18 +209,24 @@ class _Workspace:
         # 1e150 counts as 1e150, so every sum that passes stays far from overflow
         margin = 16 * (self.m + 1) * 2.0**-53
         self.chord_bound = np.minimum(self.length_cap, 1e150) ** 2 * (1 - margin) / self.m
-        self.chords = np.empty((len(states), self.m, 3))
+        self.chords = np.empty((len(states), 3 * self.m))  # flat, a row per member
         self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
         self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
+        self._bind()
+
+    def _bind(self):
+        """lam~ as a (B(m-1), 1) column and the force as (B(m-1), 3) rows."""
+        self.tilde_col, self.force_rows = self.tilde.reshape(-1, 1), self.force.reshape(-1, 3)
 
     def evaluate(self):
         """(phi, grad, {row: SingularityError}) for the current state's interior
         nodes: (B, m-1) and (B, m-1, 3) from one field call or, if it raises,
         each member's own call as it returns them, uncopied, since trace_row
         sums a strided phi in another order (nan gradient where singular)."""
-        interior = self.buffers[0][1]
+        _, interior, *_, field_rows, _, _ = self.buffers[0]
         try:
-            phi, grad = self.surface.value_and_grad(interior.reshape(-1, 3))
+            phi, grad = self.surface.value_and_grad(
+                interior.reshape(-1, 3) if field_rows is None else field_rows)
         except SingularityError:
             rows = [diagnostics._field(self.surface, x) for x in interior]
             singular = {row: error for row, (_, _, error) in enumerate(rows) if error}
@@ -222,7 +234,7 @@ class _Workspace:
                 raise
             phi, grad, _ = zip(*rows)
             return phi, grad, singular
-        return phi.reshape(len(interior), -1), grad.reshape(len(interior), -1, 3), {}
+        return phi.reshape(self.tilde.shape), grad.reshape(self.force.shape), {}
 
     def state(self, row: int, iteration: int) -> SolverState:
         pts, lam = self.buffers[0][0], self.buffers[0][-1]
@@ -240,6 +252,7 @@ class _Workspace:
         self.buffers = [_buffer(buf[0][kept], buf[-1][kept]) for buf in self.buffers]
         for name in self._STACKED:
             setattr(self, name, getattr(self, name)[kept])
+        self._bind()
 
     def advance(self, iteration: int, field):
         """Step every member to `iteration` from `field`, the current state's evaluate().
@@ -257,45 +270,48 @@ class _Workspace:
                 return stops
             phi, grad = (np.stack([v for row, v in enumerate(a) if row not in singular])
                          for a in (phi, grad))
-        sd, force, tmp = self.sd, self.force, self.tmp
-        (_, interior, ahead, behind, lam), (new_pts, new_interior, _, _, new_lam) = self.buffers
+        multiply, add, subtract, scheme = np.multiply, np.add, np.subtract, self.scheme
+        sd, force, force_rows = self.sd, self.force, self.force_rows
+        tilde, tmp = self.tilde, self.tmp
+        (_, interior, ahead, behind, _, _, _, _, lam), new = self.buffers
+        new_pts, new_interior, _, _, new_after, new_before, _, new_col, new_lam = new
 
         # in place: one ufunc per operation, in the order of (lam + tau_l phi) * shrink
-        np.multiply(phi, self.tau_lambda, new_lam)
-        np.add(lam, new_lam, new_lam)
-        if self.scheme is Scheme.GDA:
-            tilde = new_lam
+        multiply(phi, self.tau_lambda, new_lam)
+        add(lam, new_lam, new_lam)
+        if scheme is Scheme.GDA:
+            tilde_col = new_col
         else:
-            tilde = self.tilde
-            np.multiply(new_lam, self.shrink, new_lam)  # lam+
-            if self.scheme is Scheme.VAR2:
-                np.multiply(new_lam, self.keep, tilde)
-                np.multiply(phi, self.alpha, tmp)
-                np.add(tilde, tmp, tilde)
+            tilde_col = self.tilde_col
+            multiply(new_lam, self.shrink, new_lam)  # lam+
+            if scheme is Scheme.VAR2:
+                multiply(new_lam, self.keep, tilde)
+                multiply(phi, self.alpha, tmp)
+                add(tilde, tmp, tilde)
             else:
-                np.subtract(new_lam, lam, tilde)
-                np.multiply(tilde, self.omega, tilde)
-                np.add(new_lam, tilde, tilde)
-                if self.scheme is Scheme.VAR1:  # commit lam_bar
-                    np.multiply(phi, self.tau_lambda, new_lam)
-                    np.add(tilde, new_lam, new_lam)
-                    np.multiply(new_lam, self.shrink, new_lam)
+                subtract(new_lam, lam, tilde)
+                multiply(tilde, self.omega, tilde)
+                add(new_lam, tilde, tilde)
+                if scheme is Scheme.VAR1:  # commit lam_bar
+                    multiply(phi, self.tau_lambda, new_lam)
+                    add(tilde, new_lam, new_lam)
+                    multiply(new_lam, self.shrink, new_lam)
 
-        np.multiply(interior, 2.0, sd)  # second difference
-        np.subtract(ahead, sd, sd)
-        np.add(sd, behind, sd)
-        np.multiply(sd, self.m**2, sd)
+        multiply(interior, 2.0, sd)  # second difference
+        subtract(ahead, sd, sd)
+        add(sd, behind, sd)
+        multiply(sd, self.m**2, sd)
         # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
-        np.multiply(tilde[:, :, None], grad, force)
-        np.subtract(force, sd, force)
-        np.multiply(force, self.tau_gamma, force)
-        np.subtract(interior, force, new_interior)
+        multiply(tilde_col, grad.reshape(force_rows.shape), force_rows, order="F")
+        subtract(force, sd, force)
+        multiply(force, self.tau_gamma, force)
+        subtract(interior, force, new_interior)
 
         # two tiers: a cheap test that can only pass the whole stack, and only
         # when it fails the exact test of the whole stack, with the failing
         # members located only when that fails too: a length within its cap
         # (nan is not) implies finite points
-        if not self._within_caps(new_pts, new_lam):
+        if not self._within_caps(new_after, new_before, new_lam):
             lengths = curve_length(new_pts)
             if (np.count_nonzero(lengths <= self.length_cap) + np.count_nonzero(
                     np.isfinite(new_lam)) != len(lengths) + new_lam.size):
@@ -308,9 +324,10 @@ class _Workspace:
         self.buffers.reverse()
         return stops
 
-    def _within_caps(self, pts, lam) -> bool:
-        """True only if every member's curve_length(pts) is within its length_cap
-        and all of lam is finite, from one dot product S = sum |chord|^2 per member.
+    def _within_caps(self, after, before, lam) -> bool:
+        """True only if every member's curve_length is within its length_cap and
+        all of lam is finite, from one dot product S = sum |chord|^2 per member,
+        the chords after - before from a buffer's flat pts[:, 1:] and pts[:, :-1].
 
         By Cauchy-Schwarz a length is at most sqrt(m S), and the margin in
         chord_bound covers the rounding of S and of curve_length in any
@@ -318,10 +335,9 @@ class _Workspace:
         overflow all fail.  False says nothing; count_nonzero is numpy's
         cheapest reduction.
         """
-        np.subtract(pts[:, 1:], pts[:, :-1], self.chords)
-        flat = self.chords.reshape(len(pts), -1)
-        return (np.count_nonzero(np.vecdot(flat, flat) <= self.chord_bound)
-                + np.count_nonzero(np.isfinite(lam)) == len(pts) + lam.size)
+        chords = np.subtract(after, before, self.chords)
+        return (np.count_nonzero(np.vecdot(chords, chords) <= self.chord_bound)
+                + np.count_nonzero(np.isfinite(lam)) == len(chords) + lam.size)
 
 
 def _length_cap(p, q) -> float:
@@ -337,9 +353,14 @@ def _length_cap(p, q) -> float:
 
 
 def _buffer(pts, lam):
-    """A (B, m+1, 3) point buffer with views of its interior and of each interior
-    node's next and previous neighbours, and a (B, m-1) multiplier buffer."""
-    return pts, pts[:, 1:-1], pts[:, 2:], pts[:, :-2], lam
+    """One buffer: (B, m+1, 3) points, their interior, each interior node's next
+    and previous neighbours, the chords' heads and tails as (B, 3m) rows, the
+    interior as (B(m-1), 3) field rows if that is a view (B = 1, else None),
+    the (B(m-1), 1) multiplier column and the (B, m-1) multipliers."""
+    interior, flat = pts[:, 1:-1], pts.reshape(len(pts), 3 * pts.shape[1])
+    rows = interior.reshape(-1, 3) if interior.flags.c_contiguous else None
+    return (pts, interior, pts[:, 2:], pts[:, :-2], flat[:, 3:], flat[:, :-3], rows,
+            lam.reshape(-1, 1), lam)
 
 
 def _stop_error(reason, iteration: int, trace, state):

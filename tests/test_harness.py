@@ -433,6 +433,27 @@ def test_non_finite_input_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "planar"])
+def test_an_m_too_large_to_allocate_exits_1_with_one_error_line(tmp_path, capsys, command):
+    # the grid of m + 1 nodes alone asks for 745 GiB, which numpy is refused up
+    # front; the address-space cap makes that so whatever the host's overcommit
+    # policy (a smaller m could be granted lazily and then touched: never try one)
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 64 << 30 if soft == resource.RLIM_INFINITY else min(soft, 64 << 30)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        rc = main([command, "--m", "100000000000", "--iters", "1",
+                   "--out", str(tmp_path / "out")])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate 745. GiB")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_cli_process_reports_a_bad_config_on_stderr(tmp_path):
     proc = _cli_process(tmp_path, "run", "--surface", "moebius",
                         "--out", str(tmp_path / "out"))

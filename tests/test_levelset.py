@@ -700,6 +700,17 @@ def test_value_and_grad_equals_value_and_grad_calls(field, pts, single):
     assert same_bits(g, ref_g)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+def test_value_and_grad_on_rows_returns_a_c_contiguous_gradient(field):
+    # the step reshapes the gradient into its force rows, a view only of C
+    # order; an F-ordered or strided input gives the gradient of a C copy
+    rows = np.random.default_rng(8).uniform(0.5, 1.5, size=(40, 3))
+    for x in (rows, np.asfortranarray(rows), rows[::2]):
+        grad = field.value_and_grad(x)[1]
+        assert grad.flags.c_contiguous
+        assert same_bits(grad, field.value_and_grad(np.ascontiguousarray(x))[1])
+
+
 @pytest.mark.parametrize("field, x", [
     (SphereSDF(), [0.0, 0.0, 0.0]),
     (Torus(), [0.0, 0.0, 0.5]),

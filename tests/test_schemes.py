@@ -498,7 +498,8 @@ def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, se
     points, multipliers = np.stack(points), np.stack(multipliers)
     work = schemes._Workspace(states, [SolverConfig()] * len(states), SphereQuadratic())
     with np.errstate(over="ignore", invalid="ignore"):
-        cheap = work._within_caps(points, multipliers)
+        flat = points.reshape(len(points), -1)
+        cheap = work._within_caps(flat[:, 3:], flat[:, :-3], multipliers)
         exact = (np.count_nonzero(curve_length(points) <= work.length_cap) == len(points)
                  and np.isfinite(multipliers).all())
     assert exact or not cheap
@@ -617,6 +618,25 @@ def test_cloud_batch_stops_only_the_member_on_a_sample(tmp_path):
         write_trace_csv(trace, tmp_path / "serial.csv")
         assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
         assert outcomes[i].state.curve.points.tobytes() == state.curve.points.tobytes()
+
+
+def test_a_single_member_workspace_hands_the_field_a_view_of_its_interior():
+    # at B = 1 the interior rows are contiguous: evaluate() copies nothing
+    # per iteration, from either buffer
+    seen = []
+
+    class Recording(SphereQuadratic):
+        def value_and_grad(self, x):
+            seen.append(x)
+            return super().value_and_grad(x)
+
+    init = init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                           20, SphereQuadratic(), tau_r=1.0, seed=0)
+    work = schemes._Workspace([SolverState(*init)], [SolverConfig()], Recording())
+    for k in (1, 2, 3):
+        field = work.evaluate()
+        assert np.shares_memory(seen[-1], work.buffers[0][1])
+        assert not work.advance(k, field)
 
 
 class _CountingSphere(SphereQuadratic):
