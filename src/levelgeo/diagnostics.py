@@ -113,7 +113,7 @@ def _residual_terms(state, cfg, phi, grad, sd):
     eps = cfg.epsilon
     r_lambda = -eps * lam + phi
     coeff = (1.0 - alpha * eps) * lam + alpha * phi
-    r_gamma = sd - np.multiply(coeff[:, None], grad, np.empty(sd.shape), order="F")
+    r_gamma = sd - coeff[:, None] * grad
     sum_l = float(np.dot(r_lambda, r_lambda))
     sum_g = float(np.einsum("ij,ij->", r_gamma, r_gamma))
     dt, ae = state.curve.dt, alpha * eps

@@ -522,7 +522,6 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
     Returns 2 if the iteration diverged (the records up to then are written).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not problem.step_condition_ok:
         print(
             f"warning: step product {problem.step_product:.3g} >= 1, "
@@ -541,6 +540,7 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
             records, diverged = list(exc.trace or []), True
             print(f"warning: {exc}")
     elapsed = time.monotonic() - start
+    out.mkdir(parents=True, exist_ok=True)
     diagnostics.write_records(out / "planar_ergodic.csv", ErgodicRecord, records)
 
     held = all(r.gap <= r.bound + 1e-9 for r in records) and not diverged

@@ -25,22 +25,20 @@ with all stencils read from the OLD curve (Jacobi sweep, not Gauss-Seidel)
 and the endpoints never touched.  Regularized is exactly BasePDHG with
 omega = 0 and shares its code path.
 
-One kernel serves every path: run_batch() stacks B >= 1 problems that share
-scheme and m and updates preallocated buffers in place, each member with its
-own step sizes.  It evaluates each state once, right after it exists: one
-field call (value_and_grad) on all the members' interior nodes, which feeds
-both the state's trace rows and the next step.  Only when that call raises
-are the members evaluated one by one.  The operations and their order do not
-depend on B, so every member's numbers are bit for bit those of its run
-alone.  run() is a batch of one and step() one iteration of it.  Every view
-a step reads (interiors, neighbours, chord operands, multiplier columns, at
-B = 1 the field's rows) is built once and again only when a member leaves,
-so an iteration is its ufunc calls.  A row broadcast, (n, 1) by (n, 3), runs
-in F order into C-order rows: numpy's loop then runs down the rows, not
-along the length-3 axis, with the same bits.  States are copied out only at
-record points.  A member stops at its iteration budget, on divergence
-(reported by the stop alone: numpy's overflow warnings are off), or at a
-field singularity; the others go on.
+One kernel serves every path: run_batch() stacks B >= 1 problems that
+share scheme and m and updates preallocated buffers in place, each member
+with its own step sizes.  It evaluates each state once, right after it
+exists: one field call (value_and_grad) on all the members' interior nodes,
+which feeds both the state's trace rows and the next step.  Only when that
+call raises are the members evaluated one by one.  The operations and their
+order do not depend on B, so every member's numbers are bit for bit those of
+its run alone.  run() is a batch of one and step() one iteration of it.
+Every view a step reads is built once, and again only when a member leaves;
+each (n, 1) by (n, 3) row broadcast runs in F order into C-order rows, so
+numpy's loop runs down the rows, with the same bits.
+States are copied out only at record points.  A member stops at its
+iteration budget, on divergence (reported by the stop alone: numpy's overflow
+warnings are off), or at a field singularity; the others go on.
 """
 
 from __future__ import annotations
@@ -178,9 +176,8 @@ class _Workspace:
     numpy's loop over two contiguous operands of one shape is faster than a
     broadcast, at B = 1 too, and the products are the same.  `members` maps
     each row to its member.  A member that stops leaves the stack: every
-    stacked array drops its row and the views are built again (_buffer,
-    _bind).  Each state is evaluated once, by one stacked call or, only if
-    that raises, one call per member (evaluate()).
+    stacked array and view drops its row.  Each state is evaluated once, by
+    one stacked call or, only if that raises, one call per member (evaluate()).
     """
 
     _STACKED = ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma",
@@ -223,10 +220,9 @@ class _Workspace:
         nodes: (B, m-1) and (B, m-1, 3) from one field call or, if it raises,
         each member's own call as it returns them, uncopied, since trace_row
         sums a strided phi in another order (nan gradient where singular)."""
-        _, interior, *_, field_rows, _, _ = self.buffers[0]
+        interior = self.buffers[0][1]
         try:
-            phi, grad = self.surface.value_and_grad(
-                interior.reshape(-1, 3) if field_rows is None else field_rows)
+            phi, grad = self.surface.value_and_grad(interior.reshape(-1, 3))
         except SingularityError:
             rows = [diagnostics._field(self.surface, x) for x in interior]
             singular = {row: error for row, (_, _, error) in enumerate(rows) if error}
@@ -270,42 +266,40 @@ class _Workspace:
                 return stops
             phi, grad = (np.stack([v for row, v in enumerate(a) if row not in singular])
                          for a in (phi, grad))
-        multiply, add, subtract, scheme = np.multiply, np.add, np.subtract, self.scheme
-        sd, force, force_rows = self.sd, self.force, self.force_rows
-        tilde, tmp = self.tilde, self.tmp
-        (_, interior, ahead, behind, _, _, _, _, lam), new = self.buffers
-        new_pts, new_interior, _, _, new_after, new_before, _, new_col, new_lam = new
+        sd, force, force_rows, tmp = self.sd, self.force, self.force_rows, self.tmp
+        (_, interior, ahead, behind, _, _, _, lam), new = self.buffers
+        new_pts, new_interior, _, _, new_after, new_before, new_col, new_lam = new
 
         # in place: one ufunc per operation, in the order of (lam + tau_l phi) * shrink
-        multiply(phi, self.tau_lambda, new_lam)
-        add(lam, new_lam, new_lam)
-        if scheme is Scheme.GDA:
+        np.multiply(phi, self.tau_lambda, new_lam)
+        np.add(lam, new_lam, new_lam)
+        if self.scheme is Scheme.GDA:
             tilde_col = new_col
         else:
-            tilde_col = self.tilde_col
-            multiply(new_lam, self.shrink, new_lam)  # lam+
-            if scheme is Scheme.VAR2:
-                multiply(new_lam, self.keep, tilde)
-                multiply(phi, self.alpha, tmp)
-                add(tilde, tmp, tilde)
+            tilde, tilde_col = self.tilde, self.tilde_col
+            np.multiply(new_lam, self.shrink, new_lam)  # lam+
+            if self.scheme is Scheme.VAR2:
+                np.multiply(new_lam, self.keep, tilde)
+                np.multiply(phi, self.alpha, tmp)
+                np.add(tilde, tmp, tilde)
             else:
-                subtract(new_lam, lam, tilde)
-                multiply(tilde, self.omega, tilde)
-                add(new_lam, tilde, tilde)
-                if scheme is Scheme.VAR1:  # commit lam_bar
-                    multiply(phi, self.tau_lambda, new_lam)
-                    add(tilde, new_lam, new_lam)
-                    multiply(new_lam, self.shrink, new_lam)
+                np.subtract(new_lam, lam, tilde)
+                np.multiply(tilde, self.omega, tilde)
+                np.add(new_lam, tilde, tilde)
+                if self.scheme is Scheme.VAR1:  # commit lam_bar
+                    np.multiply(phi, self.tau_lambda, new_lam)
+                    np.add(tilde, new_lam, new_lam)
+                    np.multiply(new_lam, self.shrink, new_lam)
 
-        multiply(interior, 2.0, sd)  # second difference
-        subtract(ahead, sd, sd)
-        add(sd, behind, sd)
-        multiply(sd, self.m**2, sd)
+        np.multiply(interior, 2.0, sd)  # second difference
+        np.subtract(ahead, sd, sd)
+        np.add(sd, behind, sd)
+        np.multiply(sd, self.m**2, sd)
         # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
-        multiply(tilde_col, grad.reshape(force_rows.shape), force_rows, order="F")
-        subtract(force, sd, force)
-        multiply(force, self.tau_gamma, force)
-        subtract(interior, force, new_interior)
+        np.multiply(tilde_col, grad.reshape(force_rows.shape), force_rows, order="F")
+        np.subtract(force, sd, force)
+        np.multiply(force, self.tau_gamma, force)
+        np.subtract(interior, force, new_interior)
 
         # two tiers: a cheap test that can only pass the whole stack, and only
         # when it fails the exact test of the whole stack, with the failing
@@ -355,11 +349,9 @@ def _length_cap(p, q) -> float:
 def _buffer(pts, lam):
     """One buffer: (B, m+1, 3) points, their interior, each interior node's next
     and previous neighbours, the chords' heads and tails as (B, 3m) rows, the
-    interior as (B(m-1), 3) field rows if that is a view (B = 1, else None),
-    the (B(m-1), 1) multiplier column and the (B, m-1) multipliers."""
-    interior, flat = pts[:, 1:-1], pts.reshape(len(pts), 3 * pts.shape[1])
-    rows = interior.reshape(-1, 3) if interior.flags.c_contiguous else None
-    return (pts, interior, pts[:, 2:], pts[:, :-2], flat[:, 3:], flat[:, :-3], rows,
+    (B(m-1), 1) multiplier column and the (B, m-1) multipliers."""
+    flat = pts.reshape(len(pts), 3 * pts.shape[1])
+    return (pts, pts[:, 1:-1], pts[:, 2:], pts[:, :-2], flat[:, 3:], flat[:, :-3],
             lam.reshape(-1, 1), lam)
 
 

@@ -452,6 +452,7 @@ def test_an_m_too_large_to_allocate_exits_1_with_one_error_line(tmp_path, capsys
     assert captured.err.startswith("error: Unable to allocate 745. GiB")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_process_reports_a_bad_config_on_stderr(tmp_path):
