@@ -191,31 +191,48 @@ def build_parser(command: str | None = None) -> _Parser:
 
 
 def _config_defaults(command: _Parser, name: str, path) -> dict:
-    """The entries of config file `path`, each parsed by the flag it names."""
-    defaults = {}
-    for key, (text, line) in harness.parse_config_file(path).items():
-        where = f"{path}: line {line}"
-        action = command.options.get(key)
-        if action is None or key in ("help", "config"):
-            raise ConfigError(f"{where}: unknown key {key!r} for command {name}")
-        try:
-            if action.nargs == 0:  # a store_true switch
-                value = {"true": True, "false": False}[text.lower()]
-            else:
-                value = action.type(text) if action.type else text
-        except (KeyError, ValueError):
-            raise ConfigError(f"{where}: bad value {text!r} for {key}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(
-                f"{where}: {key} must be one of {', '.join(action.choices)}")
-        defaults[key] = value
+    """The entries of flat ``key = value`` config file `path`, each parsed by
+    the flag it names, in one pass: '#' starts a comment, keys may use dashes
+    or underscores, and the first faulty line raises ConfigError."""
+    defaults, first_line = {}, {}
+    with open(path) as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}: line {line_number}"
+            if "=" not in line:
+                raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+            key, _, text = line.partition("=")
+            key, text = key.strip().replace("-", "_"), text.strip()
+            if not key or not text:
+                raise ConfigError(f"{where}: empty key or value")
+            if key in first_line:
+                raise ConfigError(f"{where}: duplicate key {key!r} "
+                                  f"(first set on line {first_line[key]})")
+            first_line[key] = line_number
+            action = command.options.get(key)
+            if action is None or key in ("help", "config"):
+                raise ConfigError(f"{where}: unknown key {key!r} for command {name}")
+            try:
+                if action.nargs == 0:  # a store_true switch
+                    value = {"true": True, "false": False}[text.lower()]
+                else:
+                    value = action.type(text) if action.type else text
+            except (KeyError, ValueError):
+                raise ConfigError(f"{where}: bad value {text!r} for {key}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(
+                    f"{where}: {key} must be one of {', '.join(action.choices)}")
+            defaults[key] = value
     return defaults
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse argv; a --config file's entries become the subcommand's defaults.
 
-    Raises ConfigError for an unknown key or a bad value in that file.
+    Raises ConfigError for a malformed line, a duplicate or unknown key, or a
+    bad value in that file.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # the command is the first argument that is not an option: levelgeo's

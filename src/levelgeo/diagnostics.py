@@ -48,13 +48,11 @@ __all__ = [
     "IterationTrace",
     "geodesic_defect",
     "tangency_defect",
-    "first_difference",
     "trace_row",
     "write_csv",
     "write_records",
     "read_records",
     "write_trace_csv",
-    "read_trace_csv",
 ]
 
 
@@ -97,13 +95,6 @@ class IterationTrace:
     def final(self) -> TraceRow:
         return self.rows[-1]
 
-    def column(self, name: str) -> np.ndarray:
-        """Column as a float array; missing optionals become nan."""
-        vals = [getattr(r, name) for r in self.rows]
-        return np.array(
-            [math.nan if v is None else float(v) for v in vals], dtype=float
-        )
-
 
 def _residual_terms(state, cfg, phi, grad, sd):
     """(norm R_lambda, norm R_gamma, J) from the field at the interior nodes and
@@ -121,15 +112,9 @@ def _residual_terms(state, cfg, phi, grad, sd):
     return math.sqrt(dt * sum_l), math.sqrt(dt * sum_g), J
 
 
-def first_difference(curve: DiscreteCurve) -> np.ndarray:
-    """Velocity estimates at all m+1 nodes: central interior, one-sided at the ends."""
-    pts = curve.points
-    m = curve.m
-    vel = np.empty_like(pts)
-    vel[1:-1] = (pts[2:] - pts[:-2]) * (m / 2.0)
-    vel[0] = (pts[1] - pts[0]) * m
-    vel[-1] = (pts[-1] - pts[-2]) * m
-    return vel
+def _velocity(curve: DiscreteCurve) -> np.ndarray:
+    """Central-difference velocities at the interior nodes."""
+    return (curve.points[2:] - curve.points[:-2]) * (curve.m / 2.0)
 
 
 def geodesic_defect(curve: DiscreteCurve, normalized: bool = True) -> float:
@@ -143,9 +128,8 @@ def geodesic_defect(curve: DiscreteCurve, normalized: bool = True) -> float:
 
 
 def _geodesic_defect(curve, sd, normalized=True):
-    """geodesic_defect(curve, normalized) from sd = second_difference(curve), with
-    the interior velocities of first_difference(curve)."""
-    vel = (curve.points[2:] - curve.points[:-2]) * (curve.m / 2.0)
+    """geodesic_defect(curve, normalized) from sd = second_difference(curve)."""
+    vel = _velocity(curve)
     dots = np.abs(np.einsum("ij,ij->i", sd, vel))
     if normalized:
         dots = dots / (1.0 + np.einsum("ij,ij->i", vel, vel))
@@ -154,7 +138,7 @@ def _geodesic_defect(curve, sd, normalized=True):
 
 def tangency_defect(state, surface) -> float:
     """max_i |gamma'_i . grad phi(gamma_i)| / |gamma'_i|: 0 when the velocity is tangent."""
-    vel = first_difference(state.curve)[1:-1]
+    vel = _velocity(state.curve)
     grad = surface.grad(state.curve.interior)
     speed = _row_norms(vel)
     dots = np.abs(np.einsum("ij,ij->i", vel, grad))
@@ -264,6 +248,3 @@ def write_trace_csv(trace: IterationTrace, path):
     """Write trace.csv; optional columns serialize as empty fields."""
     write_records(path, TraceRow, trace)
 
-
-def read_trace_csv(path) -> IterationTrace:
-    return IterationTrace(read_records(path, TraceRow))

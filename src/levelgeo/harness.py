@@ -52,7 +52,6 @@ __all__ = [
     "ExperimentSpec",
     "parse_surface",
     "parse_point",
-    "parse_config_file",
     "cmd_run",
     "cmd_sweep",
     "cmd_benchmark",
@@ -187,7 +186,7 @@ class ExperimentSpec:
         _check_seed(self.seed)
 
     def build(self):
-        """Materialize (surface, p, q, reference_distance, init pair).
+        """Materialize (surface, reference_distance, init pair).
 
         Raises ConfigError for unusable specs, including endpoints more than
         1e-3 off an analytic surface (point clouds only warn, via run()).
@@ -195,7 +194,7 @@ class ExperimentSpec:
         surface = parse_surface(self.surface, self.points_path)
         p = parse_point(self.p, surface, role="p")
         q = parse_point(self.q, surface, role="q")
-        return (surface, p, q) + self._problem(surface, p, q, self.seed)
+        return (surface, *self._problem(surface, p, q, self.seed))
 
     def _problem(self, surface, p, q, seed: int):
         """(reference_distance, init pair) for endpoints p, q on surface."""
@@ -241,39 +240,6 @@ class ExperimentSpec:
         return radius * _central_angle(p, q, radius)
 
 
-def parse_config_file(path):
-    """Read a flat ``key = value`` config file.
-
-    Returns {normalized_key: (value_string, line_number)}.  '#' starts a
-    comment; keys may use dashes or underscores.  Raises ConfigError with the
-    line number for malformed lines or duplicate keys.
-    """
-    entries: dict[str, tuple[str, int]] = {}
-    with open(path) as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}: line {line_number}: expected 'key = value', got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if not key or not value:
-                raise ConfigError(
-                    f"{path}: line {line_number}: empty key or value"
-                )
-            if key in entries:
-                raise ConfigError(
-                    f"{path}: line {line_number}: duplicate key {key!r} "
-                    f"(first set on line {entries[key][1]})"
-                )
-            entries[key] = (value, line_number)
-    return entries
-
-
 def _summary_payload(spec, outcome):
     """summary.json of one run: `diverged` is true for any early stop, and a
     non-finite diagnostic (nan J out of its regime or at a singularity, an
@@ -316,7 +282,7 @@ def cmd_run(spec) -> int:
     the last finite state.
     """
     spec.solver.validate_strict()
-    surface, _, _, reference, init = spec.build()
+    surface, reference, init = spec.build()
     _, (outcome,) = run([Problem(spec.solver, init, reference)], surface)
     state, final = outcome.state, outcome.trace.final
 
@@ -383,7 +349,7 @@ def cmd_sweep(spec, parameter: str, values) -> int:
         raise ConfigError("sweep needs at least one value")
     solvers = [dataclasses.replace(spec.solver, **{parameter: value})
                for value in values]
-    surface, _, _, reference, init = spec.build()
+    surface, reference, init = spec.build()
     _, outcomes = run([Problem(solver, init, reference) for solver in solvers], surface)
 
     out = Path(spec.out_dir)
@@ -415,10 +381,7 @@ def sample_endpoint_pairs(surface, n_pairs: int, seed: int, min_angle: float = 0
     rng = np.random.default_rng(seed)
     pairs = []
     while len(pairs) < n_pairs:
-        u = rng.normal(size=3)
-        v = rng.normal(size=3)
-        p = radius * u / np.linalg.norm(u)
-        q = radius * v / np.linalg.norm(v)
+        p, q = surface.surface_point(rng), surface.surface_point(rng)
         if _central_angle(p, q, radius) >= min_angle:
             pairs.append((p, q))
     return pairs
@@ -488,7 +451,7 @@ def cmd_compare_schemes(spec, schemes) -> int:
     scheme_list = [Scheme(s) for s in schemes]
     if not scheme_list:
         raise ConfigError("compare needs at least one scheme")
-    surface, _, _, reference, init = spec.build()
+    surface, reference, init = spec.build()
 
     rows = []
     for scheme in scheme_list:

@@ -93,8 +93,6 @@ class LevelSet:
     rows, and bounding_box; it may override _hessian.
     """
 
-    kind: str = "abstract"
-
     def value(self, x):
         """phi(x); vectorized over a leading point axis."""
         pts, single = _as_points(x)
@@ -168,8 +166,6 @@ class _Sphere(LevelSet):
 class SphereQuadratic(_Sphere):
     """phi(x) = (|x|^2 - R^2)/2; smooth everywhere, grad = x, Hessian = I."""
 
-    kind = "sphere-quadratic"
-
     def _value(self, pts):
         return 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2)
 
@@ -188,8 +184,6 @@ class SphereSDF(_Sphere):
     gradient singularity.  ||D^2 phi(x)|| = 1/|x|.
     """
 
-    kind = "sphere-sdf"
-
     def _value(self, pts):
         return self.radius - _row_norms(pts)
 
@@ -207,8 +201,6 @@ class Torus(LevelSet):
     Negative inside the tube.  Singular on the z-axis (rho = 0) and on the
     core circle (rho = R, z = 0).
     """
-
-    kind = "torus"
 
     def __init__(self, major_radius: float = 2.0, minor_radius: float = 1.0):
         if not 0 < minor_radius < major_radius < np.inf:
@@ -250,8 +242,6 @@ class Torus(LevelSet):
 class Plane(LevelSet):
     """phi(x) = a . x for a fixed normal a; the surface is the plane through the origin."""
 
-    kind = "plane"
-
     def __init__(self, normal=(0.0, 0.0, 1.0)):
         a = np.asarray(normal, dtype=float)
         with np.errstate(over="ignore"):
@@ -290,8 +280,6 @@ class PointCloud(LevelSet):
     value inf; value_and_grad raises SingularityError there, and the hint
     stays as it was.
     """
-
-    kind = "point-cloud"
 
     def __init__(self, points):
         pts = np.array(points, dtype=float)  # the cloud's own copy, frozen below

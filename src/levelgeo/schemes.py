@@ -32,7 +32,7 @@ exists: one field call (value_and_grad) on all the members' interior nodes,
 which feeds both the state's trace rows and the next step.  Only when that
 call raises are the members evaluated one by one.  The operations and their
 order do not depend on B, so every member's numbers are bit for bit those of
-its run alone.  run() is a batch of one and step() one iteration of it.
+its run alone.  run() is a batch of one.
 Every view a step reads is built once, and again only when a member leaves;
 each (n, 1) by (n, 3) row broadcast runs in F order into C-order rows, so
 numpy's loop runs down the rows, with the same bits.
@@ -63,7 +63,6 @@ __all__ = [
     "Problem",
     "Outcome",
     "BatchRun",
-    "step",
     "run_batch",
     "run",
 ]
@@ -355,26 +354,6 @@ def _buffer(pts, lam):
             lam.reshape(-1, 1), lam)
 
 
-def _stop_error(reason, iteration: int, trace, state):
-    """The exception behind a stop: the field's SingularityError as it was
-    raised, or a DivergenceError carrying the trace and the last finite state."""
-    if isinstance(reason, SingularityError):
-        return reason
-    return DivergenceError(iteration, reason, trace, state)
-
-
-def step(state, cfg, surface) -> SolverState:
-    """One iteration of whichever scheme cfg selects, with run()'s divergence check."""
-    work = _Workspace([state], [cfg], surface)
-    iteration = state.iteration + 1
-    with np.errstate(over="ignore", invalid="ignore"):  # as in run_batch
-        stops = work.advance(iteration, work.evaluate())
-    if stops:
-        _, last, reason = stops[0]
-        raise _stop_error(reason, iteration, None, last)
-    return work.state(0, iteration)
-
-
 class Problem(NamedTuple):
     """One member of a batch: its config, its (DiscreteCurve, MultiplierField)
     init, and the true geodesic distance, which enables the trace's error
@@ -474,7 +453,8 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
                 for member, state, reason in stops:
                     out = outcomes[member]
                     out.state, out.seconds = state, time.monotonic() - start
-                    out.error = _stop_error(reason, k, out.trace, state)
+                    out.error = (reason if isinstance(reason, SingularityError)
+                                 else DivergenceError(k, reason, out.trace, state))
                 if not work.members:
                     break
             wanted = k in record_at

@@ -19,11 +19,10 @@ import levelgeo
 from levelgeo import harness
 from levelgeo.cli import build_parser, main, parse_args
 from levelgeo.curve import curve_from_json, init_straight_line
-from levelgeo.diagnostics import read_records, read_trace_csv
+from levelgeo.diagnostics import TraceRow, read_records
 from levelgeo.harness import (
     ConfigError,
     ExperimentSpec,
-    parse_config_file,
     parse_point,
     parse_surface,
     sample_endpoint_pairs,
@@ -156,28 +155,36 @@ def test_parse_config_file(tmp_path):
         "scheme=var1\n"
         "  iters =  12\n"
     )
-    entries = parse_config_file(path)
-    assert entries == {
-        "tau_lambda": ("0.9", 3),
-        "scheme": ("var1", 4),
-        "iters": ("12", 5),
-    }
+    args = parse_args(["run", "--config", str(path)])
+    assert (args.tau_lambda, args.scheme, args.iters) == (0.9, "var1", 12)
 
 
 def test_parse_config_file_errors(tmp_path):
     path = tmp_path / "conf"
     path.write_text("tau-lambda 0.9\n")
     with pytest.raises(ConfigError, match="line 1"):
-        parse_config_file(path)
+        parse_args(["run", "--config", str(path)])
 
     path.write_text("tau-lambda =\n")
     with pytest.raises(ConfigError, match="line 1: empty key or value"):
-        parse_config_file(path)
+        parse_args(["run", "--config", str(path)])
 
     path.write_text("m = 10\ntau-r = 1\nm = 20\n")
     with pytest.raises(ConfigError,
                        match="line 3: duplicate key 'm'.*line 1"):
-        parse_config_file(path)
+        parse_args(["run", "--config", str(path)])
+
+
+def test_a_config_file_reports_its_first_faulty_line(tmp_path):
+    # one pass over the file: an unknown key above a malformed line is the
+    # fault reported, and a malformed line above an unknown key is
+    path = tmp_path / "conf"
+    path.write_text("pairs = 3\ntau-lambda 0.9\n")
+    with pytest.raises(ConfigError, match="line 1: unknown key 'pairs' for command run"):
+        parse_args(["run", "--config", str(path)])
+    path.write_text("tau-lambda 0.9\npairs = 3\n")
+    with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
+        parse_args(["run", "--config", str(path)])
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +194,12 @@ def test_parse_config_file_errors(tmp_path):
 
 def test_spec_build_defaults():
     spec = ExperimentSpec(p="0,0,1", q="antipodal-z", m=16)
-    surface, p, q, reference, (curve, mult) = spec.build()
+    surface, reference, (curve, mult) = spec.build()
     assert isinstance(surface, SphereSDF)
-    assert np.array_equal(q, [0.0, 0.0, -1.0])
+    assert np.array_equal(curve.p, [0.0, 0.0, 1.0])
+    assert np.array_equal(curve.q, [0.0, 0.0, -1.0])
     assert reference is None
     assert curve.m == 16 and mult.m == 16
-    assert np.array_equal(curve.points[0], p)
-    assert np.array_equal(curve.points[-1], q)
     assert np.all(mult.values == 0.0)
 
 
@@ -238,9 +244,9 @@ def test_a_negative_seed_is_rejected_up_front(argv, tmp_path, capsys):
 
 
 def test_spec_default_endpoints_are_antipodal_on_any_sphere():
-    _, p, q, _, _ = ExperimentSpec(surface="sphere-sdf:2").build()
-    assert np.array_equal(p, [0.0, 0.0, 2.0])
-    assert np.array_equal(q, [0.0, 0.0, -2.0])
+    _, _, init = ExperimentSpec(surface="sphere-sdf:2").build()
+    assert np.array_equal(init[0].p, [0.0, 0.0, 2.0])
+    assert np.array_equal(init[0].q, [0.0, 0.0, -2.0])
 
 
 def test_spec_build_rejects_off_surface_endpoint():
@@ -256,17 +262,17 @@ def test_spec_build_point_cloud_skips_endpoint_check(tmp_path):
     write_cloud(path)
     spec = ExperimentSpec(surface="point-cloud", points_path=str(path),
                           p="0,0,2", q="1,0,0", m=8)
-    surface, _, _, _, _ = spec.build()
+    surface, _, _ = spec.build()
     assert isinstance(surface, PointCloud)
 
 
 def test_spec_reference_resolution():
     base = dict(p="0,0,1", q="antipodal-z", m=8)
-    _, _, _, ref, _ = ExperimentSpec(reference="sphere-exact", **base).build()
+    _, ref, _ = ExperimentSpec(reference="sphere-exact", **base).build()
     assert abs(ref - math.pi) < 1e-12
-    _, _, _, ref, _ = ExperimentSpec(reference="3.3", **base).build()
+    _, ref, _ = ExperimentSpec(reference="3.3", **base).build()
     assert ref == 3.3
-    _, _, _, ref, _ = ExperimentSpec(reference="none", **base).build()
+    _, ref, _ = ExperimentSpec(reference="none", **base).build()
     assert ref is None
     with pytest.raises(ConfigError, match="must be positive"):
         ExperimentSpec(reference="-1", **base).build()
@@ -304,8 +310,8 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert summary["config"]["epsilon"] == 0.01
     assert summary["config"]["max_iters"] == 30
 
-    trace = read_trace_csv(out / "trace.csv")
-    assert np.array_equal(trace.column("iteration"), [0, 10, 20, 30])
+    trace = read_records(out / "trace.csv", TraceRow)
+    assert [r.iteration for r in trace] == [0, 10, 20, 30]
 
     final = curve_from_json((out / "curve_final.json").read_text())
     assert np.array_equal(final.points[0], [1.0, 0.0, 0.0])
@@ -348,7 +354,7 @@ def test_summary_json_writes_null_for_an_infinite_number(tmp_path):
                "--iters", "3", "--record-every", "1", "--init", "randomized",
                "--seed", "1", "--out", str(out)])
     assert rc == 0
-    assert math.isinf(read_trace_csv(out / "trace.csv").final.gamma_residual)
+    assert math.isinf(read_records(out / "trace.csv", TraceRow)[-1].gamma_residual)
     summary = json.loads((out / "summary.json").read_text(),
                          parse_constant=_reject_constant)
     assert [summary[k] for k in ("gamma_residual", "lambda_residual", "lyapunov_J")] == \
@@ -367,11 +373,11 @@ def test_run_singularity_exits_3_with_artifacts(tmp_path, capsys):
     assert stdout.startswith("singularity: 0 iterations in ")
     assert ("singularity at iteration 1: gradient of R - |x| undefined at the "
             "origin\n") in stdout
-    trace = read_trace_csv(out / "trace.csv")
-    assert [r.iteration for r in trace] == [0]
-    assert trace.final.length == 2.0
-    assert math.isnan(trace.final.gamma_residual)
-    assert math.isnan(trace.final.lyapunov_J)
+    (row,) = read_records(out / "trace.csv", TraceRow)
+    assert row.iteration == 0
+    assert row.length == 2.0
+    assert math.isnan(row.gamma_residual)
+    assert math.isnan(row.lyapunov_J)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["iterations"] == 0 and summary["diverged"] is True
     assert summary["gamma_residual"] is None and summary["lyapunov_J"] is None
@@ -763,7 +769,7 @@ def test_sweep_records_a_singularity_per_value(tmp_path, capsys):
     for label in ("tau_gamma=1e-05", "tau_gamma=2e-05"):
         assert (f"{label}: error: gradient of R - |x| undefined at the origin"
                 in stdout)
-        assert [r.iteration for r in read_trace_csv(out / label / "trace.csv")] == [0]
+        assert [r.iteration for r in read_records(out / label / "trace.csv", TraceRow)] == [0]
 
 
 def test_sweep_bad_parameter(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Iteration schemes: fixed points, equivalences, bounds, divergence handling."""
 
+import dataclasses
 import math
 import warnings
 
@@ -33,7 +34,6 @@ from levelgeo.schemes import (
     SolverState,
     run,
     run_batch,
-    step,
 )
 
 
@@ -45,6 +45,13 @@ def make_state(p, q, m=40, surface=None, tau_r=0.0, seed=0):
     return SolverState(curve=curve, multiplier=mult)
 
 
+def one_iteration(state, cfg, surface):
+    """The state one iteration after `state`, by a run of one iteration; it
+    starts again at iteration 0, so the result's iteration is 1."""
+    return run(dataclasses.replace(cfg, max_iters=1), surface,
+               (state.curve, state.multiplier))[0]
+
+
 def test_feasible_straight_line_is_a_fixed_point_on_plane():
     # both endpoints in the plane z = 0: straight segment + zero multiplier
     # is the exact saddle, so one step of any scheme changes nothing.
@@ -54,7 +61,7 @@ def test_feasible_straight_line_is_a_fixed_point_on_plane():
     for scheme in Scheme:
         cfg = SolverConfig(scheme=scheme, epsilon=0.01)
         state = make_state(p, q)
-        new = step(state, cfg, surface)
+        new = one_iteration(state, cfg, surface)
         assert np.array_equal(new.curve.points, state.curve.points), scheme
         assert np.array_equal(new.multiplier.values, state.multiplier.values)
         assert new.iteration == 1
@@ -102,7 +109,7 @@ def test_multiplier_stays_inside_regularization_bound():
     state = make_state(p, q, m=50, surface=surface, tau_r=3.0, seed=1)
     phi_running_max = float(np.max(np.abs(surface.value(state.curve.interior))))
     for _ in range(300):
-        state = step(state, cfg, surface)
+        state = one_iteration(state, cfg, surface)
         phi_running_max = max(
             phi_running_max, float(np.max(np.abs(surface.value(state.curve.interior))))
         )
@@ -127,12 +134,12 @@ def test_divergence_raises_with_context():
     assert np.isfinite(err.state.curve.points).all()
     assert len(err.trace) >= 1
 
-    # step() applies the same check: stepping by hand fails at the same iteration
+    # chained one-iteration runs apply the same check and fail at the same iteration
     state = SolverState(curve=init[0], multiplier=init[1])
     with pytest.raises(DivergenceError) as by_step:
-        for _ in range(cfg.max_iters):
-            state = step(state, cfg, surface)
-    assert by_step.value.iteration == err.iteration
+        for k in range(1, cfg.max_iters + 1):
+            state = one_iteration(state, cfg, surface)
+    assert k == err.iteration
     assert np.array_equal(by_step.value.state.curve.points, err.state.curve.points)
 
 
@@ -255,20 +262,23 @@ def test_run_equals_chained_steps(scheme, m, courant, n, record_every, seed,
         by_run, run_error = run(cfg, surface, init)[0], None
     except DivergenceError as exc:
         by_run, run_error = exc.state, exc
-    by_step, step_error = SolverState(curve=init[0], multiplier=init[1]), None
+    # chained one-iteration runs, each from iteration 0: the loop counter k
+    # is the iteration of the chain, and `done` the iterations it completed
+    by_step, step_error, done = SolverState(curve=init[0], multiplier=init[1]), None, 0
     try:
-        for _ in range(cfg.max_iters):
-            by_step = step(by_step, cfg, surface)
+        for k in range(1, cfg.max_iters + 1):
+            by_step = one_iteration(by_step, cfg, surface)
+            done = k
     except DivergenceError as exc:
         by_step, step_error = exc.state, exc
 
     assert (run_error is not None) == diverge
     assert (step_error is not None) == diverge
     if diverge:
-        assert run_error.iteration == step_error.iteration
-        assert str(run_error) == str(step_error)
+        assert run_error.iteration == k
+        assert str(run_error) == str(step_error).replace("iteration 1:", f"iteration {k}:", 1)
         assert by_run.iteration == run_error.iteration - 1
-    assert by_run.iteration == by_step.iteration
+    assert by_run.iteration == done
     assert np.array_equal(by_run.curve.points, by_step.curve.points)
     assert np.array_equal(by_run.multiplier.values, by_step.multiplier.values)
     for state in (by_run, by_step):
@@ -510,7 +520,7 @@ def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, se
         assert cheap
 
 
-def test_a_diverging_run_or_step_raises_without_numpy_warnings():
+def test_a_diverging_run_raises_without_numpy_warnings():
     # the member of test_batch_names_each_members_divergence that overflows,
     # alone; the suite turns a RuntimeWarning into an error, so record them
     surface = SphereQuadratic()
@@ -521,8 +531,6 @@ def test_a_diverging_run_or_step_raises_without_numpy_warnings():
         warnings.simplefilter("always")
         with pytest.raises(DivergenceError, match="iteration 1: non-finite value"):
             run(cfg, surface, init)
-        with pytest.raises(DivergenceError, match="iteration 1: non-finite value"):
-            step(SolverState(*init), cfg, surface)
     assert [str(w.message) for w in caught] == []
 
 
@@ -779,29 +787,29 @@ def test_batch_stops_a_member_that_turns_singular_at_a_record_point():
     pole = np.array([0.0, 0.0, 1.0])
     inits = [init_straight_line(pole, np.array([1.0, 0.0, 0.0]), m),
              init_straight_line(pole, np.array([0.0, 1.0, 0.0]), m)]
-    state, crossing = SolverState(*inits[0]), None
+    state, crossing, k = SolverState(*inits[0]), None, 0
     while crossing is None:
-        state = step(state, cfg, SphereQuadratic())
+        state, k = one_iteration(state, cfg, SphereQuadratic()), k + 1
         if np.any(state.curve.interior[:, 0] + state.curve.interior[:, 2] > 1.05):
             crossing = state
-    assert 0 < crossing.iteration < cfg.max_iters
+    assert 0 < k < cfg.max_iters
 
     batch, outcomes = run_batch([Problem(cfg, init) for init in inits], surface)
 
     singular = outcomes[0]
     assert singular.stop == "singularity"
     assert str(singular.error) == "past the plane"
-    assert singular.state.iteration == crossing.iteration
+    assert singular.state.iteration == k
     assert np.array_equal(singular.state.curve.points, crossing.curve.points)
-    assert [row.iteration for row in singular.trace] == list(range(crossing.iteration + 1))
+    assert [row.iteration for row in singular.trace] == list(range(k + 1))
     assert math.isnan(singular.trace.final.gamma_residual)
-    assert not np.isnan(singular.trace.column("gamma_residual")[:-1]).any()
+    assert not any(math.isnan(row.gamma_residual) for row in singular.trace.rows[:-1])
     state, trace = run(cfg, surface, inits[1])
     assert outcomes[1].stop == "budget"
     assert np.array_equal(outcomes[1].state.curve.points, state.curve.points)
     assert np.array_equal(outcomes[1].state.multiplier.values, state.multiplier.values)
     assert _rows(outcomes[1].trace) == _rows(trace)
-    assert batch.iteration == crossing.iteration + cfg.max_iters
+    assert batch.iteration == k + cfg.max_iters
 
 
 def test_batch_members_must_share_scheme_and_schedule():
