@@ -117,23 +117,20 @@ def _velocity(curve: DiscreteCurve) -> np.ndarray:
     return (curve.points[2:] - curve.points[:-2]) * (curve.m / 2.0)
 
 
-def geodesic_defect(curve: DiscreteCurve, normalized: bool = True) -> float:
-    """max_i |gamma''_i . gamma'_i|, over interior nodes.
+def geodesic_defect(curve: DiscreteCurve) -> float:
+    """max_i |gamma''_i . gamma'_i| / (1 + |gamma'_i|^2), over interior nodes.
 
     Geodesics run at constant speed, so this inner product vanishes along
-    them.  The normalized form divides by (1 + |gamma'_i|^2) to stay finite
-    on degenerate curves.
+    them; the divisor keeps it finite on degenerate curves.
     """
-    return _geodesic_defect(curve, second_difference(curve), normalized)
+    return _geodesic_defect(curve, second_difference(curve))
 
 
-def _geodesic_defect(curve, sd, normalized=True):
-    """geodesic_defect(curve, normalized) from sd = second_difference(curve)."""
+def _geodesic_defect(curve, sd):
+    """geodesic_defect(curve) from sd = second_difference(curve)."""
     vel = _velocity(curve)
     dots = np.abs(np.einsum("ij,ij->i", sd, vel))
-    if normalized:
-        dots = dots / (1.0 + np.einsum("ij,ij->i", vel, vel))
-    return float(dots.max())
+    return float((dots / (1.0 + np.einsum("ij,ij->i", vel, vel))).max())
 
 
 def tangency_defect(state, surface) -> float:

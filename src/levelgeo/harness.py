@@ -65,6 +65,8 @@ __all__ = [
 
 #: endpoints further off an analytic surface than this are a hard error
 ENDPOINT_SPEC_TOL = 1e-3
+#: the least central angle, in radians, between a sampled pair's endpoints
+_MIN_PAIR_ANGLE = 0.1
 
 SWEEP_CSV_HEADER = (
     "value,final_absolute_error,final_relative_error,final_surface_error,"
@@ -373,8 +375,8 @@ def cmd_sweep(spec, parameter: str, values) -> int:
     return 0
 
 
-def sample_endpoint_pairs(surface, n_pairs: int, seed: int, min_angle: float = 0.1):
-    """Seeded endpoint pairs on a sphere, rejecting angular separation < min_angle."""
+def sample_endpoint_pairs(surface, n_pairs: int, seed: int):
+    """Seeded endpoint pairs on a sphere, rejecting angular separation < _MIN_PAIR_ANGLE."""
     radius = getattr(surface, "radius", None)
     if radius is None:
         raise ConfigError("endpoint sampling requires a sphere surface")
@@ -382,7 +384,7 @@ def sample_endpoint_pairs(surface, n_pairs: int, seed: int, min_angle: float = 0
     pairs = []
     while len(pairs) < n_pairs:
         p, q = surface.surface_point(rng), surface.surface_point(rng)
-        if _central_angle(p, q, radius) >= min_angle:
+        if _central_angle(p, q, radius) >= _MIN_PAIR_ANGLE:
             pairs.append((p, q))
     return pairs
 

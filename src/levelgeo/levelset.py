@@ -75,13 +75,14 @@ class PointCloudFormatError(ValueError):
 
 
 def _as_points(x):
-    """Coerce to an (n, 3) float array; report whether the input was a single point."""
-    arr = np.asarray(x, dtype=float)
+    """Coerce to C-ordered (n, 3) float rows, whatever the input's layout;
+    report whether the input was a single point."""
+    arr = np.ascontiguousarray(x, dtype=float)
     if arr.shape == (3,):
         return arr[None, :], True
     if arr.ndim == 2 and arr.shape[1] == 3:
         return arr, False
-    raise ValueError(f"expected shape (3,) or (n, 3), got {arr.shape}")
+    raise ValueError(f"expected shape (3,) or (n, 3), got {np.shape(x)}")
 
 
 class LevelSet:

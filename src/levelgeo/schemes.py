@@ -33,12 +33,13 @@ which feeds both the state's trace rows and the next step.  Only when that
 call raises are the members evaluated one by one.  The operations and their
 order do not depend on B, so every member's numbers are bit for bit those of
 its run alone.  run() is a batch of one.
-Every view a step reads is built once, and again only when a member leaves;
-each (n, 1) by (n, 3) row broadcast runs in F order into C-order rows, so
-numpy's loop runs down the rows, with the same bits.
+A stack keeps its rows for its whole life and every view a step reads is
+built once, with it; each (n, 1) by (n, 3) row broadcast runs in F order
+into C-order rows, so numpy's loop runs down the rows, with the same bits.
 States are copied out only at record points.  A member stops at its
 iteration budget, on divergence (reported by the stop alone: numpy's overflow
-warnings are off), or at a field singularity; the others go on.
+warnings are off), or at a field singularity, both decided in the step's
+divergence check; the others go on, in a stack of their own.
 """
 
 from __future__ import annotations
@@ -173,21 +174,17 @@ class _Workspace:
     endpoints stay pinned.  Each step size holds every member's own value at
     each of its nodes, a (B, 1) column spread to the shape it multiplies:
     numpy's loop over two contiguous operands of one shape is faster than a
-    broadcast, at B = 1 too, and the products are the same.  `members` maps
-    each row to its member.  A member that stops leaves the stack: every
-    stacked array and view drops its row.  Each state is evaluated once, by
-    one stacked call or, only if that raises, one call per member (evaluate()).
+    broadcast, at B = 1 too, and the products are the same.  Its rows are
+    fixed for its life: advance() steps them all and reports those that stop.
+    Each state is evaluated once, by one stacked call or, only if that
+    raises, one call per member (evaluate()).
     """
-
-    _STACKED = ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma",
-                "length_cap", "chord_bound", "sd", "force", "tilde", "tmp", "chords")
 
     def __init__(self, states, cfgs, surface):
         self.scheme, self.surface, self.m = cfgs[0].scheme, surface, states[0].multiplier.m
         pts = np.stack([s.curve.points for s in states])
         lam = np.stack([s.multiplier.values for s in states])
         self.buffers = [_buffer(pts, lam), _buffer(pts.copy(), np.empty_like(lam))]
-        self.members = list(range(len(states)))
 
         def per_node(values, shape=lam.shape):
             column = np.array(values, dtype=float).reshape(-1, *[1] * (len(shape) - 1))
@@ -208,10 +205,7 @@ class _Workspace:
         self.chords = np.empty((len(states), 3 * self.m))  # flat, a row per member
         self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
         self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
-        self._bind()
-
-    def _bind(self):
-        """lam~ as a (B(m-1), 1) column and the force as (B(m-1), 3) rows."""
+        # lam~ as a (B(m-1), 1) column and the force as (B(m-1), 3) rows
         self.tilde_col, self.force_rows = self.tilde.reshape(-1, 1), self.force.reshape(-1, 3)
 
     def evaluate(self):
@@ -236,35 +230,17 @@ class _Workspace:
         return SolverState(DiscreteCurve(pts[row].copy()),
                            MultiplierField(lam[row].copy(), self.m), iteration)
 
-    def _leave(self, rows, iteration: int, reasons, stops):
-        """Rows stop at `iteration` (their state is the one before it) and
-        leave the stack; appends (member, state, reason) to stops."""
-        stops.extend((self.members[row], self.state(row, iteration - 1), reason)
-                     for row, reason in zip(rows, reasons))
-        kept = np.ones(len(self.members), dtype=bool)
-        kept[rows] = False
-        self.members = [member for member, k in zip(self.members, kept) if k]
-        self.buffers = [_buffer(buf[0][kept], buf[-1][kept]) for buf in self.buffers]
-        for name in self._STACKED:
-            setattr(self, name, getattr(self, name)[kept])
-        self._bind()
-
     def advance(self, iteration: int, field):
-        """Step every member to `iteration` from `field`, the current state's evaluate().
+        """Step every row to `iteration` from `field`, the current state's evaluate().
 
-        Returns the members that stopped, as (member, state at iteration - 1,
-        reason); they have left the stack.  The reason is the field's
-        SingularityError or the message of a divergence: a non-finite update
-        or a curve longer than its length cap.
+        Returns the rows that stopped, as (row, state at iteration - 1,
+        reason).  The reason is the row's SingularityError, or the message of
+        a divergence: a non-finite update or a curve longer than its length
+        cap.  A stopped row is stepped like the others; the caller drops it.
         """
-        stops = []
         phi, grad, singular = field
-        if singular:  # the singular rows stop; the others' own results are stacked
-            self._leave(list(singular), iteration, singular.values(), stops)
-            if not self.members:
-                return stops
-            phi, grad = (np.stack([v for row, v in enumerate(a) if row not in singular])
-                         for a in (phi, grad))
+        if singular:  # each member's own results, stacked; nan gradient where singular
+            phi, grad = np.stack(phi), np.stack(grad)
         sd, force, force_rows, tmp = self.sd, self.force, self.force_rows, self.tmp
         (_, interior, ahead, behind, _, _, _, lam), new = self.buffers
         new_pts, new_interior, _, _, new_after, new_before, new_col, new_lam = new
@@ -300,20 +276,21 @@ class _Workspace:
         np.multiply(force, self.tau_gamma, force)
         np.subtract(interior, force, new_interior)
 
-        # two tiers: a cheap test that can only pass the whole stack, and only
-        # when it fails the exact test of the whole stack, with the failing
-        # members located only when that fails too: a length within its cap
-        # (nan is not) implies finite points
-        if not self._within_caps(new_after, new_before, new_lam):
+        # two tiers: a cheap test that can only pass the whole stack, and, when
+        # it fails or a row is singular (its nan gradient makes its update nan),
+        # the exact test, locating the stopped rows only when that fails too: a
+        # length within its cap (nan is not) implies finite points
+        stops = []
+        if singular or not self._within_caps(new_after, new_before, new_lam):
             lengths = curve_length(new_pts)
             if (np.count_nonzero(lengths <= self.length_cap) + np.count_nonzero(
                     np.isfinite(new_lam)) != len(lengths) + new_lam.size):
                 finite = (np.isfinite(new_interior).all(axis=(1, 2))
                           & np.isfinite(new_lam).all(axis=1))
-                stopped = np.flatnonzero(~finite | (lengths > self.length_cap))
-                self._leave(stopped, iteration, [
+                stops = [(row, self.state(row, iteration - 1), singular.get(row) or (
                     f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
-                    else "non-finite value in update" for row in stopped], stops)
+                    else "non-finite value in update"))
+                    for row in np.flatnonzero(~finite | (lengths > self.length_cap))]
         self.buffers.reverse()
         return stops
 
@@ -431,11 +408,12 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     for problem in problems:  # a loop, not a comprehension: its frame would count
         states.append(_initial_state(problem, surface, _stacklevel))
     outcomes = [Outcome(state, diagnostics.IterationTrace()) for state in states]
+    members = list(range(len(problems)))  # the problem of each row of work
     work = _Workspace(states, [p.cfg for p in problems], surface)
 
     def record(k, field):
         phi, grad, _ = field
-        for row, member in enumerate(work.members):
+        for row, member in enumerate(members):
             out, problem = outcomes[member], problems[member]
             if k:
                 out.state = work.state(row, k)
@@ -450,13 +428,17 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
         for k in range(1, cfg.max_iters + 1):
             stops = work.advance(k, field)
             if stops:
-                for member, state, reason in stops:
-                    out = outcomes[member]
+                for row, state, reason in stops:
+                    out = outcomes[members[row]]
                     out.state, out.seconds = state, time.monotonic() - start
                     out.error = (reason if isinstance(reason, SingularityError)
                                  else DivergenceError(k, reason, out.trace, state))
-                if not work.members:
+                going = sorted(set(range(len(members))) - {row for row, _, _ in stops})
+                members = [members[row] for row in going]
+                if not members:
                     break
+                work = _Workspace([work.state(row, k) for row in going],
+                                  [problems[member].cfg for member in members], surface)
             wanted = k in record_at
             if wanted:
                 seconds[k] = time.monotonic() - start
@@ -465,7 +447,7 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
                 record(k, field)
 
     elapsed = time.monotonic() - start
-    for member in work.members:
+    for member in members:
         outcomes[member].seconds = elapsed
     # a diverged member executed the iteration it diverged at; a singular one did not
     executed = sum(out.state.iteration + (out.stop == "diverged") for out in outcomes)

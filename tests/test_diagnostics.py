@@ -131,22 +131,19 @@ def test_lyapunov_outside_regime_raises():
 def test_geodesic_defect_zero_on_affine_curves():
     curve, _ = init_straight_line(np.zeros(3), np.array([1.0, 2.0, 3.0]), 30)
     assert geodesic_defect(curve) < 1e-10
-    assert geodesic_defect(curve, normalized=False) < 1e-10
 
 
 def test_geodesic_defect_on_quadratic_curve():
     # gamma(t) = (t^2, 0, 0): gamma'' = 2, gamma' = 2t; the stencil and the
-    # central difference are exact, so the raw defect is max 4t over the
-    # interior nodes.
+    # central difference are exact, so the defect is max 4t / (1 + 4t^2)
+    # over the interior nodes.
     m = 10
     t = np.arange(m + 1) / m
     pts = np.zeros((m + 1, 3))
     pts[:, 0] = t**2
     curve = DiscreteCurve(pts)
     t_int = t[1:-1]
-    raw_expected = np.max(2.0 * 2.0 * t_int)
     norm_expected = np.max(4.0 * t_int / (1.0 + 4.0 * t_int**2))
-    assert geodesic_defect(curve, normalized=False) == pytest.approx(raw_expected, rel=1e-12)
     assert geodesic_defect(curve) == pytest.approx(norm_expected, rel=1e-12)
 
 
@@ -157,9 +154,6 @@ def test_geodesic_defect_rotation_invariant():
     rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rotated = DiscreteCurve(pts @ rot.T)
     assert geodesic_defect(rotated) == pytest.approx(geodesic_defect(base), rel=1e-9)
-    assert geodesic_defect(rotated, normalized=False) == pytest.approx(
-        geodesic_defect(base, normalized=False), rel=1e-9
-    )
 
 
 def test_tangency_defect_zero_for_tangent_motion():

@@ -702,12 +702,16 @@ def test_value_and_grad_equals_value_and_grad_calls(field, pts, single):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: KIND[type(f)])
 def test_value_and_grad_on_rows_returns_a_c_contiguous_gradient(field):
     # the step reshapes the gradient into its force rows, a view only of C
-    # order; an F-ordered or strided input gives the gradient of a C copy
+    # order; an F-ordered or strided input gives the value and gradient of a
+    # C copy
     rows = np.random.default_rng(8).uniform(0.5, 1.5, size=(40, 3))
     for x in (rows, np.asfortranarray(rows), rows[::2]):
-        grad = field.value_and_grad(x)[1]
+        phi, grad = field.value_and_grad(x)
         assert grad.flags.c_contiguous
-        assert same_bits(grad, field.value_and_grad(np.ascontiguousarray(x))[1])
+        c_phi, c_grad = field.value_and_grad(np.ascontiguousarray(x))
+        assert same_bits(phi, c_phi)
+        assert same_bits(field.value(x), c_phi)
+        assert same_bits(grad, c_grad)
 
 
 @pytest.mark.parametrize("field, x", [

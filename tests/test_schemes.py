@@ -603,6 +603,30 @@ def test_a_singular_state_costs_one_stacked_call_and_one_per_member():
     assert calls == [3 * (m - 1)] + [m - 1] * 3 + [2 * (m - 1)] * 30
 
 
+def test_a_singular_and_a_diverging_member_stop_at_the_same_iteration():
+    # test_batch_stops_only_a_singular_member's first two chords and a third
+    # whose curve step outgrows its length cap at once: both stop at
+    # iteration 1, each with its own reason, and the first goes on alone
+    surface, m = SphereSDF(), 16
+    pole, equator = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    cfg = SolverConfig(max_iters=30, record_every=10)
+    problems = [Problem(cfg, init_straight_line(pole, equator, m)),
+                Problem(cfg, init_straight_line(pole, -pole, m)),
+                Problem(SolverConfig(tau_gamma=1e300, max_iters=30, record_every=10),
+                        init_straight_line(pole, equator, m))]
+    batch, outcomes = run_batch(problems, surface)
+
+    assert [outcome.stop for outcome in outcomes] == ["budget", "singularity", "diverged"]
+    assert [outcome.state.iteration for outcome in outcomes] == [30, 0, 0]
+    assert str(outcomes[1].error) == "gradient of R - |x| undefined at the origin"
+    assert str(outcomes[2].error) == "divergence at iteration 1: curve length exceeded 1.41e+03"
+    assert batch.iteration == 31
+    state, trace = run(cfg, surface, problems[0].init)
+    assert outcomes[0].state.curve.points.tobytes() == state.curve.points.tobytes()
+    assert outcomes[0].state.multiplier.values.tobytes() == state.multiplier.values.tobytes()
+    assert _rows(outcomes[0].trace) == _rows(trace)
+
+
 def test_cloud_batch_stops_only_the_member_on_a_sample(tmp_path):
     # the middle member's chord has node 25 exactly on a sample; the others
     # start with nonzero multipliers, so the surface error of the rows at the
