@@ -65,23 +65,24 @@ class DiscreteCurve:
 class MultiplierField:
     """Scalar multiplier values at the m-1 interior grid nodes."""
 
-    __slots__ = ("values", "m")
+    __slots__ = ("values",)
 
-    def __init__(self, values, m: int | None = None):
+    def __init__(self, values):
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1:
             raise ValueError("multiplier values must be a 1-d array")
         self.values = vals
-        self.m = len(vals) + 1 if m is None else int(m)
-        if self.m - 1 != len(vals):
-            raise ValueError(f"multiplier length {len(vals)} does not match m={self.m}")
+
+    @property
+    def m(self) -> int:
+        return len(self.values) + 1
 
     @classmethod
     def zeros(cls, m: int) -> "MultiplierField":
-        return cls(np.zeros(m - 1), m)
+        return cls(np.zeros(m - 1))
 
     def copy(self) -> "MultiplierField":
-        return MultiplierField(self.values.copy(), self.m)
+        return MultiplierField(self.values.copy())
 
 
 def _row_norms(x):

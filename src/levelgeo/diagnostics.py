@@ -15,10 +15,11 @@ primal-dual flow:
     R_gamma(t_i)  = gamma''_i - ((1 - alpha*eps) * lambda_i
                                  + alpha * phi(gamma_i)) * grad phi(gamma_i)
 
-with alpha reconstructed from the config as SolverConfig.effective_alpha:
-cfg.alpha for Var2, and (1 + omega) * tau_gamma otherwise, omega being 0 for
-GDA and Regularized (tau_gamma stands in for tau_lambda / (1 + eps*tau_lambda),
-whether or not the two agree).
+with eps the scheme's SolverConfig.effective_epsilon (0 for GDA, which is
+Regularized at eps = 0) and alpha reconstructed from the config as
+SolverConfig.effective_alpha: cfg.alpha for Var2, and (1 + omega) * tau_gamma
+otherwise, omega being 0 for GDA and Regularized (tau_gamma stands in for
+tau_lambda / (1 + eps*tau_lambda), whether or not the two agree).
 
 The Lyapunov functional of the convergence theory is
 
@@ -72,10 +73,8 @@ class TraceRow:
 class IterationTrace:
     """Diagnostics rows ordered by strictly increasing iteration."""
 
-    def __init__(self, rows=None):
+    def __init__(self):
         self.rows: list[TraceRow] = []
-        for row in rows or []:
-            self.append(row)
 
     def append(self, row: TraceRow):
         if self.rows and row.iteration <= self.rows[-1].iteration:
@@ -101,7 +100,7 @@ def _residual_terms(state, cfg, phi, grad, sd):
     sd = second_difference(state.curve); J is nan outside the regime alpha*eps < 1."""
     lam = state.multiplier.values
     alpha = cfg.effective_alpha
-    eps = cfg.epsilon
+    eps = cfg.effective_epsilon
     r_lambda = -eps * lam + phi
     coeff = (1.0 - alpha * eps) * lam + alpha * phi
     r_gamma = sd - coeff[:, None] * grad

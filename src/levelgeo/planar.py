@@ -306,7 +306,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
                 avg_pts = pts.copy()
                 avg_pts[1:-1] = gamma_sum / k
                 avg_curve = DiscreteCurve(avg_pts)
-                avg_mult = MultiplierField(lam_sum / k, problem.m)
+                avg_mult = MultiplierField(lam_sum / k)
                 gap = lagrangian_eps(
                     avg_curve, ref_mult, field, problem.epsilon
                 ) - lagrangian_eps(ref_curve, avg_mult, field, problem.epsilon)
@@ -314,10 +314,5 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
                 while next_record <= k:
                     next_record *= 2
 
-    final = SolverState(
-        curve=DiscreteCurve(pts),
-        multiplier=MultiplierField(lam, problem.m),
-        iteration=max_iters,
-    )
-    return final, records
+    return SolverState(DiscreteCurve(pts), MultiplierField(lam), max_iters), records
 

@@ -8,8 +8,8 @@ update for the saddle problem
 
 discretized on the uniform grid of `curve`.  Per interior node i:
 
-GDA            lam <- lam + tau_l * phi(g_i)
 Regularized    lam <- (lam + tau_l * phi(g_i)) / (1 + eps * tau_l)
+GDA            Regularized at eps = 0: lam <- lam + tau_l * phi(g_i)
 BasePDHG       lam+ as Regularized; lam~ = lam+ + omega (lam+ - lam);
                gamma step uses lam~; commit lam+
 Var1           lam+, lam~ as BasePDHG; lam_bar = (lam~ + tau_l phi(g_i)) / (1+eps tau_l);
@@ -22,8 +22,9 @@ and every gamma step is
     g_i <- g_i - tau_g * ( -(g_{i+1} - 2 g_i + g_{i-1}) / dt^2 + lam~ grad phi(g_i) )
 
 with all stencils read from the OLD curve (Jacobi sweep, not Gauss-Seidel)
-and the endpoints never touched.  Regularized is exactly BasePDHG with
-omega = 0 and shares its code path.
+and the endpoints never touched.  GDA and Regularized are exactly
+BasePDHG with omega = 0, GDA also at eps = 0, and share its code path:
+SolverConfig alone says each scheme's omega and eps.
 
 One kernel serves every path: run_batch() stacks B >= 1 problems that
 share scheme and m and updates preallocated buffers in place, each member
@@ -88,8 +89,8 @@ class SolverConfig:
 
     epsilon >= 0 is accepted here so sweeps can probe the unregularized
     regime; validate_strict() additionally demands epsilon > 0 for every
-    scheme except GDA (which ignores it), and is what the single-run CLI
-    applies.
+    scheme except GDA (which runs at effective_epsilon = 0), and is what the
+    single-run CLI applies.
     """
 
     scheme: Scheme = Scheme.BASE_PDHG
@@ -122,6 +123,11 @@ class SolverConfig:
     def effective_omega(self) -> float:
         """The extrapolation weight the scheme applies: 0 for GDA and Regularized."""
         return 0.0 if self.scheme in (Scheme.GDA, Scheme.REGULARIZED) else self.omega
+
+    @property
+    def effective_epsilon(self) -> float:
+        """The regularization weight the scheme applies: 0 for GDA."""
+        return 0.0 if self.scheme is Scheme.GDA else self.epsilon
 
     @property
     def effective_alpha(self) -> float:
@@ -157,10 +163,8 @@ class SolverState:
 class DivergenceError(RuntimeError):
     """The iteration produced non-finite values or a runaway curve."""
 
-    def __init__(self, iteration: int, message: str = "", trace=None, state=None):
-        super().__init__(
-            f"divergence at iteration {iteration}" + (f": {message}" if message else "")
-        )
+    def __init__(self, iteration: int, message: str, trace=None, state=None):
+        super().__init__(f"divergence at iteration {iteration}: {message}")
         self.iteration = iteration
         self.trace = trace
         self.state = state
@@ -174,10 +178,11 @@ class _Workspace:
     endpoints stay pinned.  Each step size holds every member's own value at
     each of its nodes, a (B, 1) column spread to the shape it multiplies:
     numpy's loop over two contiguous operands of one shape is faster than a
-    broadcast, at B = 1 too, and the products are the same.  Its rows are
-    fixed for its life: advance() steps them all and reports those that stop.
-    Each state is evaluated once, by one stacked call or, only if that
-    raises, one call per member (evaluate()).
+    broadcast, at B = 1 too, and the products are the same.  lam~ has one
+    buffer of its own, for every scheme.  Its rows are fixed for its life:
+    advance() steps them all and reports those that stop.  Each state is
+    evaluated once, by one stacked call or, only if that raises, one call per
+    member (evaluate()).
     """
 
     def __init__(self, states, cfgs, surface):
@@ -191,9 +196,11 @@ class _Workspace:
             return np.broadcast_to(column, shape).copy()
 
         self.tau_lambda = per_node([c.tau_lambda for c in cfgs])
-        self.shrink = per_node([1.0 / (1.0 + c.epsilon * c.tau_lambda) for c in cfgs])
+        self.shrink = per_node([1.0 / (1.0 + c.effective_epsilon * c.tau_lambda)
+                                for c in cfgs])
         self.omega = per_node([c.effective_omega for c in cfgs])
-        self.keep = per_node([1.0 - c.alpha * c.epsilon for c in cfgs])  # var2's weight of lam+
+        # var2's weight of lam+
+        self.keep = per_node([1.0 - c.alpha * c.effective_epsilon for c in cfgs])
         self.alpha = per_node([c.alpha for c in cfgs])
         self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
         self.length_cap = np.array([_length_cap(s.curve.p, s.curve.q) for s in states])
@@ -227,8 +234,8 @@ class _Workspace:
 
     def state(self, row: int, iteration: int) -> SolverState:
         pts, lam = self.buffers[0][0], self.buffers[0][-1]
-        return SolverState(DiscreteCurve(pts[row].copy()),
-                           MultiplierField(lam[row].copy(), self.m), iteration)
+        return SolverState(DiscreteCurve(pts[row].copy()), MultiplierField(lam[row].copy()),
+                           iteration)
 
     def advance(self, iteration: int, field):
         """Step every row to `iteration` from `field`, the current state's evaluate().
@@ -241,37 +248,34 @@ class _Workspace:
         phi, grad, singular = field
         if singular:  # each member's own results, stacked; nan gradient where singular
             phi, grad = np.stack(phi), np.stack(grad)
-        sd, force, force_rows, tmp = self.sd, self.force, self.force_rows, self.tmp
-        (_, interior, ahead, behind, _, _, _, lam), new = self.buffers
-        new_pts, new_interior, _, _, new_after, new_before, new_col, new_lam = new
+        sd, force, force_rows, tilde, tmp = (self.sd, self.force, self.force_rows,
+                                             self.tilde, self.tmp)
+        (_, interior, ahead, behind, _, _, lam), new = self.buffers
+        new_pts, new_interior, _, _, new_after, new_before, new_lam = new
 
         # in place: one ufunc per operation, in the order of (lam + tau_l phi) * shrink
         np.multiply(phi, self.tau_lambda, new_lam)
         np.add(lam, new_lam, new_lam)
-        if self.scheme is Scheme.GDA:
-            tilde_col = new_col
+        np.multiply(new_lam, self.shrink, new_lam)  # lam+
+        if self.scheme is Scheme.VAR2:
+            np.multiply(new_lam, self.keep, tilde)
+            np.multiply(phi, self.alpha, tmp)
+            np.add(tilde, tmp, tilde)
         else:
-            tilde, tilde_col = self.tilde, self.tilde_col
-            np.multiply(new_lam, self.shrink, new_lam)  # lam+
-            if self.scheme is Scheme.VAR2:
-                np.multiply(new_lam, self.keep, tilde)
-                np.multiply(phi, self.alpha, tmp)
-                np.add(tilde, tmp, tilde)
-            else:
-                np.subtract(new_lam, lam, tilde)
-                np.multiply(tilde, self.omega, tilde)
-                np.add(new_lam, tilde, tilde)
-                if self.scheme is Scheme.VAR1:  # commit lam_bar
-                    np.multiply(phi, self.tau_lambda, new_lam)
-                    np.add(tilde, new_lam, new_lam)
-                    np.multiply(new_lam, self.shrink, new_lam)
+            np.subtract(new_lam, lam, tilde)
+            np.multiply(tilde, self.omega, tilde)
+            np.add(new_lam, tilde, tilde)
+            if self.scheme is Scheme.VAR1:  # commit lam_bar
+                np.multiply(phi, self.tau_lambda, new_lam)
+                np.add(tilde, new_lam, new_lam)
+                np.multiply(new_lam, self.shrink, new_lam)
 
         np.multiply(interior, 2.0, sd)  # second difference
         np.subtract(ahead, sd, sd)
         np.add(sd, behind, sd)
         np.multiply(sd, self.m**2, sd)
         # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
-        np.multiply(tilde_col, grad.reshape(force_rows.shape), force_rows, order="F")
+        np.multiply(self.tilde_col, grad.reshape(force_rows.shape), force_rows, order="F")
         np.subtract(force, sd, force)
         np.multiply(force, self.tau_gamma, force)
         np.subtract(interior, force, new_interior)
@@ -324,11 +328,10 @@ def _length_cap(p, q) -> float:
 
 def _buffer(pts, lam):
     """One buffer: (B, m+1, 3) points, their interior, each interior node's next
-    and previous neighbours, the chords' heads and tails as (B, 3m) rows, the
-    (B(m-1), 1) multiplier column and the (B, m-1) multipliers."""
+    and previous neighbours, the chords' heads and tails as (B, 3m) rows and
+    the (B, m-1) multipliers."""
     flat = pts.reshape(len(pts), 3 * pts.shape[1])
-    return (pts, pts[:, 1:-1], pts[:, 2:], pts[:, :-2], flat[:, 3:], flat[:, :-3],
-            lam.reshape(-1, 1), lam)
+    return pts, pts[:, 1:-1], pts[:, 2:], pts[:, :-2], flat[:, 3:], flat[:, :-3], lam
 
 
 class Problem(NamedTuple):

@@ -47,6 +47,22 @@ def test_the_modules_import_one_another_without_a_cycle():
     list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
 
 
+def test_only_solver_config_names_gda_and_regularized():
+    # SolverConfig alone says what omega and eps each scheme applies; the
+    # kernel and the diagnostics read them through its effective_* properties
+    found = []
+    for path in sorted(Path(levelgeo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        config = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "SolverConfig"
+                  for node in ast.walk(cls)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("GDA", "REGULARIZED")
+                  and isinstance(node.value, ast.Name) and node.value.id == "Scheme"
+                  and id(node) not in config]
+    assert found == []
+
+
 def test_readme_library_examples_run(capsys):
     section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)

@@ -128,7 +128,7 @@ def test_multiplier_field_validation():
     field = MultiplierField(np.ones(9))
     assert field.m == 10
     with pytest.raises(ValueError):
-        MultiplierField(np.ones(9), m=20)
+        MultiplierField(np.ones((3, 3)))
     assert MultiplierField.zeros(10).values.shape == (9,)
 
 

@@ -36,7 +36,7 @@ def _plane_state(phi, lam):
     pts = np.zeros((m + 1, 3))
     pts[:, 0] = np.arange(m + 1) / m
     pts[1:-1, 2] = phi
-    return SolverState(DiscreteCurve(pts), MultiplierField(np.asarray(lam, dtype=float), m))
+    return SolverState(DiscreteCurve(pts), MultiplierField(np.asarray(lam, dtype=float)))
 
 
 def test_surface_error_is_signed_sum_not_sum_of_magnitudes():
@@ -256,7 +256,7 @@ def test_trace_row_from_a_given_field_is_bit_identical(surface, scheme, m, stack
     # on a stack of curves, at the last row, so at an offset of the stack
     rng = np.random.default_rng(seed)
     curves = [DiscreteCurve(rng.normal(size=(m + 1, 3))) for _ in range(stacked)]
-    state = SolverState(curves[-1], MultiplierField(rng.normal(size=m - 1), m),
+    state = SolverState(curves[-1], MultiplierField(rng.normal(size=m - 1)),
                         int(rng.integers(0, 1000)))
     cfg = SolverConfig(scheme=scheme, tau_gamma=float(rng.uniform(1e-4, 1.0)),
                        epsilon=float(rng.uniform(0.0, 0.1)), alpha=float(rng.uniform(0, 50)))
@@ -280,7 +280,7 @@ def test_trace_row_keeps_its_defect_and_gamma_residual(surface, scheme, m, seed,
     # geodesic defect; each must equal its own recomputation bit for bit
     rng = np.random.default_rng(seed)
     state = SolverState(DiscreteCurve(rng.normal(size=(m + 1, 3)) * scale),
-                        MultiplierField(rng.normal(size=m - 1), m))
+                        MultiplierField(rng.normal(size=m - 1)))
     cfg = SolverConfig(scheme=scheme, tau_gamma=float(rng.uniform(1e-4, 1.0)),
                        epsilon=float(rng.uniform(0.0, 0.1)), alpha=float(rng.uniform(0, 50)))
     phi, grad = surface.value_and_grad(state.curve.interior)
@@ -292,7 +292,7 @@ def test_trace_row_keeps_its_defect_and_gamma_residual(surface, scheme, m, seed,
     assert repr(row.geodesic_defect) == repr(geodesic_defect(state.curve))
     assert repr(row.geodesic_defect) == repr(float(dots.max()))
     alpha, lam = cfg.effective_alpha, state.multiplier.values
-    coeff = (1.0 - alpha * cfg.epsilon) * lam + alpha * phi
+    coeff = (1.0 - alpha * cfg.effective_epsilon) * lam + alpha * phi
     r_gamma = sd - coeff[:, None] * grad
     expected = math.sqrt(state.curve.dt * float(np.einsum("ij,ij->", r_gamma, r_gamma)))
     assert repr(row.gamma_residual) == repr(expected)

@@ -405,7 +405,7 @@ def _allocating_run_planar(problem, max_iters, init):
         if k == next_record or k == max_iters:
             avg_pts = pts.copy()
             avg_pts[1:-1] = gamma_sum / k
-            avg_mult = MultiplierField(lam_sum / k, m)
+            avg_mult = MultiplierField(lam_sum / k)
             eps = problem.epsilon
             gap = (lagrangian_eps(DiscreteCurve(avg_pts), ref_mult, field, eps)
                    - lagrangian_eps(ref_curve, avg_mult, field, eps))

@@ -94,10 +94,12 @@ def test_gda_ignores_epsilon():
     out = []
     for eps in (0.0, 5.0):
         cfg = SolverConfig(scheme="gda", epsilon=eps, max_iters=100, record_every=100)
-        state, _ = run(cfg, surface, init)
-        out.append(state)
-    assert np.array_equal(out[0].curve.points, out[1].curve.points)
-    assert np.array_equal(out[0].multiplier.values, out[1].multiplier.values)
+        out.append(run(cfg, surface, init))
+    (state0, trace0), (state1, trace1) = out
+    assert np.array_equal(state0.curve.points, state1.curve.points)
+    assert np.array_equal(state0.multiplier.values, state1.multiplier.values)
+    # the residuals and J too: GDA runs at effective_epsilon = 0 whatever epsilon says
+    assert _rows(trace0) == _rows(trace1)
 
 
 def test_multiplier_stays_inside_regularization_bound():
@@ -327,9 +329,10 @@ def _unstacked_run(cfg, surface, init, reference_distance, record_at):
     cap = DIVERGENCE_LENGTH_FACTOR * max(float(np.linalg.norm(pts[-1] - pts[0])), 1e-6)
 
     def state(k):
-        return SolverState(DiscreteCurve(pts.copy()), MultiplierField(lam.copy(), m), k)
+        return SolverState(DiscreteCurve(pts.copy()), MultiplierField(lam.copy()), k)
 
-    trace = IterationTrace([trace_row(state(0), cfg, surface, reference_distance)])
+    trace = IterationTrace()
+    trace.append(trace_row(state(0), cfg, surface, reference_distance))
     for k in range(1, cfg.max_iters + 1):
         phi, grad = surface.value_and_grad(pts[1:-1])
         new_lam = lam + phi * cfg.tau_lambda
