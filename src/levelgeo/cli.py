@@ -4,7 +4,9 @@ Subcommands: run, sweep, benchmark, compare, planar, check-surface.
 
 Commands raise, the CLI reports: ``main`` is the one place that turns a
 ConfigError, ValueError, OSError, SamplingError or MemoryError from parsing or
-from a ``harness.cmd_*`` command into a single ``error: ...`` line on stderr.
+from a ``harness.cmd_*`` command into a single ``error: ...`` line on stderr,
+and the one place that reports a library warning: each UserWarning once,
+every shown warning as one ``warning: ...`` line on stdout.
 
 Exit codes: 0 success, 1 configuration problem (bad flags, bad config file,
 unusable surface or endpoints, an --m too large to allocate), 2 divergence of
@@ -16,10 +18,9 @@ Each flag is declared once, with its type, choices and default (the
 library's, where it has one); ``levelgeo CMD --help`` lists the defaults.
 A flat ``key = value`` config file (--config, '#' comments) can set any flag
 of the chosen subcommand: each value goes through the action of the flag it
-names (true or false for a switch) and becomes that flag's default, so
-explicit flags still win.  parse_args gives flags to the invoked command's
-parser alone, since building every command's costs each cold start about a
-millisecond.
+names and becomes that flag's default, so explicit flags still win.
+parse_args gives flags to the invoked command's parser alone, since building
+every command's costs each cold start about a millisecond.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import dataclasses
 import math
 import re
 import sys
-
-import numpy as np
+import warnings
 
 from . import __version__, harness
 from .harness import INIT_KINDS, SWEEPABLE_PARAMETERS, ConfigError, ExperimentSpec
@@ -137,9 +137,6 @@ def _add_planar_flags(p):
     p.add_argument("--q", default="0,1,0", help="end point x,y,z in the plane")
     _add_step_flags(p, PlanarProblem, PlanarProblem.m)
     p.add_argument("--iters", type=int, default=16384, help="iteration budget")
-    p.add_argument("--saddle-init", action="store_true",
-                   help="start exactly at the saddle instead of the "
-                        "default perturbed curve")
 
 
 def _add_check_surface_flags(p):
@@ -215,11 +212,8 @@ def _config_defaults(command: _Parser, name: str, path) -> dict:
             if action is None or key in ("help", "config"):
                 raise ConfigError(f"{where}: unknown key {key!r} for command {name}")
             try:
-                if action.nargs == 0:  # a store_true switch
-                    value = {"true": True, "false": False}[text.lower()]
-                else:
-                    value = action.type(text) if action.type else text
-            except (KeyError, ValueError):
+                value = action.type(text) if action.type else text
+            except ValueError:
                 raise ConfigError(f"{where}: bad value {text!r} for {key}") from None
             if action.choices is not None and value not in action.choices:
                 raise ConfigError(
@@ -269,14 +263,14 @@ def _float_list(text: str, flag: str):
     raise ConfigError(f"{flag} must be comma separated finite numbers, got {text!r}")
 
 
-def _vector3(text: str, flag: str) -> np.ndarray:
-    values = _float_list(text, flag)
-    if len(values) != 3:
-        raise ConfigError(f"{flag} must be x,y,z, got {text!r}")
-    return np.array(values)
-
-
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}")
+        return _run_command(argv)
+
+
+def _run_command(argv) -> int:
     try:
         args = parse_args(argv)
         if args.command is None:
@@ -298,10 +292,9 @@ def main(argv=None) -> int:
             schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
             return harness.cmd_compare_schemes(_experiment_spec(args), schemes)
         if args.command == "planar":
-            vectors = {k: _vector3(getattr(args, k), f"--{k}") for k in ("a", "p", "q")}
+            vectors = {k: _float_list(getattr(args, k), f"--{k}") for k in ("a", "p", "q")}
             problem = PlanarProblem(**{**_fields(PlanarProblem, args), **vectors})
-            return harness.cmd_planar(problem, args.iters, args.out,
-                                      perturbed=not args.saddle_init)
+            return harness.cmd_planar(problem, args.iters, args.out)
         if args.command == "check-surface":
             return harness.cmd_check_surface(
                 args.surface, points_path=args.points, band=args.band,

@@ -1,12 +1,14 @@
 """Experiment orchestration: single runs, sweeps, benchmarks, comparisons.
 
-Commands raise and the CLI reports: a command returns 0 for success, or for
-a single requested run 2 on divergence (``run``, ``planar``) and 3 at a
-field singularity (``run``), and raises ConfigError, ValueError, OSError or
-SamplingError for an unusable configuration, which ``cli.main`` turns into
-one ``error:`` line on stderr and exit 1.  A run that stops early writes
-its trace so far and its last finite state.  Sweeps, benchmarks and
-comparisons record such a stop per value, pair or scheme and exit 0.
+Commands raise and the CLI reports: a command returns EXIT_CODES[stop] for
+a single requested run (0 at its budget, 2 on divergence in ``run`` and
+``planar``, 3 at a field singularity in ``run``), and raises ConfigError,
+ValueError, OSError or SamplingError for an unusable configuration, which
+``cli.main`` turns into one ``error:`` line on stderr and exit 1.  The
+library's warnings pass through untouched, for ``cli.main`` to show each
+once on stdout.  A run that stops early writes its trace so far and its
+last finite state.  Sweeps, benchmarks and comparisons record such a stop
+per value, pair or scheme and exit 0.
 
 Every solve goes through ``run`` (schemes.run_batch), looked up at call
 time: a sweep runs all its values and a benchmark all its pairs as one
@@ -25,7 +27,6 @@ import dataclasses
 import json
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,10 +163,13 @@ def _central_angle(p, q, radius: float) -> float:
     return math.acos(max(-1.0, min(1.0, cosang)))
 
 
-def _check_seed(seed: int):
-    """Raise ConfigError for a negative seed, before numpy's generator does."""
+def _check_seed(seed) -> int:
+    """seed as an int, or ConfigError for a fractional or negative one."""
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"--seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    return int(seed)
 
 
 @dataclass
@@ -185,7 +189,7 @@ class ExperimentSpec:
     out_dir: str = "out"
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        self.seed = _check_seed(self.seed)
 
     def build(self):
         """Materialize (surface, reference_distance, init pair).
@@ -263,17 +267,13 @@ def _summary_payload(spec, outcome):
     }
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def _write_run(spec, outcome, out: Path):
-    """trace.csv and summary.json of one run into out."""
+    """trace.csv and summary.json (serialized before its file opens) into out."""
     out.mkdir(parents=True, exist_ok=True)
     diagnostics.write_trace_csv(outcome.trace, out / "trace.csv")
-    _write_json(out / "summary.json", _summary_payload(spec, outcome))
+    summary = json.dumps(_summary_payload(spec, outcome), indent=2, sort_keys=True,
+                         allow_nan=False)
+    (out / "summary.json").write_text(summary + "\n")
 
 
 def cmd_run(spec) -> int:
@@ -480,30 +480,23 @@ def default_planar_perturbation(problem: PlanarProblem):
     return curve, mult
 
 
-def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
-               perturbed: bool = True) -> int:
-    """Run the planar scheme, write planar_ergodic.csv, report the rate check.
+def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir) -> int:
+    """Run the planar scheme from default_planar_perturbation, write
+    planar_ergodic.csv, report the rate check.
 
-    Returns 2 if the iteration diverged (the records up to then are written).
+    Returns EXIT_CODES["diverged"] if the iteration diverged (the records up
+    to then are written).
     """
     out = Path(out_dir)
-    if not problem.step_condition_ok:
-        print(
-            f"warning: step product {problem.step_product:.3g} >= 1, "
-            "the ergodic bound does not apply"
-        )
-    init = default_planar_perturbation(problem) if perturbed else None
+    init = default_planar_perturbation(problem)
     import scipy.linalg.lapack  # noqa: F401  (run_planar's, before the clock starts)
     start = time.monotonic()
-    # each warning once, on stdout: run_planar's repeats the one above
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            _, records = run_planar(problem, max_iters, init=init)
-            diverged = False
-        except DivergenceError as exc:
-            records, diverged = list(exc.trace or []), True
-            print(f"warning: {exc}")
+    try:
+        _, records = run_planar(problem, max_iters, init=init)
+        diverged = False
+    except DivergenceError as exc:
+        records, diverged = list(exc.trace or []), True
+        print(f"warning: {exc}")
     elapsed = time.monotonic() - start
     out.mkdir(parents=True, exist_ok=True)
     diagnostics.write_records(out / "planar_ergodic.csv", ErgodicRecord, records)
@@ -519,7 +512,7 @@ def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir,
     else:
         print("log-log slope: undefined (too few positive gaps)")
     print(f"{len(records)} records in {elapsed:.3f}s -> {out / 'planar_ergodic.csv'}")
-    return 2 if diverged else 0
+    return EXIT_CODES["diverged"] if diverged else 0
 
 
 def cmd_check_surface(surface_desc: str, points_path, band: float,

@@ -236,7 +236,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
         raise ValueError("max_iters must be a nonnegative integer")
     if not problem.step_condition_ok:
         warnings.warn(
-            f"step product tau_l*tau_g*|a|^2 = {problem.step_product:.3g} >= 1; "
+            f"step product {problem.step_product:.3g} >= 1, "
             "the ergodic bound does not apply",
             stacklevel=2,
         )

@@ -118,6 +118,8 @@ class SolverConfig:
             raise ValueError("max_iters must be a nonnegative integer")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ValueError("record_every must be an integer of at least 1")
+        # exact ints, as summary.json records them
+        self.max_iters, self.record_every = int(self.max_iters), int(self.record_every)
 
     @property
     def effective_omega(self) -> float:

@@ -1,5 +1,6 @@
 """The public surface: every exported name exists, the README's library
 examples run as written, the modules import one another without a cycle,
+one owner each decides a scheme's parameters and how a warning is shown,
 and scipy and logging load only where they are used."""
 
 import ast
@@ -60,6 +61,31 @@ def test_only_solver_config_names_gda_and_regularized():
                   if isinstance(node, ast.Attribute) and node.attr in ("GDA", "REGULARIZED")
                   and isinstance(node.value, ast.Name) and node.value.id == "Scheme"
                   and id(node) not in config]
+    assert found == []
+
+
+#: the functions that may change how a warning is filtered or shown
+WARNING_OWNERS = {("cli.py", "main"), ("levelset.py", "load_point_cloud")}
+WARNING_CONTROLS = {"catch_warnings", "simplefilter", "filterwarnings", "showwarning"}
+
+
+def test_only_the_cli_and_the_cloud_loader_control_warnings():
+    # cli.main reports every library warning; load_point_cloud hides
+    # numpy.loadtxt's no-data warning, whose case it reports as an error
+    found = []
+    for path in sorted(Path(levelgeo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): (path.name, fn.name) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "warnings":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in WARNING_CONTROLS]
+            elif (isinstance(node, ast.Attribute) and node.attr in WARNING_CONTROLS
+                    and isinstance(node.value, ast.Name) and node.value.id == "warnings"
+                    and owner.get(id(node)) not in WARNING_OWNERS):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

@@ -308,6 +308,9 @@ def test_trace_column_and_final():
     assert all(row.absolute_error is None for row in trace)
     with pytest.raises(IndexError):
         IterationTrace().final
+    with pytest.raises(ValueError, match="trace iterations must increase: 10 after 20"):
+        trace.append(trace.rows[1])
+    assert len(trace) == 3
 
 
 def test_read_trace_csv_rejects_foreign_header(tmp_path):

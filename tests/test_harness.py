@@ -363,6 +363,26 @@ def test_summary_json_writes_null_for_an_infinite_number(tmp_path):
     assert math.isfinite(summary["lambda_residual"])
 
 
+def test_summary_json_records_numpy_integers_as_plain_ones(tmp_path):
+    # SolverConfig and ExperimentSpec accept numpy integers and store ints,
+    # which json can write
+    summaries = []
+    for name, whole in (("numpy", np.int64), ("plain", int)):
+        solver = SolverConfig(max_iters=whole(5), record_every=whole(2))
+        spec = ExperimentSpec(p="1,0,0", q="0,1,0", m=16, seed=whole(3),
+                              init="randomized", solver=solver,
+                              out_dir=str(tmp_path / name))
+        assert harness.cmd_run(spec) == 0
+        summaries.append((tmp_path / name / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["config"]["max_iters"] == 5
+
+
+def test_a_fractional_seed_is_rejected():
+    with pytest.raises(ConfigError, match="--seed must be an integer, got 2.5"):
+        ExperimentSpec(seed=2.5)
+
+
 def test_run_singularity_exits_3_with_artifacts(tmp_path, capsys):
     # the default straight chord between the poles puts node m/2 on the
     # origin, where the gradient of R - |x| is undefined: the first step
@@ -486,6 +506,24 @@ def test_cli_process_reports_an_empty_cloud_on_stderr_alone(tmp_path, text):
     assert proc.stderr == ("error: bad surface descriptor 'point-cloud': point cloud "
                            "needs at least 4 distinct points, got 0\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["sweep", "--parameter", "epsilon", "--values", "0.01,0.02,0.03"],
+], ids=["run", "sweep"])
+def test_cli_process_prints_a_library_warning_once_on_stdout(tmp_path, argv):
+    # every member of a sweep starts off the surface; the warning shows once
+    cloud = Path(__file__).resolve().parent / "golden" / "run-cloud.xyz"
+    proc = _cli_process(tmp_path, *argv, "--surface", "point-cloud",
+                        "--points", str(cloud), "--p", "1.1,0,0", "--q", "0,1,0",
+                        "--m", "16", "--iters", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("warning: ")] == \
+        ["warning: init endpoints are off-surface: max |phi| = 0.1"]
+    assert lines[0].startswith("warning: ")
 
 
 def test_run_point_cloud_end_to_end(tmp_path):
@@ -637,14 +675,6 @@ def test_every_flag_can_be_set_from_a_config_file(tmp_path, command, action):
     flag, dest = action.option_strings[-1], action.dest
     conf = tmp_path / "flag.conf"
     with_file = [command, "--config", str(conf)]
-    if action.nargs == 0:  # a store_true switch
-        conf.write_text(f"{flag[2:]} = true\n")
-        assert getattr(parse_args(with_file), dest) is True
-        assert getattr(parse_args([command, flag]), dest) is True
-        conf.write_text(f"{flag[2:]} = false\n")
-        assert getattr(parse_args(with_file), dest) is False
-        assert getattr(parse_args(with_file + [flag]), dest) is True
-        return
     file_text, flag_text = _two_texts(action)
     conf.write_text(f"{flag[2:]} = {file_text}\n")
     from_file = getattr(parse_args(with_file), dest)
@@ -788,6 +818,11 @@ def test_sweep_bad_values(tmp_path, capsys):
                "--iters", "5", "--m", "8", "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "--values" in capsys.readouterr().err
+    rc = main(["sweep", "--parameter", "epsilon", "--values", ",",
+               "--iters", "5", "--m", "8", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sweep needs at least one value\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_needs_parameter_and_values(tmp_path, capsys):
@@ -916,6 +951,16 @@ def test_benchmark_requires_sphere(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_benchmark_needs_a_pair(tmp_path, capsys):
+    rc = main(["benchmark", "--pairs", "0", "--checkpoints", "5", "--m", "8",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_pairs must be at least 1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_non_finite_checkpoint_exits_1(tmp_path, capsys):
     rc = main(["benchmark", "--pairs", "2", "--checkpoints", "inf", "--m", "8",
                "--out", str(tmp_path / "out")])
@@ -977,6 +1022,12 @@ def test_compare_unknown_scheme(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "fancy" in captured.err
     assert captured.out == ""
+    # without the guard, an empty list writes a header-only comparison.csv
+    rc = main(["compare", "--schemes", ",", "--m", "8",
+               "--iters", "5", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: compare needs at least one scheme\n"
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -995,13 +1046,6 @@ def test_planar_command(tmp_path, capsys):
     records = read_records(out / "planar_ergodic.csv", ErgodicRecord)
     assert [r.k for r in records] == [1, 2, 4, 8, 16]
     assert all(r.gap <= r.bound + 1e-9 for r in records)
-
-
-def test_planar_saddle_init(tmp_path, capsys):
-    rc = main(["planar", "--m", "20", "--iters", "8", "--saddle-init",
-               "--out", str(tmp_path / "out")])
-    assert rc == 0
-    assert "bound held: true" in capsys.readouterr().out
 
 
 DIVERGING_PLANAR = ["planar", "--tau-gamma", "50", "--tau-lambda", "50",
@@ -1062,32 +1106,17 @@ def test_planar_input_beyond_the_float_range_draws_no_runtime_warning(tmp_path, 
 
 
 def test_planar_bad_vector(tmp_path, capsys):
-    rc = main(["planar", "--a", "1,0", "--iters", "4",
-               "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "--a must be x,y,z" in capsys.readouterr().err
-
-
-def test_config_file_saddle_init_matches_the_flag(tmp_path):
-    argv = ["planar", "--m", "20", "--iters", "8", "--out"]
-    conf = tmp_path / "planar.conf"
-    conf.write_text("saddle-init = true\n")
-    assert main(argv + [str(tmp_path / "flag"), "--saddle-init"]) == 0
-    assert main(argv + [str(tmp_path / "file"), "--config", str(conf)]) == 0
-    assert main(argv + [str(tmp_path / "default")]) == 0
-    saddle = (tmp_path / "flag" / "planar_ergodic.csv").read_bytes()
-    assert (tmp_path / "file" / "planar_ergodic.csv").read_bytes() == saddle
-    assert (tmp_path / "default" / "planar_ergodic.csv").read_bytes() != saddle
-
-
-def test_config_file_rejects_a_bad_switch_value(tmp_path, capsys):
-    conf = tmp_path / "planar.conf"
-    conf.write_text("saddle-init = banana\n")
-    rc = main(["planar", "--config", str(conf), "--out", str(tmp_path / "out")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "line 1" in err and "bad value 'banana'" in err
-    assert not (tmp_path / "out").exists()
+    # PlanarProblem and Plane check the vectors' lengths, and name the vector
+    for flag, message in (("--a", "plane normal must be a 3-vector"),
+                          ("--p", "p must be a finite 3-vector"),
+                          ("--q", "q must be a finite 3-vector")):
+        rc = main(["planar", flag, "1,0", "--iters", "4",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,8 @@ def test_config_validation():
         SolverConfig(epsilon=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(omega=float("nan"))
+    with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+        SolverConfig(alpha=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(record_every=0)
     with pytest.raises(ValueError):
