@@ -116,14 +116,18 @@ def init_randomized(p, q, m: int, surface, tau_r: float = 4.0, seed: int = 0):
     """gamma_0(t) = p(1-t) + tau_r * r * (1-t) t + q t, r random on the surface.
 
     The bump term vanishes at the endpoints, so they stay exact.  Deterministic
-    for a fixed seed.
+    for a fixed seed.  Raises ValueError, without a numpy warning, if the
+    curve is not finite (a tau_r so large that the bump overflows).
     """
     if not 0 <= tau_r < np.inf:
         raise ValueError("tau_r must be nonnegative and finite")
     curve, mult = init_straight_line(p, q, m)
     r = surface.surface_point(np.random.default_rng(seed))
     t = _grid(m)[:, None]
-    curve.points[1:-1] += tau_r * np.asarray(r) * ((1.0 - t) * t)[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve.points[1:-1] += tau_r * np.asarray(r) * ((1.0 - t) * t)[1:-1]
+    if not np.isfinite(curve.points).all():
+        raise ValueError(f"the randomized init with tau_r = {tau_r:g} is not finite")
     return curve, mult
 
 

@@ -158,9 +158,15 @@ def parse_point(text: str, surface: LevelSet | None = None,
 
 
 def _central_angle(p, q, radius: float) -> float:
-    """Angle between p and q on the sphere of the given radius about the origin."""
-    cosang = float(np.dot(p, q)) / (radius * radius)
-    return math.acos(max(-1.0, min(1.0, cosang)))
+    """Angle between p and q on the sphere of the given radius about the origin.
+
+    p and q are scaled by the radius before their dot product: radius * radius
+    underflows to 0 below a radius of about 2e-162.  nan if the scaled dot
+    product is not finite (points far off a tiny sphere).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cosang = float(np.dot(p / radius, q / radius))
+    return math.acos(max(-1.0, min(1.0, cosang))) if math.isfinite(cosang) else math.nan
 
 
 def _check_seed(seed) -> int:
@@ -190,6 +196,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         self.seed = _check_seed(self.seed)
+        self.tau_r = float(self.tau_r)  # a Python float, as summary.json records it
 
     def build(self):
         """Materialize (surface, reference_distance, init pair).
@@ -212,7 +219,8 @@ class ExperimentSpec:
             raise ConfigError(f"tau_r must be nonnegative and finite, got {self.tau_r}")
         if not isinstance(surface, PointCloud):
             for name, pt in (("p", p), ("q", q)):
-                off = abs(float(surface.value(pt)))
+                with np.errstate(over="ignore", invalid="ignore"):  # a far point
+                    off = abs(float(surface.value(pt)))
                 if off > ENDPOINT_SPEC_TOL:
                     raise ConfigError(
                         f"endpoint {name} is off the surface: |phi| = {off:.3g} "
@@ -229,21 +237,20 @@ class ExperimentSpec:
         ref = self.reference
         if ref is None or ref == "" or ref == "none":
             return None
-        if isinstance(ref, str) and ref != "sphere-exact":
-            try:
-                ref = float(ref)
-            except ValueError:
-                raise ConfigError(
-                    f"reference must be a number, 'sphere-exact', or 'none'; got {ref!r}"
-                ) from None
-        if isinstance(ref, (int, float)):
-            if not 0 < ref < math.inf:
-                raise ConfigError("reference distance must be positive and finite")
-            return float(ref)
-        radius = getattr(surface, "radius", None)
-        if radius is None:
-            raise ConfigError("sphere-exact reference needs a sphere surface")
-        return radius * _central_angle(p, q, radius)
+        if ref == "sphere-exact":
+            radius = getattr(surface, "radius", None)
+            if radius is None:
+                raise ConfigError("sphere-exact reference needs a sphere surface")
+            return radius * _central_angle(p, q, radius)
+        try:  # a number of any type, numpy's too, or its text
+            ref = float(ref)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"reference must be a number, 'sphere-exact', or 'none'; got {ref!r}"
+            ) from None
+        if not 0 < ref < math.inf:
+            raise ConfigError("reference distance must be positive and finite")
+        return ref
 
 
 def _summary_payload(spec, outcome):

@@ -15,8 +15,9 @@ boundary is the kernel
 
 which serves as the analytic oracle for the discrete solver.  That solver
 is one direct call of LAPACK's tridiagonal gtsv; run_planar makes it once per
-iteration on buffers it builds once.  scipy, which wraps gtsv, is imported by
-the two solving functions, so importing this module does not load it.
+iteration, and builds its buffers, views and step-size operands once per run.
+scipy, which wraps gtsv, is imported by the two solving functions, so
+importing this module does not load it.
 
 This scheme is an exact proximal primal-dual iteration for the discrete
 Lagrangian, so the classical ergodic rate applies: whenever
@@ -29,7 +30,10 @@ for ANY comparison pair xi = (lambda, gamma), where the A-norm is the
 dt-weighted block form  sum_i [dl_i^2/tau_l + 2 dl_i (a . dg_i) + |dg_i|^2/tau_g] * dt.
 run_planar records the gap and this bound at dyadic iteration counts, as
 ErgodicRecord rows; a diverging iterate raises DivergenceError, with numpy's
-overflow warnings off.
+overflow warnings off.  Its finiteness test has two tiers: a finite sum of
+the squares of the points and multipliers passes the iterate, and only when
+that sum is not finite does an exact count decide, so a finite iterate whose
+squares overflow runs on.
 """
 
 from __future__ import annotations
@@ -231,6 +235,8 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     Returns (final SolverState, list of ErgodicRecord at k = 1, 2, 4, ...).
     A violated step condition only warns; iteration proceeds and divergence,
     if it happens, raises DivergenceError with the records gathered so far.
+    An iterate diverges when an entry is not finite, which two dot products
+    rule out and an isfinite count decides only when their sum is not finite.
     """
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
         raise ValueError("max_iters must be a nonnegative integer")
@@ -253,26 +259,33 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     ref_curve, ref_mult = init_straight_line(problem.p, problem.q, problem.m)
     field = Plane(problem.a)
 
-    bound_base = _a_norm_sq(
-        problem,
-        mult.values - ref_mult.values,
-        curve.interior - ref_curve.interior,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny step makes it inf
+        bound_base = _a_norm_sq(
+            problem,
+            mult.values - ref_mult.values,
+            curve.interior - ref_curve.interior,
+        )
 
     # lam_new = (lam + tau_l (x @ a)) shrink and (I - tau_g D^2) x_new =
-    # x - tau_g outer(2 lam_new - lam, a), in this operation order on buffers
+    # x - tau_g outer(2 lam_new - lam, a), in this operation order on operands
     # built once: x_new is bit for bit implicit_gamma_solve's solution
     from scipy.linalg.lapack import dgtsv
     a = problem.a
-    shrink = 1.0 / (1.0 + problem.epsilon * problem.tau_lambda)
+    # 0-d operands: numpy converts a Python number at every call
+    tau_lambda, tau_gamma = np.array(problem.tau_lambda), np.array(problem.tau_gamma)
+    shrink = np.array(1.0 / (1.0 + problem.epsilon * problem.tau_lambda))
     c, off, diag = _tridiagonal(problem.m, problem.tau_gamma)
     pts = curve.points.copy()
-    x = pts[1:-1]
+    x, flat = pts[1:-1], pts.reshape(-1)
     lam = mult.values.copy()
     lam_new = np.empty_like(lam)
     lam_tilde = np.empty_like(lam)
+    tilde_col = lam_tilde[:, None]
     prod = np.empty_like(x)
     rhs = np.empty(x.shape, order="F")
+    # c p and c q go into views of rhs's end rows: adding a whole boundary
+    # array would add +0.0 to the other rows and turn a -0.0 into +0.0
+    first, last = rhs[0], rhs[-1]
     gamma_sum = np.zeros_like(x)
     lam_sum = np.zeros_like(lam)
     records: list[ErgodicRecord] = []
@@ -281,24 +294,26 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     with np.errstate(over="ignore", invalid="ignore"):
         c_p, c_q = c * pts[0], c * pts[-1]  # inf * 0 where c overflowed
         for k in range(1, max_iters + 1):
-            np.matmul(x, a, out=lam_new)
-            lam_new *= problem.tau_lambda
-            lam_new += lam
-            lam_new *= shrink
-            np.multiply(lam_new, 2.0, out=lam_tilde)
-            lam_tilde -= lam
-            np.multiply(lam_tilde[:, None], a, out=prod)
-            prod *= problem.tau_gamma
-            np.subtract(x, prod, out=rhs)
-            rhs[0] += c_p
-            rhs[-1] += c_q
+            np.matmul(x, a, lam_new)
+            np.multiply(lam_new, tau_lambda, lam_new)
+            np.add(lam_new, lam, lam_new)
+            np.multiply(lam_new, shrink, lam_new)
+            np.add(lam_new, lam_new, lam_tilde)  # 2 lam_new, exactly
+            np.subtract(lam_tilde, lam, lam_tilde)
+            np.multiply(tilde_col, a, prod, order="F")  # down the rows, same bits
+            np.multiply(prod, tau_gamma, prod)
+            np.subtract(x, prod, rhs)
+            np.add(first, c_p, first)
+            np.add(last, c_q, last)
             x[...] = _gtsv(dgtsv, off, diag, rhs)
             lam, lam_new = lam_new, lam
-            gamma_sum += x
-            lam_sum += lam
+            np.add(gamma_sum, x, gamma_sum)
+            np.add(lam_sum, lam, lam_sum)
 
-            # count_nonzero is numpy's cheapest reduction, as in the curve solver
-            if (np.count_nonzero(np.isfinite(pts)) + np.count_nonzero(np.isfinite(lam))
+            # two tiers, as in the curve solver: a finite sum of squares proves
+            # every entry finite; count_nonzero is numpy's cheapest reduction
+            if not math.isfinite(flat.dot(flat) + lam.dot(lam)) and (
+                    np.count_nonzero(np.isfinite(pts)) + np.count_nonzero(np.isfinite(lam))
                     != pts.size + lam.size):
                 raise DivergenceError(k, "non-finite planar iterate", trace=records)
 

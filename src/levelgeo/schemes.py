@@ -45,6 +45,7 @@ divergence check; the others go on, in a stack of their own.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -118,8 +119,10 @@ class SolverConfig:
             raise ValueError("max_iters must be a nonnegative integer")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
             raise ValueError("record_every must be an integer of at least 1")
-        # exact ints, as summary.json records them
+        # Python ints and floats, as summary.json records them
         self.max_iters, self.record_every = int(self.max_iters), int(self.record_every)
+        self.tau_gamma, self.tau_lambda, self.epsilon, self.omega, self.alpha = map(
+            float, (self.tau_gamma, self.tau_lambda, self.epsilon, self.omega, self.alpha))
 
     @property
     def effective_omega(self) -> float:
@@ -205,6 +208,8 @@ class _Workspace:
         self.keep = per_node([1.0 - c.alpha * c.effective_epsilon for c in cfgs])
         self.alpha = per_node([c.alpha for c in cfgs])
         self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
+        # 0-d operands: numpy converts a Python number at every call
+        self.two, self.m_squared = np.array(2.0), np.array(float(self.m**2))
         self.length_cap = np.array([_length_cap(s.curve.p, s.curve.q) for s in states])
         # _within_caps's bound on sum |chord|^2: cap^2 (1 - margin) / m.  The
         # margin exceeds the (5m + 7) 2^-53 that rounding can take; a cap beyond
@@ -272,10 +277,10 @@ class _Workspace:
                 np.add(tilde, new_lam, new_lam)
                 np.multiply(new_lam, self.shrink, new_lam)
 
-        np.multiply(interior, 2.0, sd)  # second difference
+        np.multiply(interior, self.two, sd)  # second difference
         np.subtract(ahead, sd, sd)
         np.add(sd, behind, sd)
-        np.multiply(sd, self.m**2, sd)
+        np.multiply(sd, self.m_squared, sd)
         # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
         np.multiply(self.tilde_col, grad.reshape(force_rows.shape), force_rows, order="F")
         np.subtract(force, sd, force)
@@ -303,17 +308,21 @@ class _Workspace:
     def _within_caps(self, after, before, lam) -> bool:
         """True only if every member's curve_length is within its length_cap and
         all of lam is finite, from one dot product S = sum |chord|^2 per member,
-        the chords after - before from a buffer's flat pts[:, 1:] and pts[:, :-1].
+        the chords after - before from a buffer's flat pts[:, 1:] and pts[:, :-1],
+        and one over lam.reshape(-1).
 
         By Cauchy-Schwarz a length is at most sqrt(m S), and the margin in
         chord_bound covers the rounding of S and of curve_length in any
         summation order.  A finite S implies finite points: nan, inf and
-        overflow all fail.  False says nothing; count_nonzero is numpy's
-        cheapest reduction.
+        overflow all fail, and lam's sum of squares is finite only if every
+        multiplier is.  False says nothing: finite values whose squares
+        overflow fail too, and the exact test decides; count_nonzero is
+        numpy's cheapest reduction.
         """
         chords = np.subtract(after, before, self.chords)
+        lam = lam.reshape(-1)
         return (np.count_nonzero(np.vecdot(chords, chords) <= self.chord_bound)
-                + np.count_nonzero(np.isfinite(lam)) == len(chords) + lam.size)
+                == len(chords) and math.isfinite(lam.dot(lam)))
 
 
 def _length_cap(p, q) -> float:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import levelgeo
 from levelgeo import harness
@@ -376,6 +378,25 @@ def test_summary_json_records_numpy_integers_as_plain_ones(tmp_path):
         summaries.append((tmp_path / name / "summary.json").read_bytes())
     assert summaries[0] == summaries[1]
     assert json.loads(summaries[0])["config"]["max_iters"] == 5
+
+
+def test_summary_json_records_numpy_floats_as_plain_ones(tmp_path):
+    # SolverConfig and ExperimentSpec store every float field as a Python
+    # float, which json can write, and a float32 caller runs as a float64
+    # one; a numpy reference distance is a number, not sphere-exact
+    summaries = []
+    for name, real in (("numpy", np.float32), ("plain", lambda v: float(np.float32(v)))):
+        solver = SolverConfig(scheme="var2", tau_gamma=real(1e-5), tau_lambda=real(0.7),
+                              epsilon=real(1e-2), omega=real(0.5), alpha=real(3.0),
+                              max_iters=5, record_every=2)
+        spec = ExperimentSpec(p="1,0,0", q="0,1,0", m=16, init="randomized",
+                              tau_r=real(4.0), reference=real(3.0), solver=solver,
+                              out_dir=str(tmp_path / name))
+        assert harness.cmd_run(spec) == 0
+        summaries.append([(tmp_path / name / f).read_bytes()
+                          for f in ("summary.json", "trace.csv")])
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0][0])["config"]["tau_r"] == 4.0
 
 
 def test_a_fractional_seed_is_rejected():
@@ -1090,7 +1111,9 @@ def test_planar_process_at_the_step_boundary_runs(tmp_path):
     (["--tau-gamma", "1e308", "--iters", "3", "--m", "4"], 2),
     # a is finite and nonzero, but a.a overflows
     (["--a", "1e200,0,0"], 1),
-], ids=["tau-gamma", "a"])
+    # the bound's 1 / tau_lambda term overflows: the bound is inf
+    (["--tau-lambda", "1e-320", "--iters", "3", "--m", "4"], 0),
+], ids=["tau-gamma", "a", "tau-lambda"])
 def test_planar_input_beyond_the_float_range_draws_no_runtime_warning(tmp_path, capsys,
                                                                       argv, code):
     # the suite turns a RuntimeWarning into an error
@@ -1099,6 +1122,9 @@ def test_planar_input_beyond_the_float_range_draws_no_runtime_warning(tmp_path, 
     captured = capsys.readouterr()
     if code == 2:
         assert "warning: divergence at iteration 1: non-finite planar iterate" in captured.out
+        assert captured.err == ""
+    elif code == 0:
+        assert captured.out.startswith("bound held: true\n")
         assert captured.err == ""
     else:
         assert captured.err == "error: plane normal must be a 3-vector with a.a finite and nonzero\n"
@@ -1194,6 +1220,116 @@ def test_a_sphere_radius_whose_square_overflows_is_one_error_line(tmp_path, kind
     assert proc.stdout == ""
     assert proc.stderr == (f"error: bad surface descriptor '{kind}:1e200': "
                            "sphere radius must be positive with a finite square\n")
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    # radius * radius underflowed to 0, and the reference divided by it
+    (["run", "--p", "1e-170,0,0", "--q", "0,1e-170,0", "--reference", "sphere-exact"],
+     3, "singularity at iteration 1"),
+    # as did the pair sampler's angle test
+    (["benchmark", "--pairs", "1", "--checkpoints", "1"], 0, "pair 0: singularity"),
+], ids=["run", "benchmark"])
+def test_a_sphere_radius_whose_square_underflows_runs(tmp_path, capsys, argv, code, out):
+    rc = main([*argv, "--surface", "sphere-sdf:1e-170", "--m", "4",
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert out in captured.out
+    assert captured.err == ""
+
+
+def test_an_endpoint_whose_square_overflows_is_one_error_line(tmp_path, capsys):
+    # |q|^2 overflows in the field's endpoint check: no numpy warning
+    rc = main(["run", "--q", "1e200,0,0", "--m", "4", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: endpoint q is off the surface: |phi| = inf > 0.001\n"
+
+
+def test_a_randomized_init_that_overflows_is_one_error_line(tmp_path, capsys):
+    # tau_r r overflows: a configuration error, not a divergence, and no
+    # numpy warning (the suite turns a RuntimeWarning into an error)
+    rc = main(["run", "--surface", "torus:2,1", "--p", "3,0,0", "--q", "-3,0,0",
+               "--init", "randomized", "--tau-r", "1e308", "--seed", "5", "--m", "3",
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: the randomized init with tau_r = 1e+308 is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+#: what the property test below gives each flag, by dest: extremes, odd
+#: shapes and plain values.  Every budget stays at 17 or below (a checkpoint
+#: of 1e308 is a legal budget that never ends), so check-surface, which
+#: needs 100 samples, stops at that check; --out is always under tmp_path.
+_EXTREMES = ("0", "-0.0", "-1", "1e-320", "1e-300", "1e308", "inf", "nan", "0.5")
+_BUDGETS = ("17", "2", "1", "0", "-1")
+_ALWAYS_SET = ("m", "iters", "pairs", "samples", "checkpoints", "out", "parameter", "values")
+_POINTS = ("1,0,0", "0,1,0", "0,0,-1", "-1,0,0", "3,0,0", "-3,0,0", "antipodal-z",
+           "1e-170,0,0", "0,1e-300,0", "1e200,0,0", "0,0,0", "nan,0,0", "inf,0,0",
+           "1,2", "a,b,c", "")
+_TEXTS = {
+    "surface": ("sphere-sdf", "sphere-sdf:1e-300", "sphere-sdf:1e-320", "sphere-sdf:1e200",
+                "sphere-quadratic:1e-170", "sphere-quadratic", "torus:2,1",
+                "torus:1e200,1", "torus:1,2", "plane", "plane:0,0,1", "plane:0,0,0",
+                "plane:1e200,0,0", "point-cloud", "sphere-sdf:nan", "sphere-sdf:-1",
+                "moebius"),
+    "points": ("{tmp}/cloud.xyz", "{tmp}/bad.xyz", "{tmp}/missing.xyz"),
+    "out": ("{tmp}/out", "{tmp}/a-file"),
+    "p": _POINTS,
+    "q": _POINTS,
+    "a": ("1,0,0", "0,0,1", "0,0,0", "1e200,0,0", "1e-300,0,0", "nan,0,0", "1,2"),
+    "reference": ("none", "sphere-exact", "3.14", "0", "-1", "nan", "1e-320", "x"),
+    "checkpoints": ("2,1,17", "17", "0", "-1", "2.5", "nan", "x", ""),
+    "parameter": ("epsilon", "tau-gamma", "tau_lambda", "omega", "alpha", "m"),
+    "values": ("1e-5,0.5", "0", "-1", "1e-320", "1e308", "nan", "0.5,0.5", "x", ""),
+    "schemes": ("base-pdhg,var1,var2", "gda,regularized", "var2", "bogus", ""),
+    "seed": ("0", "5", "-1", "18446744073709551616"),
+    "record_every": _BUDGETS,
+}
+
+
+def _flag_values(action):
+    """The menu of one flag's values.  Three times in four it is the flag's
+    default (None: the flag is left out) or, for a flag always set, the
+    menu's first value, so that runs get past the checks too."""
+    if action.choices is not None:
+        menu = action.choices
+    elif action.type is float:
+        menu = _EXTREMES
+    else:
+        menu = _TEXTS.get(action.dest, _BUDGETS)
+    usual = menu[0] if action.dest in _ALWAYS_SET else None
+    return st.sampled_from([usual] * (3 * len(menu)) + list(menu))
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_command_ends_in_an_exit_code_never_a_traceback(tmp_path, capsys, data):
+    # argv from each command's own flags, every value from a menu of
+    # extremes: the command returns a documented exit code, stderr is one
+    # error: line exactly when it returns 1, and nothing escapes
+    write_cloud(tmp_path / "cloud.xyz", n=50)
+    (tmp_path / "bad.xyz").write_text("1 2\n")
+    (tmp_path / "a-file").write_text("")
+    command = data.draw(st.sampled_from(sorted(build_parser().commands)))
+    argv = [command]
+    for dest, action in build_parser(command).commands[command].options.items():
+        if dest in ("help", "config"):
+            continue
+        value = data.draw(_flag_values(action), label=dest)
+        if value is not None:
+            argv.append(f"{action.option_strings[-1]}={value.format(tmp=tmp_path)}")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
 
 
 def test_check_surface_bad_descriptor(capsys):

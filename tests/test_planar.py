@@ -442,6 +442,10 @@ def _outcome(run):
          amplitude=1.0, lam_scale=1.0, iters=400)
 @example(seed=1, m=2, log_tau_gamma=2.0, log_tau_lambda=2.0, epsilon=0.0,
          amplitude=1.0, lam_scale=1.0, iters=400)
+# finite throughout, but the squares of the nodes overflow: the cheap
+# finiteness test fails at every iteration and the exact one runs on
+@example(seed=0, m=8, log_tau_gamma=-2.0, log_tau_lambda=-1.0, epsilon=0.0,
+         amplitude=1e160, lam_scale=1.0, iters=50)
 def test_run_planar_equals_the_allocating_loop(seed, m, log_tau_gamma, log_tau_lambda,
                                                 epsilon, amplitude, lam_scale, iters):
     # the loop on preallocated buffers and one gtsv call per iteration does

@@ -478,7 +478,7 @@ _CLEAR = 2**40  # a cap 2^-12 above the length
         st.sampled_from([1e-3, 1.0, 1e154, 1e300]),  # of the nodes or chords
         st.integers(-4500, 4500) | st.just(_CLEAR),  # cap = length (1 + k 2^-52)
         st.sampled_from([None, math.nan, math.inf, -math.inf]),  # at one coordinate
-        st.sampled_from([None, math.nan, math.inf])),  # at one multiplier
+        st.sampled_from([None, math.nan, math.inf, 1e200])),  # at one multiplier
         min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
