@@ -64,7 +64,7 @@ __all__ = [
     "COMPARISON_CSV_HEADER",
 ]
 
-#: endpoints further off an analytic surface than this are a hard error
+#: endpoints further off an analytic surface than this times its scale are a hard error
 ENDPOINT_SPEC_TOL = 1e-3
 #: the least central angle, in radians, between a sampled pair's endpoints
 _MIN_PAIR_ANGLE = 0.1
@@ -160,9 +160,9 @@ def parse_point(text: str, surface: LevelSet | None = None,
 def _central_angle(p, q, radius: float) -> float:
     """Angle between p and q on the sphere of the given radius about the origin.
 
-    p and q are scaled by the radius before their dot product: radius * radius
-    underflows to 0 below a radius of about 2e-162.  nan if the scaled dot
-    product is not finite (points far off a tiny sphere).
+    p and q are scaled by the radius before their dot product, which keeps it
+    near 1 on a sphere of any radius.  nan if the scaled dot product is not
+    finite (points far off a tiny sphere).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cosang = float(np.dot(p / radius, q / radius))
@@ -202,7 +202,8 @@ class ExperimentSpec:
         """Materialize (surface, reference_distance, init pair).
 
         Raises ConfigError for unusable specs, including endpoints more than
-        1e-3 off an analytic surface (point clouds only warn, via run()).
+        1e-3 times surface.scale() off an analytic surface (point clouds only
+        warn, via run()).
         """
         surface = parse_surface(self.surface, self.points_path)
         p = parse_point(self.p, surface, role="p")
@@ -218,14 +219,13 @@ class ExperimentSpec:
         if not 0 <= self.tau_r < math.inf:  # summary.json records it, used or not
             raise ConfigError(f"tau_r must be nonnegative and finite, got {self.tau_r}")
         if not isinstance(surface, PointCloud):
+            tol = ENDPOINT_SPEC_TOL * surface.scale()
             for name, pt in (("p", p), ("q", q)):
                 with np.errstate(over="ignore", invalid="ignore"):  # a far point
                     off = abs(float(surface.value(pt)))
-                if off > ENDPOINT_SPEC_TOL:
+                if off > tol:
                     raise ConfigError(
-                        f"endpoint {name} is off the surface: |phi| = {off:.3g} "
-                        f"> {ENDPOINT_SPEC_TOL:g}"
-                    )
+                        f"endpoint {name} is off the surface: |phi| = {off:.3g} > {tol:g}")
         reference = self._resolve_reference(surface, p, q)
         if self.init == "randomized":
             init = init_randomized(p, q, self.m, surface, tau_r=self.tau_r, seed=seed)

@@ -127,11 +127,9 @@ class LevelSet:
     def _hessian(self, pts):
         """(n, 3, 3) central differences of grad, symmetrized, from one grad call
         on the rows x and x +- h e_i.  The step h is 1e-5 times the smallest
-        nonzero half-extent of bounding_box(), the surface's scale, and at least
-        1e-8 max|x_i|, which x +- h e_i resolves."""
-        lo, hi = self.bounding_box()
-        feature = np.min(hi - lo, where=hi > lo, initial=np.max(hi - lo)) / 2.0
-        h = 1e-5 * np.maximum(feature, 1e-3 * np.abs(pts).max(axis=1))[:, None, None]
+        nonzero half-extent of bounding_box(), scale(), and at least 1e-8
+        max|x_i|, which x +- h e_i resolves."""
+        h = 1e-5 * np.maximum(self.scale(), 1e-3 * np.abs(pts).max(axis=1))[:, None, None]
         offsets = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3)])
         g = self.grad((pts[:, None, :] + h * offsets).reshape(-1, 3)).reshape(-1, 7, 3)
         H = (g[:, 1:4] - g[:, 4:]) / (2.0 * h)  # row i: d grad / d x_i
@@ -140,6 +138,12 @@ class LevelSet:
     def bounding_box(self):
         """Axis-aligned (lo, hi) box containing the nominal surface."""
         raise NotImplementedError
+
+    def scale(self) -> float:
+        """The surface's size: half the smallest nonzero extent of bounding_box().
+        Endpoint tolerances and the band check are relative to it."""
+        lo, hi = self.bounding_box()
+        return float(np.min(hi - lo, where=hi > lo, initial=np.max(hi - lo))) / 2.0
 
     def surface_point(self, rng: np.random.Generator):
         """A pseudo-random point on the nominal surface."""
@@ -153,6 +157,8 @@ class _Sphere(LevelSet):
         radius = float(radius)
         if not (radius > 0 and radius * radius < np.inf):  # a float product: no warning
             raise ValueError("sphere radius must be positive with a finite square")
+        if radius * radius < np.finfo(float).tiny:  # |x| squares x: all would read as 0
+            raise ValueError(f"sphere radius {radius:g} is too small: its square underflows")
         self.radius = radius
 
     def bounding_box(self):
@@ -436,10 +442,16 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
 
     Rejection-samples uniformly in the surface bounding box inflated by 2a,
     capped at 1e6 proposal points; raises SamplingError if the band is never
-    hit, and ValueError if that box's squared extent overflows.
+    hit, and ValueError, before any proposal, if a is below the float spacing
+    at surface.scale(), which no field value resolves, or if that box's
+    squared extent overflows.
     """
     if not 0 < a < np.inf:
         raise ValueError("band half-width a must be positive and finite")
+    resolution = np.spacing(surface.scale())
+    if a < resolution:
+        raise ValueError(f"band half-width {a:g} is below the surface's resolution "
+                         f"{resolution:g}")
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     rng = np.random.default_rng(seed)

@@ -229,8 +229,8 @@ def _a_norm_sq(problem: PlanarProblem, d_lam: np.ndarray, d_gam: np.ndarray) -> 
 def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     """Iterate the semi-implicit planar scheme, recording the ergodic gap.
 
-    init : optional (DiscreteCurve, MultiplierField); defaults to the saddle
-        itself (straight segment, zero multiplier).
+    init : optional (DiscreteCurve, MultiplierField), left unchanged; defaults
+        to the saddle itself (straight segment, zero multiplier).
 
     Returns (final SolverState, list of ErgodicRecord at k = 1, 2, 4, ...).
     A violated step condition only warns; iteration proceeds and divergence,
@@ -247,16 +247,12 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
             stacklevel=2,
         )
 
-    if init is None:
-        curve, mult = init_straight_line(problem.p, problem.q, problem.m)
-    else:
-        curve, mult = init[0].copy(), init[1].copy()
-    if curve.m != problem.m or mult.m != problem.m:
-        raise ValueError("init resolution does not match problem.m")
-
     # the gap is measured against the saddle, which is exact here because
     # a.p = a.q = 0 makes the straight segment feasible with lambda = 0
     ref_curve, ref_mult = init_straight_line(problem.p, problem.q, problem.m)
+    curve, mult = (ref_curve, ref_mult) if init is None else init  # copied below
+    if curve.m != problem.m or mult.m != problem.m:
+        raise ValueError("init resolution does not match problem.m")
     field = Plane(problem.a)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny step makes it inf

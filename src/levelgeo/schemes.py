@@ -72,7 +72,7 @@ __all__ = [
 
 #: curve_length beyond this multiple of |p - q| counts as divergence
 DIVERGENCE_LENGTH_FACTOR = 1e3
-#: endpoint |phi| above this draws a warning from run()
+#: endpoint |phi| above this times the surface's scale draws a warning from run()
 ENDPOINT_WARN_TOL = 1e-6
 
 
@@ -251,6 +251,10 @@ class _Workspace:
         reason).  The reason is the row's SingularityError, or the message of
         a divergence: a non-finite update or a curve longer than its length
         cap.  A stopped row is stepped like the others; the caller drops it.
+        The stops are decided in two tiers: _within_caps, which can only pass
+        the whole stack, and, when it fails or a row is singular, one pass per
+        row (finite points and multipliers, curve_length within length_cap)
+        that names the stopped rows and their messages.
         """
         phi, grad, singular = field
         if singular:  # each member's own results, stacked; nan gradient where singular
@@ -287,21 +291,16 @@ class _Workspace:
         np.multiply(force, self.tau_gamma, force)
         np.subtract(interior, force, new_interior)
 
-        # two tiers: a cheap test that can only pass the whole stack, and, when
-        # it fails or a row is singular (its nan gradient makes its update nan),
-        # the exact test, locating the stopped rows only when that fails too: a
-        # length within its cap (nan is not) implies finite points
+        # a singular row's nan gradient makes its update nan, so it stops here too
         stops = []
         if singular or not self._within_caps(new_after, new_before, new_lam):
             lengths = curve_length(new_pts)
-            if (np.count_nonzero(lengths <= self.length_cap) + np.count_nonzero(
-                    np.isfinite(new_lam)) != len(lengths) + new_lam.size):
-                finite = (np.isfinite(new_interior).all(axis=(1, 2))
-                          & np.isfinite(new_lam).all(axis=1))
-                stops = [(row, self.state(row, iteration - 1), singular.get(row) or (
-                    f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
-                    else "non-finite value in update"))
-                    for row in np.flatnonzero(~finite | (lengths > self.length_cap))]
+            finite = (np.isfinite(new_interior).all(axis=(1, 2))
+                      & np.isfinite(new_lam).all(axis=1))
+            stops = [(row, self.state(row, iteration - 1), singular.get(row) or (
+                f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
+                else "non-finite value in update"))
+                for row in np.flatnonzero(~finite | (lengths > self.length_cap))]
         self.buffers.reverse()
         return stops
 
@@ -327,14 +326,11 @@ class _Workspace:
 
 def _length_cap(p, q) -> float:
     """DIVERGENCE_LENGTH_FACTOR max(|q - p|, 1e-6), at most the largest float
-    so that an inf length exceeds it.  |q - p| is numpy.linalg.norm's where
-    |q - p|^2 does not overflow, and hypot's, which scales, where it does."""
+    so that an inf length exceeds it.  |q - p| is numpy.hypot.reduce's, which
+    scales, so it is finite wherever q - p is, its square too large or not."""
     with np.errstate(over="ignore"):
-        chord = q - p
-        distance = float(np.linalg.norm(chord))
-        if distance == np.inf:
-            distance = float(np.hypot.reduce(chord))
-        return min(DIVERGENCE_LENGTH_FACTOR * max(distance, 1e-6), np.finfo(float).max)
+        distance = float(np.hypot.reduce(q - p))
+    return min(DIVERGENCE_LENGTH_FACTOR * max(distance, 1e-6), np.finfo(float).max)
 
 
 def _buffer(pts, lam):
@@ -379,20 +375,6 @@ class BatchRun(NamedTuple):
     seconds: dict  # record_at iteration -> seconds from the start until the batch reached it
 
 
-def _initial_state(problem: Problem, surface, stacklevel: int) -> SolverState:
-    """The state at iteration 0.  Warns if the init's endpoints are off the
-    surface (stacklevel as the caller would pass it to warnings.warn)."""
-    curve0, mult0 = problem.init
-    endpoint_phi = max(abs(float(surface.value(curve0.p))),
-                       abs(float(surface.value(curve0.q))))
-    if endpoint_phi > ENDPOINT_WARN_TOL:
-        warnings.warn(
-            f"init endpoints are off-surface: max |phi| = {endpoint_phi:.3g}",
-            stacklevel=stacklevel + 1,
-        )
-    return SolverState(curve=curve0.copy(), multiplier=mult0.copy(), iteration=0)
-
-
 def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     """Iterate several problems as one stack, with one field call per state.
 
@@ -406,9 +388,12 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     call feeds its trace rows and the next step, so a batch without stops
     makes max_iters + 1 field calls whatever it records.
 
-    Returns (BatchRun, [Outcome of each problem, in order]).  The warning
-    about off-surface endpoints names the caller's line (run() passes
-    _stacklevel=3 so that it names its own caller's).
+    Each init is copied, so the caller's stays as it was.  An init whose
+    endpoints are further off the surface than ENDPOINT_WARN_TOL times
+    surface.scale() draws a warning, which names the caller's line (run()
+    passes _stacklevel=3 so that it names its own caller's).
+
+    Returns (BatchRun, [Outcome of each problem, in order]).
     """
     if not problems:
         raise ValueError("a batch needs at least one problem")
@@ -418,9 +403,14 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
            for p in problems):
         raise ValueError("a batch must share scheme, max_iters, record_every and m")
     start = time.monotonic()
-    states = []
+    tol, states = ENDPOINT_WARN_TOL * surface.scale(), []
     for problem in problems:  # a loop, not a comprehension: its frame would count
-        states.append(_initial_state(problem, surface, _stacklevel))
+        curve, mult = problem.init
+        off = max(abs(float(surface.value(curve.p))), abs(float(surface.value(curve.q))))
+        if off > tol:
+            warnings.warn(f"init endpoints are off-surface: max |phi| = {off:.3g}",
+                          stacklevel=_stacklevel)
+        states.append(SolverState(curve.copy(), mult.copy()))
     outcomes = [Outcome(state, diagnostics.IterationTrace()) for state in states]
     members = list(range(len(problems)))  # the problem of each row of work
     work = _Workspace(states, [p.cfg for p in problems], surface)

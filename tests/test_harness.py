@@ -1164,6 +1164,8 @@ def test_check_surface_report(capsys):
 
 @pytest.mark.parametrize("band,message", [
     ("1e-12", "no band samples"), ("inf", "must be positive and finite"),
+    # above the float spacing at the unit sphere's scale, 2.2e-16: sampled
+    ("1e-15", "no band samples"),
 ])
 def test_check_surface_unusable_band_exits_1(capsys, band, message):
     rc = main(["check-surface", "--band", band, "--samples", "100"])
@@ -1171,6 +1173,21 @@ def test_check_surface_unusable_band_exits_1(capsys, band, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_check_surface_rejects_a_band_below_the_resolution_up_front(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a point cloud's million proposals took about a second before the error
+    write_cloud(tmp_path / "cloud.xyz")
+    monkeypatch.setattr(PointCloud, "_value", None)  # no proposal evaluated
+    rc = main(["check-surface", "--surface", "point-cloud", "--points",
+               str(tmp_path / "cloud.xyz"), "--band", "1e-320", "--samples", "100"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: band half-width 9.99989e-321 is below the "
+                                   "surface's resolution")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("band", ["1e308", "1e200"])
@@ -1222,19 +1239,49 @@ def test_a_sphere_radius_whose_square_overflows_is_one_error_line(tmp_path, kind
                            "sphere radius must be positive with a finite square\n")
 
 
-@pytest.mark.parametrize("argv,code,out", [
-    # radius * radius underflowed to 0, and the reference divided by it
-    (["run", "--p", "1e-170,0,0", "--q", "0,1e-170,0", "--reference", "sphere-exact"],
-     3, "singularity at iteration 1"),
-    # as did the pair sampler's angle test
-    (["benchmark", "--pairs", "1", "--checkpoints", "1"], 0, "pair 0: singularity"),
+@pytest.mark.parametrize("argv", [
+    # these ended in a singularity stop: |x| squares x, so every point read as the origin
+    ["run", "--p", "1e-170,0,0", "--q", "0,1e-170,0", "--reference", "sphere-exact"],
+    ["benchmark", "--pairs", "1", "--checkpoints", "1"],
 ], ids=["run", "benchmark"])
-def test_a_sphere_radius_whose_square_underflows_runs(tmp_path, capsys, argv, code, out):
+def test_a_sphere_radius_whose_square_underflows_is_one_error_line(tmp_path, capsys, argv):
     rc = main([*argv, "--surface", "sphere-sdf:1e-170", "--m", "4",
                "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
-    assert rc == code
-    assert out in captured.out
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: bad surface descriptor 'sphere-sdf:1e-170': "
+                            "sphere radius 1e-170 is too small: its square underflows\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("radius,message", [
+    # a tolerance of 1e-3, absolute, passed both endpoints, 1e97 radii off
+    ("1e-100", "endpoint p is off the surface: |phi| = 0.001 > 1e-103"),
+    # ran, 1e297 radii off, and exited 0
+    ("1e-300", "sphere radius 1e-300 is too small: its square underflows"),
+    # read a nan reference distance
+    ("1e-320", "sphere radius 9.99989e-321 is too small: its square underflows"),
+], ids=["1e-100", "1e-300", "1e-320"])
+def test_unit_size_endpoints_on_a_tiny_sphere_are_one_error_line(tmp_path, capsys,
+                                                                 radius, message):
+    rc = main(["run", "--surface", f"sphere-sdf:{radius}", "--p", "1e-3,0,0",
+               "--q", "0,1e-3,0", "--reference", "sphere-exact", "--m", "4",
+               "--iters", "2", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith(message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_endpoints_on_a_tiny_sphere_run(tmp_path, capsys):
+    rc = main(["run", "--surface", "sphere-sdf:1e-100", "--p", "1e-100,0,0",
+               "--q", "0,1e-100,0", "--reference", "sphere-exact", "--m", "4",
+               "--iters", "2", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out.startswith("done: 2 iterations")
     assert captured.err == ""
 
 
@@ -1263,7 +1310,10 @@ def test_a_randomized_init_that_overflows_is_one_error_line(tmp_path, capsys):
 #: what the property test below gives each flag, by dest: extremes, odd
 #: shapes and plain values.  Every budget stays at 17 or below (a checkpoint
 #: of 1e308 is a legal budget that never ends), so check-surface, which
-#: needs 100 samples, stops at that check; --out is always under tmp_path.
+#: needs 100 samples, stops at that check, or before it at the band check: a
+#: band below the surface's resolution is rejected before any proposal, while
+#: one above it that is never hit would cost a million proposals.  Tiny sphere
+#: radii meet unit-size endpoints; --out is always under tmp_path.
 _EXTREMES = ("0", "-0.0", "-1", "1e-320", "1e-300", "1e308", "inf", "nan", "0.5")
 _BUDGETS = ("17", "2", "1", "0", "-1")
 _ALWAYS_SET = ("m", "iters", "pairs", "samples", "checkpoints", "out", "parameter", "values")
@@ -1272,6 +1322,7 @@ _POINTS = ("1,0,0", "0,1,0", "0,0,-1", "-1,0,0", "3,0,0", "-3,0,0", "antipodal-z
            "1,2", "a,b,c", "")
 _TEXTS = {
     "surface": ("sphere-sdf", "sphere-sdf:1e-300", "sphere-sdf:1e-320", "sphere-sdf:1e200",
+                "sphere-sdf:1e-100", "sphere-quadratic:1e-100",
                 "sphere-quadratic:1e-170", "sphere-quadratic", "torus:2,1",
                 "torus:1e200,1", "torus:1,2", "plane", "plane:0,0,1", "plane:0,0,0",
                 "plane:1e200,0,0", "point-cloud", "sphere-sdf:nan", "sphere-sdf:-1",
@@ -1288,6 +1339,7 @@ _TEXTS = {
     "schemes": ("base-pdhg,var1,var2", "gda,regularized", "var2", "bogus", ""),
     "seed": ("0", "5", "-1", "18446744073709551616"),
     "record_every": _BUDGETS,
+    "band": (*_EXTREMES, "1e-17", "1e-100"),
 }
 
 
@@ -1297,10 +1349,8 @@ def _flag_values(action):
     menu's first value, so that runs get past the checks too."""
     if action.choices is not None:
         menu = action.choices
-    elif action.type is float:
-        menu = _EXTREMES
     else:
-        menu = _TEXTS.get(action.dest, _BUDGETS)
+        menu = _TEXTS.get(action.dest, _EXTREMES if action.type is float else _BUDGETS)
     usual = menu[0] if action.dest in _ALWAYS_SET else None
     return st.sampled_from([usual] * (3 * len(menu)) + list(menu))
 

@@ -191,6 +191,35 @@ def test_a_sphere_radius_whose_square_overflows_is_rejected(cls):
             cls(radius)
 
 
+@pytest.mark.parametrize("cls", [SphereQuadratic, SphereSDF])
+def test_a_sphere_radius_whose_square_underflows_is_rejected(cls):
+    # |x| squares x: on a sphere of radius 1e-170 every point read as the origin
+    assert cls(1.5e-154).radius == 1.5e-154
+    for radius in (1.4e-154, 1e-170, 1e-300, 1e-320):
+        with pytest.raises(ValueError, match="too small: its square underflows"):
+            cls(radius)
+
+
+def test_scale_is_half_the_smallest_nonzero_extent():
+    assert SphereSDF(1e-100).scale() == 1e-100
+    assert Torus(3.0, 0.5).scale() == 0.5
+    assert Plane().scale() == 2.0
+    flat = PointCloud([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 6.0, 0.0], [1.0, 1.0, 0.0]])
+    assert flat.scale() == 2.0  # the zero z extent does not count
+
+
+def test_a_band_below_the_resolution_is_rejected_before_any_proposal():
+    class NoValues(_RowHooks):
+        def _value(self, pts):
+            raise AssertionError("a proposal was evaluated")
+
+    with pytest.raises(ValueError, match="below the surface's resolution 2.22045e-16"):
+        check_assumption_a(NoValues(), a=1e-16, n_samples=100)
+    with pytest.raises(ValueError, match="below the surface's resolution 1.26897e-116"):
+        check_assumption_a(SphereSDF(1e-100), a=1e-117, n_samples=100)
+    assert check_assumption_a(SphereSDF(1e-100), a=1e-101, n_samples=100).n_samples == 100
+
+
 @pytest.mark.parametrize("normal", [(1e200, 0.0, 0.0), (1e-200, 0.0, 0.0), (0.0, 0.0, 0.0),
                                     (np.inf, 0.0, 0.0), (np.nan, 1.0, 0.0), (1.0, 0.0)])
 def test_plane_normal_needs_a_finite_nonzero_square(normal):

@@ -326,6 +326,25 @@ def test_run_planar_from_saddle_keeps_zero_gap():
     assert np.allclose(state.curve.points, expected, atol=1e-12)
 
 
+def test_run_planar_starts_at_the_saddle_and_leaves_an_init_as_it_was():
+    problem = PlanarProblem(a=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, -1.0, 0.0]),
+                            q=np.array([0.0, 1.0, 0.0]), m=20)
+    saddle = init_straight_line(problem.p, problem.q, problem.m)
+    ours = run_planar(problem, 40)
+    theirs = run_planar(problem, 40, init=saddle)
+    for (state, records) in (ours, theirs):
+        assert state.iteration == 40
+    assert ours[0].curve.points.tobytes() == theirs[0].curve.points.tobytes()
+    assert ours[0].multiplier.values.tobytes() == theirs[0].multiplier.values.tobytes()
+    assert [vars(r) for r in ours[1]] == [vars(r) for r in theirs[1]]
+
+    init = default_planar_perturbation(problem)
+    before = init[0].points.tobytes(), init[1].values.tobytes()
+    state, _ = run_planar(problem, 40, init=init)
+    assert (init[0].points.tobytes(), init[1].values.tobytes()) == before
+    assert state.curve.points.tobytes() != before[0]
+
+
 def perturbed_init(problem):
     curve, mult = init_straight_line(problem.p, problem.q, problem.m)
     t = np.arange(problem.m + 1) / problem.m

@@ -559,6 +559,46 @@ def test_far_endpoints_keep_a_finite_length_cap():
     assert schemes._length_cap(-1e308 * np.ones(3), 1e308 * np.ones(3)) == np.finfo(float).max
 
 
+def test_one_pass_stops_exactly_the_rows_that_stop():
+    # three rows of one stack on the plane z = 0, m = 2: two chords of 1e154,
+    # the sum of whose squares overflows, so the cheap test fails, yet the row
+    # is finite and still, and goes on; an update of inf; and a node sent 8e6 out
+    def row(p, q, node, tau_gamma):
+        points = np.array([p, node, q], dtype=float)
+        return SolverState(DiscreteCurve(points), MultiplierField(np.zeros(1))), \
+            SolverConfig(tau_gamma=tau_gamma)
+
+    states, cfgs = zip(row((-1e154, 0, 0), (1e154, 0, 0), (0, 0, 0), 1e-5),
+                       row((-1, 0, 0), (1, 0, 0), (0, 1, 0), 1.7e308),
+                       row((-1, 0, 0), (1, 0, 0), (0, 1, 0), 1e6))
+    work = schemes._Workspace(list(states), list(cfgs), Plane())
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = work.evaluate()
+        assert not work._within_caps(*work.buffers[0][4:])
+        stops = work.advance(1, field)
+    assert [(row, reason) for row, _, reason in stops] == [
+        (1, "non-finite value in update"), (2, "curve length exceeded 2e+03")]
+    for row, state, _ in stops:  # the state before the step
+        assert state.iteration == 0
+        assert state.curve.points.tobytes() == states[row].curve.points.tobytes()
+    assert work.state(0, 1).curve.points.tobytes() == states[0].curve.points.tobytes()
+
+
+def test_length_cap_is_hypot_within_two_ulps_of_the_norm():
+    # hypot.reduce and linalg.norm round differently: 0.6% of these chords
+    # move by two ulps (after the factor), none by more
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        p, q = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 1))
+        reference = DIVERGENCE_LENGTH_FACTOR * np.linalg.norm(q - p)
+        assert abs(schemes._length_cap(p, q) - reference) <= 2 * np.spacing(reference)
+    # finite where |q - p|^2 overflows, and exact along an axis
+    p, q = np.array([-1e155, 0.0, 1e155]), np.array([1e155, 0.0, -1e155])
+    cap = schemes._length_cap(p, q)
+    assert math.isfinite(cap) and cap == pytest.approx(2e158 * math.sqrt(2), rel=1e-15)
+    assert schemes._length_cap(np.zeros(3), np.array([0.0, 3.0, 0.0])) == 3e3
+
+
 def test_batch_stops_only_a_singular_member():
     # the straight chord between the poles puts node m/2 of the middle member
     # on the origin, where the gradient of R - |x| is undefined
