@@ -58,9 +58,6 @@ class DiscreteCurve:
     def interior(self):
         return self.points[1:-1]
 
-    def copy(self) -> "DiscreteCurve":
-        return DiscreteCurve(self.points.copy())
-
 
 class MultiplierField:
     """Scalar multiplier values at the m-1 interior grid nodes."""
@@ -80,9 +77,6 @@ class MultiplierField:
     @classmethod
     def zeros(cls, m: int) -> "MultiplierField":
         return cls(np.zeros(m - 1))
-
-    def copy(self) -> "MultiplierField":
-        return MultiplierField(self.values.copy())
 
 
 def _row_norms(x):
@@ -142,12 +136,19 @@ def curve_length(curve):
     """Piecewise-linear length: sum of chord lengths.
 
     Takes a DiscreteCurve, or a (B, m+1, 3) stack of curve points and then
-    returns the (B,) lengths, each bit for bit that curve's own length.
+    returns the (B,) lengths, each bit for bit that curve's own length.  A
+    chord's length is numpy.linalg.norm's over the last axis, or hypot's, which
+    scales, where its square overflows; no numpy warning is raised.
     """
     pts = curve.points if isinstance(curve, DiscreteCurve) else curve
-    chords = pts[..., 1:, :] - pts[..., :-1, :]
-    # each chord's length as (dx^2 + dy^2) + dz^2: numpy.linalg.norm's bits
-    lengths = _row_norms(chords).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chords = pts[..., 1:, :] - pts[..., :-1, :]
+        norms = _row_norms(chords)
+        lengths = norms.sum(axis=-1)
+        if not np.isfinite(lengths).all():
+            big = np.isinf(norms)
+            norms[big] = np.hypot.reduce(chords[big], axis=-1)
+            lengths = norms.sum(axis=-1)
     return float(lengths) if lengths.ndim == 0 else lengths
 
 

@@ -443,8 +443,8 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
     Rejection-samples uniformly in the surface bounding box inflated by 2a,
     capped at 1e6 proposal points; raises SamplingError if the band is never
     hit, and ValueError, before any proposal, if a is below the float spacing
-    at surface.scale(), which no field value resolves, or if that box's
-    squared extent overflows.
+    at surface.scale(), which no field value resolves, or if the squared
+    extent of the surface's box, or of the inflated box, overflows.
     """
     if not 0 < a < np.inf:
         raise ValueError("band half-width a must be positive and finite")
@@ -457,6 +457,9 @@ def check_assumption_a(surface: LevelSet, a: float, n_samples: int = 20000,
     rng = np.random.default_rng(seed)
     lo, hi = surface.bounding_box()
     with np.errstate(over="ignore"):
+        if not np.isfinite((hi - lo) @ (hi - lo)):
+            raise ValueError("the surface's sampling box overflows: its squared extent "
+                             "is not finite")
         lo, hi = lo - 2.0 * a, hi + 2.0 * a
         if not np.isfinite((hi - lo) @ (hi - lo)):
             raise ValueError(f"band half-width {a:g} overflows the sampling box")

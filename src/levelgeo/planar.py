@@ -149,7 +149,8 @@ def greens_function(t, s, tau_gamma: float):
 
 @dataclass
 class PlanarProblem:
-    """Endpoints in the plane a.x = 0 plus step sizes.
+    """Endpoints in the plane a.x = 0 (each within 1e-12 of it: the distance
+    |a.x| / |a|, whatever the length of a) plus step sizes.
 
     step_condition_ok is the one test of the rate condition
     tau_l tau_g |a|^2 < 1, under which the A-norm is positive definite.
@@ -170,8 +171,9 @@ class PlanarProblem:
         for name, pt in (("p", self.p), ("q", self.q)):
             if pt.shape != (3,) or not np.isfinite(pt).all():
                 raise ValueError(f"{name} must be a finite 3-vector")
-            if abs(float(self.a @ pt)) > 1e-12:
-                raise ValueError(f"{name} must satisfy a.{name} = 0 (within 1e-12)")
+            with np.errstate(over="ignore"):  # an a.x that overflows is inf: far off
+                if abs(float(self.a @ pt)) / math.sqrt(self.a @ self.a) > 1e-12:
+                    raise ValueError(f"{name} must lie within 1e-12 of the plane a.x = 0")
         if not isinstance(self.m, (int, np.integer)) or self.m < 2:
             raise ValueError("m must be an integer of at least 2")
         if not (0 < self.tau_gamma < np.inf and 0 < self.tau_lambda < np.inf):

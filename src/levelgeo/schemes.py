@@ -178,22 +178,21 @@ class DivergenceError(RuntimeError):
 class _Workspace:
     """The stacked state of a batch whose members share scheme and m.
 
-    Points are (B, m+1, 3) and multipliers (B, m-1), each in two buffers that
-    swap after every iteration; only interior rows are written, so the
-    endpoints stay pinned.  Each step size holds every member's own value at
-    each of its nodes, a (B, 1) column spread to the shape it multiplies:
-    numpy's loop over two contiguous operands of one shape is faster than a
-    broadcast, at B = 1 too, and the products are the same.  lam~ has one
-    buffer of its own, for every scheme.  Its rows are fixed for its life:
-    advance() steps them all and reports those that stop.  Each state is
-    evaluated once, by one stacked call or, only if that raises, one call per
-    member (evaluate()).
+    Its (B, m+1, 3) points and (B, m-1) multipliers, arrays of its own, are
+    the first of two buffers that swap after every iteration; only interior
+    rows are written, so the endpoints stay pinned.  The length caps come from
+    them, pts[:, ::m], under the caller's np.errstate.  Each step size holds
+    every member's own value at each of its nodes, a (B, 1) column spread to
+    the shape it multiplies: numpy's loop over two contiguous operands of one
+    shape is faster than a broadcast, at B = 1 too, and the products are the
+    same.  lam~ has one buffer of its own, for every scheme.  Its rows are
+    fixed for its life: advance() steps them all and reports those that stop.
+    Each state is evaluated once, by one stacked call or, only if that raises,
+    one call per member (evaluate()).
     """
 
-    def __init__(self, states, cfgs, surface):
-        self.scheme, self.surface, self.m = cfgs[0].scheme, surface, states[0].multiplier.m
-        pts = np.stack([s.curve.points for s in states])
-        lam = np.stack([s.multiplier.values for s in states])
+    def __init__(self, pts, lam, cfgs, surface):
+        self.scheme, self.surface, self.m = cfgs[0].scheme, surface, pts.shape[1] - 1
         self.buffers = [_buffer(pts, lam), _buffer(pts.copy(), np.empty_like(lam))]
 
         def per_node(values, shape=lam.shape):
@@ -210,13 +209,15 @@ class _Workspace:
         self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
         # 0-d operands: numpy converts a Python number at every call
         self.two, self.m_squared = np.array(2.0), np.array(float(self.m**2))
-        self.length_cap = np.array([_length_cap(s.curve.p, s.curve.q) for s in states])
+        # 1e3 max(|q - p|, 1e-6), at most the largest float: an inf length exceeds it
+        self.length_cap = np.minimum(DIVERGENCE_LENGTH_FACTOR * np.maximum(
+            curve_length(pts[:, ::self.m]), 1e-6), np.finfo(float).max)
         # _within_caps's bound on sum |chord|^2: cap^2 (1 - margin) / m.  The
         # margin exceeds the (5m + 7) 2^-53 that rounding can take; a cap beyond
         # 1e150 counts as 1e150, so every sum that passes stays far from overflow
         margin = 16 * (self.m + 1) * 2.0**-53
         self.chord_bound = np.minimum(self.length_cap, 1e150) ** 2 * (1 - margin) / self.m
-        self.chords = np.empty((len(states), 3 * self.m))  # flat, a row per member
+        self.chords = np.empty((len(pts), 3 * self.m))  # flat, a row per member
         self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
         self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
         # lam~ as a (B(m-1), 1) column and the force as (B(m-1), 3) rows
@@ -324,15 +325,6 @@ class _Workspace:
                 == len(chords) and math.isfinite(lam.dot(lam)))
 
 
-def _length_cap(p, q) -> float:
-    """DIVERGENCE_LENGTH_FACTOR max(|q - p|, 1e-6), at most the largest float
-    so that an inf length exceeds it.  |q - p| is numpy.hypot.reduce's, which
-    scales, so it is finite wherever q - p is, its square too large or not."""
-    with np.errstate(over="ignore"):
-        distance = float(np.hypot.reduce(q - p))
-    return min(DIVERGENCE_LENGTH_FACTOR * max(distance, 1e-6), np.finfo(float).max)
-
-
 def _buffer(pts, lam):
     """One buffer: (B, m+1, 3) points, their interior, each interior node's next
     and previous neighbours, the chords' heads and tails as (B, 3m) rows and
@@ -388,10 +380,11 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     call feeds its trace rows and the next step, so a batch without stops
     makes max_iters + 1 field calls whatever it records.
 
-    Each init is copied, so the caller's stays as it was.  An init whose
-    endpoints are further off the surface than ENDPOINT_WARN_TOL times
-    surface.scale() draws a warning, which names the caller's line (run()
-    passes _stacklevel=3 so that it names its own caller's).
+    The stack is np.stack of the inits, which stay as they were; the members
+    that go on after a stop are restacked from their rows.  A member whose
+    endpoints, from one value call on all of them, are further off the
+    surface than ENDPOINT_WARN_TOL times surface.scale() draws a warning
+    naming the caller's line (run() passes _stacklevel=3 for its caller's).
 
     Returns (BatchRun, [Outcome of each problem, in order]).
     """
@@ -402,31 +395,31 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     if any((p.cfg.scheme, p.cfg.max_iters, p.cfg.record_every, p.init[0].m) != shared
            for p in problems):
         raise ValueError("a batch must share scheme, max_iters, record_every and m")
+    if any(p.init[1].m != m for p in problems):
+        raise ValueError(f"curve m={m} and a multiplier's m differ")
     start = time.monotonic()
-    tol, states = ENDPOINT_WARN_TOL * surface.scale(), []
-    for problem in problems:  # a loop, not a comprehension: its frame would count
-        curve, mult = problem.init
-        off = max(abs(float(surface.value(curve.p))), abs(float(surface.value(curve.q))))
-        if off > tol:
-            warnings.warn(f"init endpoints are off-surface: max |phi| = {off:.3g}",
-                          stacklevel=_stacklevel)
-        states.append(SolverState(curve.copy(), mult.copy()))
-    outcomes = [Outcome(state, diagnostics.IterationTrace()) for state in states]
+    outcomes = [Outcome(None, diagnostics.IterationTrace()) for _ in problems]
     members = list(range(len(problems)))  # the problem of each row of work
-    work = _Workspace(states, [p.cfg for p in problems], surface)
 
     def record(k, field):
         phi, grad, _ = field
         for row, member in enumerate(members):
             out, problem = outcomes[member], problems[member]
-            if k:
-                out.state = work.state(row, k)
+            out.state = work.state(row, k)
             out.trace.append(diagnostics.trace_row(out.state, problem.cfg, surface,
                                                    problem.reference_distance,
                                                    field=(phi[row], grad[row])))
 
     record_at, seconds = frozenset(record_at), {}
     with np.errstate(over="ignore", invalid="ignore"):
+        work = _Workspace(np.stack([p.init[0].points for p in problems]),
+                          np.stack([p.init[1].values for p in problems]),
+                          [p.cfg for p in problems], surface)
+        ends = work.buffers[0][0][:, ::m].reshape(-1, 3)
+        off = np.abs(surface.value(ends)).reshape(-1, 2).max(axis=1)
+        for value in off[off > ENDPOINT_WARN_TOL * surface.scale()]:  # in this frame
+            warnings.warn(f"init endpoints are off-surface: max |phi| = {value:.3g}",
+                          stacklevel=_stacklevel)
         field = work.evaluate()
         record(0, field)
         for k in range(1, cfg.max_iters + 1):
@@ -441,7 +434,8 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
                 members = [members[row] for row in going]
                 if not members:
                     break
-                work = _Workspace([work.state(row, k) for row in going],
+                pts, *_, lam = work.buffers[0]
+                work = _Workspace(pts[going], lam[going],
                                   [problems[member].cfg for member in members], surface)
             wanted = k in record_at
             if wanted:

@@ -132,15 +132,6 @@ def test_multiplier_field_validation():
     assert MultiplierField.zeros(10).values.shape == (9,)
 
 
-def test_copy_is_independent():
-    curve, mult = init_straight_line(P, Q, 10)
-    c2, m2 = curve.copy(), mult.copy()
-    c2.points[3] += 1.0
-    m2.values[0] = 5.0
-    assert not np.array_equal(curve.points, c2.points)
-    assert mult.values[0] == 0.0
-
-
 @settings(max_examples=100, deadline=None)
 @given(points=hnp.arrays(float, st.tuples(st.integers(3, 40), st.just(3)),
                          elements=st.floats(allow_nan=False)))
@@ -188,3 +179,26 @@ def test_row_norms_are_numpy_norms_bit_for_bit(data, scale):
     x = data.draw(hnp.arrays(float, data.draw(_SHAPES), elements=entries))
     with np.errstate(over="ignore", invalid="ignore"):
         assert _row_norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+
+def test_a_chord_whose_square_overflows_has_a_finite_length():
+    # the chord from node 2 to node 3, about 1.7e155 long, has a square that
+    # overflows: hypot measures it, every other chord and every curve of the
+    # stack without one keeps linalg.norm's bits, and no numpy warning is
+    # raised (the suite makes one an error)
+    ordinary = np.random.default_rng(0).normal(size=(6, 3))
+    far = ordinary.copy()
+    far[3:] += 1e155
+    lengths = curve_length(np.stack([ordinary, far]))
+    chords = np.diff(far, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(chords, axis=1)
+    assert np.isinf(norms).tolist() == [False, False, True, False, False]
+    norms[2] = np.hypot.reduce(chords[2])
+    assert lengths[0] == np.linalg.norm(np.diff(ordinary, axis=0), axis=1).sum()
+    assert lengths[1] == norms.sum() == curve_length(DiscreteCurve(far))
+    assert lengths[1] == pytest.approx(math.sqrt(3) * 1e155)
+    # beyond the float range a length is inf, and a nan node's is nan
+    assert curve_length(DiscreteCurve([[-1e308, 0, 0], [0, 0, 0], [1e308, 0, 0]])) == np.inf
+    assert curve_length(DiscreteCurve([[0, 0, 0], [np.inf, 0, 0], [-np.inf, 0, 0]])) == np.inf
+    assert math.isnan(curve_length(DiscreteCurve([[0, 0, 0], [np.nan, 0, 0], [1e200, 0, 0]])))

@@ -87,6 +87,20 @@ def test_artifacts_match_golden(case, tmp_path):
         assert got[name] == want[name], f"{case}/{name} differs from the golden"
 
 
+def test_the_sweeps_diverging_member_leaves_the_others_as_their_own_runs(tmp_path):
+    # tau_gamma = 0.5 diverges and the two others are restacked from their
+    # rows: each member's trace is byte for byte the one its run alone writes
+    argv, _ = CASES["sweep"]
+    flags = argv[1:argv.index("--parameter")]
+    stops = {}
+    for value in argv[argv.index("--values") + 1].split(","):
+        code = main(["run", *flags, "--tau-gamma", value, "--out", str(tmp_path / value)])
+        want = (GOLDEN / "sweep" / f"tau_gamma={float(value):g}" / "trace.csv").read_bytes()
+        assert (tmp_path / value / "trace.csv").read_bytes() == want
+        stops[value] = (code, len(want.splitlines()))
+    assert stops == {"1e-5": (0, 7), "0.5": (2, 2), "1e-4": (0, 7)}
+
+
 # every golden argv, and check-surface's, which writes no artifact
 PARSED_ARGVS = [argv for argv, _ in CASES.values()] + [
     ["check-surface", "--surface", "torus:3,1", "--band", "0.1", "--seed", "2"]]

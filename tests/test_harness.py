@@ -1224,6 +1224,18 @@ def test_far_endpoints_process_writes_nothing_to_stderr(tmp_path):
     assert proc.stderr == ""
 
 
+def test_far_endpoints_with_long_chords_run_to_their_budget(tmp_path, capsys):
+    # m = 2: chords of 1e155, whose squares overflow; the still curve's
+    # length is finite, so it is not read as diverged
+    rc = main(["run", "--surface", "plane", "--p=-1e155,0,0", "--q", "1e155,0,0",
+               "--m", "2", "--iters", "3", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert captured.out.startswith("done: 3 iterations")
+    assert "length=2e+155" in captured.out
+
+
 @pytest.mark.parametrize("kind", ["sphere-quadratic", "sphere-sdf"])
 @pytest.mark.parametrize("argv", [
     ["run", "--init", "randomized", "--iters", "3"],
@@ -1318,13 +1330,13 @@ _EXTREMES = ("0", "-0.0", "-1", "1e-320", "1e-300", "1e308", "inf", "nan", "0.5"
 _BUDGETS = ("17", "2", "1", "0", "-1")
 _ALWAYS_SET = ("m", "iters", "pairs", "samples", "checkpoints", "out", "parameter", "values")
 _POINTS = ("1,0,0", "0,1,0", "0,0,-1", "-1,0,0", "3,0,0", "-3,0,0", "antipodal-z",
-           "1e-170,0,0", "0,1e-300,0", "1e200,0,0", "0,0,0", "nan,0,0", "inf,0,0",
-           "1,2", "a,b,c", "")
+           "1e-170,0,0", "0,1e-300,0", "1e200,0,0", "-1e155,0,0", "1e155,0,0", "0,0,0",
+           "nan,0,0", "inf,0,0", "1,2", "a,b,c", "")
 _TEXTS = {
     "surface": ("sphere-sdf", "sphere-sdf:1e-300", "sphere-sdf:1e-320", "sphere-sdf:1e200",
                 "sphere-sdf:1e-100", "sphere-quadratic:1e-100",
                 "sphere-quadratic:1e-170", "sphere-quadratic", "torus:2,1",
-                "torus:1e200,1", "torus:1,2", "plane", "plane:0,0,1", "plane:0,0,0",
+                "torus:1e200,1", "torus:1e154,1", "torus:1,2", "plane", "plane:0,0,1", "plane:0,0,0",
                 "plane:1e200,0,0", "point-cloud", "sphere-sdf:nan", "sphere-sdf:-1",
                 "moebius"),
     "points": ("{tmp}/cloud.xyz", "{tmp}/bad.xyz", "{tmp}/missing.xyz"),
@@ -1380,6 +1392,37 @@ def test_every_command_ends_in_an_exit_code_never_a_traceback(tmp_path, capsys, 
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+
+
+def test_check_surface_names_the_surfaces_own_box_when_it_overflows(capsys):
+    # the surface's box, not the band, has an extent whose square overflows
+    rc = main(["check-surface", "--surface", "torus:1e154,1", "--samples", "100"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: the surface's sampling box overflows: its squared "
+                            "extent is not finite\n")
+
+
+@pytest.mark.parametrize("a", ["1,0,0", "2,0,0"])
+def test_planar_endpoint_tolerance_is_a_distance_to_the_plane(tmp_path, capsys, a):
+    # 6e-13 from the plane x = 0 whatever the length of its normal
+    rc = main(["planar", "--a", a, "--p", "6e-13,0,0", "--q", "0,1,0", "--m", "4",
+               "--iters", "2", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("a,p", [("1e-20,0,0", "1e5,0,0"), ("1e150,0,0", "1e200,0,0")])
+def test_planar_endpoint_far_from_a_short_or_long_normals_plane_is_one_error_line(
+        tmp_path, capsys, a, p):
+    # |a.p| = 1e-15 is 1e5 from the plane; 1e350 overflows a.p, with no warning
+    rc = main(["planar", "--a", a, "--p", p, "--q", "0,1,0", "--m", "4",
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: p must lie within 1e-12 of the plane a.x = 0\n"
 
 
 def test_check_surface_bad_descriptor(capsys):

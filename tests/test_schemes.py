@@ -467,6 +467,13 @@ def test_batch_names_each_members_divergence():
     assert batch.iteration == 1 + outcomes[1].error.iteration + 50
 
 
+def _workspace(inits, cfgs, surface):
+    """A _Workspace of (DiscreteCurve, MultiplierField) inits, stacked as
+    run_batch stacks them."""
+    return schemes._Workspace(np.stack([curve.points for curve, _ in inits]),
+                              np.stack([mult.values for _, mult in inits]), cfgs, surface)
+
+
 _CLEAR = 2**40  # a cap 2^-12 above the length
 
 
@@ -489,7 +496,7 @@ def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, se
     # hand-built (B, m+1, 3) stacks against the step's cheap test: when it
     # passes, every curve_length is within its cap and every multiplier finite
     rng = np.random.default_rng(seed)
-    points, multipliers, states = [], [], []
+    points, multipliers, inits = [], [], []
     for kind, scale, k, bad_node, bad_lam in members:
         if kind == "nodes":
             x = rng.normal(size=(m + 1, 3)) * scale
@@ -507,11 +514,11 @@ def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, se
         cap = length * (1 + k * 2.0**-52) if 0 < length < 1e300 else 10.0 * scale
         # a straight init from 0 to (cap / 1e3, 0, 0) has (about) this cap
         init = init_straight_line(np.zeros(3), np.array([cap / 1e3, 0.0, 0.0]), m)
-        states.append(SolverState(*init))
+        inits.append(init)
         points.append(x)
         multipliers.append(lam)
     points, multipliers = np.stack(points), np.stack(multipliers)
-    work = schemes._Workspace(states, [SolverConfig()] * len(states), SphereQuadratic())
+    work = _workspace(inits, [SolverConfig()] * len(inits), SphereQuadratic())
     with np.errstate(over="ignore", invalid="ignore"):
         flat = points.reshape(len(points), -1)
         cheap = work._within_caps(flat[:, 3:], flat[:, :-3], multipliers)
@@ -546,7 +553,7 @@ def test_far_endpoints_keep_a_finite_length_cap():
     p, q = np.array([-1e155, 0.0, 0.0]), np.array([1e155, 0.0, 0.0])
     curve, multiplier = init_straight_line(p, q, 2)
     curve.points[1, 2] = 1.0  # off the plane z = 0, so that the force is not 0
-    work = schemes._Workspace([SolverState(curve, multiplier)], [SolverConfig()], Plane())
+    work = _workspace([(curve, multiplier)], [SolverConfig()], Plane())
     assert work.length_cap[0] == 2e158
     cfg = SolverConfig(tau_gamma=1.7e308, max_iters=5)
     with warnings.catch_warnings(record=True) as caught:
@@ -556,7 +563,6 @@ def test_far_endpoints_keep_a_finite_length_cap():
     assert [str(w.message) for w in caught] == []
     assert exc.value.state.iteration == 0
     assert np.isfinite(exc.value.state.curve.points).all()
-    assert schemes._length_cap(-1e308 * np.ones(3), 1e308 * np.ones(3)) == np.finfo(float).max
 
 
 def test_one_pass_stops_exactly_the_rows_that_stop():
@@ -565,13 +571,13 @@ def test_one_pass_stops_exactly_the_rows_that_stop():
     # is finite and still, and goes on; an update of inf; and a node sent 8e6 out
     def row(p, q, node, tau_gamma):
         points = np.array([p, node, q], dtype=float)
-        return SolverState(DiscreteCurve(points), MultiplierField(np.zeros(1))), \
+        return (DiscreteCurve(points), MultiplierField(np.zeros(1))), \
             SolverConfig(tau_gamma=tau_gamma)
 
-    states, cfgs = zip(row((-1e154, 0, 0), (1e154, 0, 0), (0, 0, 0), 1e-5),
-                       row((-1, 0, 0), (1, 0, 0), (0, 1, 0), 1.7e308),
-                       row((-1, 0, 0), (1, 0, 0), (0, 1, 0), 1e6))
-    work = schemes._Workspace(list(states), list(cfgs), Plane())
+    inits, cfgs = zip(row((-1e154, 0, 0), (1e154, 0, 0), (0, 0, 0), 1e-5),
+                      row((-1, 0, 0), (1, 0, 0), (0, 1, 0), 1.7e308),
+                      row((-1, 0, 0), (1, 0, 0), (0, 1, 0), 1e6))
+    work = _workspace(inits, list(cfgs), Plane())
     with np.errstate(over="ignore", invalid="ignore"):
         field = work.evaluate()
         assert not work._within_caps(*work.buffers[0][4:])
@@ -580,23 +586,31 @@ def test_one_pass_stops_exactly_the_rows_that_stop():
         (1, "non-finite value in update"), (2, "curve length exceeded 2e+03")]
     for row, state, _ in stops:  # the state before the step
         assert state.iteration == 0
-        assert state.curve.points.tobytes() == states[row].curve.points.tobytes()
-    assert work.state(0, 1).curve.points.tobytes() == states[0].curve.points.tobytes()
+        assert state.curve.points.tobytes() == inits[row][0].points.tobytes()
+    assert work.state(0, 1).curve.points.tobytes() == inits[0][0].points.tobytes()
 
 
-def test_length_cap_is_hypot_within_two_ulps_of_the_norm():
-    # hypot.reduce and linalg.norm round differently: 0.6% of these chords
-    # move by two ulps (after the factor), none by more
+def test_length_caps_are_the_norm_of_q_minus_p():
+    # one curve_length call on the endpoint rows: 1e3 |q - p| with
+    # numpy.linalg.norm's bits over the last axis, in a stack of 2000 rows
     rng = np.random.default_rng(3)
-    for _ in range(2000):
-        p, q = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 1))
-        reference = DIVERGENCE_LENGTH_FACTOR * np.linalg.norm(q - p)
-        assert abs(schemes._length_cap(p, q) - reference) <= 2 * np.spacing(reference)
-    # finite where |q - p|^2 overflows, and exact along an axis
-    p, q = np.array([-1e155, 0.0, 1e155]), np.array([1e155, 0.0, -1e155])
-    cap = schemes._length_cap(p, q)
-    assert math.isfinite(cap) and cap == pytest.approx(2e158 * math.sqrt(2), rel=1e-15)
-    assert schemes._length_cap(np.zeros(3), np.array([0.0, 3.0, 0.0])) == 3e3
+    p, q = rng.normal(size=(2, 2000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2, 2000, 1))
+    inits = [init_straight_line(a, b, 2) for a, b in zip(p, q)]
+    work = _workspace(inits, [SolverConfig()] * len(inits), Plane())
+    reference = DIVERGENCE_LENGTH_FACTOR * np.linalg.norm(q - p, axis=-1)
+    assert work.length_cap.tobytes() == reference.tobytes()
+    # finite where |q - p|^2 overflows, the largest float where q - p does,
+    # and exact along an axis; no numpy warning (the suite makes one an error)
+    ends = [((-1e155, 0.0, 1e155), (1e155, 0.0, -1e155)),
+            ((-1e308, -1e308, -1e308), (1e308, 1e308, 1e308)),
+            ((0.0, 0.0, 0.0), (0.0, 3.0, 0.0))]
+    inits = [(DiscreteCurve(np.array([a, np.zeros(3), b])), MultiplierField(np.zeros(1)))
+             for a, b in ends]
+    with np.errstate(over="ignore", invalid="ignore"):  # as run_batch builds it
+        caps = _workspace(inits, [SolverConfig()] * 3, Plane()).length_cap
+    assert caps[0] == pytest.approx(2e158 * math.sqrt(2), rel=1e-15)
+    assert caps[1] == np.finfo(float).max
+    assert caps[2] == 3e3
 
 
 def test_batch_stops_only_a_singular_member():
@@ -709,7 +723,7 @@ def test_a_single_member_workspace_hands_the_field_a_view_of_its_interior():
 
     init = init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                            20, SphereQuadratic(), tau_r=1.0, seed=0)
-    work = schemes._Workspace([SolverState(*init)], [SolverConfig()], Recording())
+    work = _workspace([init], [SolverConfig()], Recording())
     for k in (1, 2, 3):
         field = work.evaluate()
         assert np.shares_memory(seen[-1], work.buffers[0][1])
@@ -753,16 +767,17 @@ def test_one_field_call_per_state(members, record_every, record_at, monkeypatch)
                         init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
                                         m, surface, tau_r=1.0, seed=seed), math.pi / 2)
                 for seed in range(members)]
-    # the step and trace_row look curve_length up by these names at call time,
-    # which is where the benchmark's tracer wraps it: the step calls it only
-    # when its cheap length test fails, which a budget run's never does, and
-    # trace_row once per row
+    # the workspace, the step and trace_row look curve_length up by these
+    # names at call time, which is where the benchmark's tracer wraps it: the
+    # workspace calls it once on the (B, 2, 3) endpoint rows for its length
+    # caps, the step only when its cheap length test fails, which a budget
+    # run's never does, and trace_row once per row
     stacked = _count_lengths(monkeypatch, schemes)
     per_row = _count_lengths(monkeypatch, diagnostics)
     _, outcomes = run_batch(problems, surface, record_at=record_at)
     assert [outcome.stop for outcome in outcomes] == ["budget"] * members
     assert surface.calls == [members * (m - 1)] * 26
-    assert stacked == []
+    assert stacked == [(members, 2, 3)]
     assert per_row == [(m + 1, 3)] * sum(len(outcome.trace) for outcome in outcomes)
     for problem, outcome in zip(problems, outcomes):  # and the rows are those of run()
         assert _rows(outcome.trace) == _rows(
@@ -909,3 +924,44 @@ def test_off_surface_warning_names_the_callers_line():
         run_batch([Problem(cfg, init), Problem(cfg, init)], surface)
     assert [w.filename for w in by_run] == [__file__]
     assert [w.filename for w in by_batch] == [__file__] * 2
+
+
+def test_a_far_endpoint_draws_only_the_off_surface_warning():
+    # |p|^2 overflows in the field's endpoint value, which runs under the
+    # solver's np.errstate: the caller sees the off-surface warning alone
+    init = init_straight_line([1e200, 0, 0], [0, 0, 1], 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError, match="iteration 1: non-finite value"):
+            run(SolverConfig(max_iters=1), SphereSDF(), init)
+    assert [str(w.message) for w in caught] == [
+        "init endpoints are off-surface: max |phi| = inf"]
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_a_multiplier_of_another_m_is_rejected():
+    curve, _ = init_straight_line(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), 8)
+    with pytest.raises(ValueError, match="curve m=8 and a multiplier.s m differ"):
+        run(SolverConfig(max_iters=1), SphereQuadratic(), (curve, MultiplierField.zeros(9)))
+
+
+def test_a_batch_evaluates_every_endpoint_in_one_value_call():
+    # the off-surface check is one value call on the 2B endpoint rows, and a
+    # restack after a stop makes none; each off member draws its own warning
+    calls = []
+
+    class Logged(SphereQuadratic):
+        def value(self, x):
+            calls.append(np.shape(x))
+            return super().value(x)
+
+    pole, equator = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    problems = [Problem(SolverConfig(tau_gamma=tau_gamma, max_iters=20),
+                        init_straight_line(pole * scale, equator, 8))
+                for tau_gamma, scale in ((1e-4, 1.0), (1e6, 1.0), (1e-4, 1.5))]
+    with pytest.warns(UserWarning, match="off-surface") as caught:
+        _, outcomes = run_batch(problems, Logged())
+    assert calls == [(6, 3)]
+    assert [str(w.message) for w in caught] == [
+        "init endpoints are off-surface: max |phi| = 0.625"]  # (|x|^2 - 1) / 2
+    assert [outcome.stop for outcome in outcomes] == ["budget", "diverged", "budget"]
