@@ -81,14 +81,18 @@ def _add_step_flags(p, lib, m):
     p.add_argument("--m", type=int, default=m, help="curve resolution (m+1 nodes)")
 
 
+def _add_scheme_flag(p):
+    """--scheme, of run, sweep and benchmark: compare takes its --schemes."""
+    p.add_argument("--scheme", choices=[s.value for s in Scheme],
+                   default=SolverConfig.scheme.value, help="primal-dual scheme")
+
+
 def _add_problem_flags(p):
     """The flags of run, sweep, benchmark and compare."""
     p.add_argument("--out", default=ExperimentSpec.out_dir, help="output directory")
     p.add_argument("--seed", type=int, default=ExperimentSpec.seed,
                    help="seed of the randomized init and the endpoint pairs")
     _add_surface_flags(p)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme],
-                   default=SolverConfig.scheme.value, help="primal-dual scheme")
     _add_step_flags(p, SolverConfig, ExperimentSpec.m)
     p.add_argument("--omega", type=float, default=SolverConfig.omega,
                    help="extrapolation weight (base-pdhg, var1)")
@@ -149,11 +153,11 @@ def _add_check_surface_flags(p):
 #: each subcommand's help and the functions that add its flags, after --config
 _COMMANDS = {
     "run": ("single solver run with full artifacts",
-            (_add_problem_flags, _add_run_flags)),
+            (_add_scheme_flag, _add_problem_flags, _add_run_flags)),
     "sweep": ("repeat a run across one parameter",
-              (_add_problem_flags, _add_run_flags, _add_sweep_flags)),
+              (_add_scheme_flag, _add_problem_flags, _add_run_flags, _add_sweep_flags)),
     "benchmark": ("averaged errors over random sphere endpoint pairs",
-                  (_add_problem_flags, _add_benchmark_flags)),
+                  (_add_scheme_flag, _add_problem_flags, _add_benchmark_flags)),
     "compare": ("same problem, several schemes",
                 (_add_problem_flags, _add_run_flags, _add_compare_flags)),
     "planar": ("plane-constraint model problem with the ergodic gap bound",

@@ -132,29 +132,32 @@ def second_difference(curve: DiscreteCurve):
     return (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) * curve.m**2
 
 
-def curve_length(curve):
-    """Piecewise-linear length: sum of chord lengths.
-
-    Takes a DiscreteCurve, or a (B, m+1, 3) stack of curve points and then
-    returns the (B,) lengths, each bit for bit that curve's own length.  A
-    chord's length is numpy.linalg.norm's over the last axis, or hypot's, which
-    scales, where its square overflows; no numpy warning is raised.
-    """
-    pts = curve.points if isinstance(curve, DiscreteCurve) else curve
+def _chord_norms(pts):
+    """The chord lengths of (..., m+1, 3) points and their (...) sums.  A
+    chord's length is numpy.linalg.norm's over the last axis, or hypot's,
+    which scales, where its square overflows; no numpy warning is raised."""
     with np.errstate(over="ignore", invalid="ignore"):
         chords = pts[..., 1:, :] - pts[..., :-1, :]
         norms = _row_norms(chords)
         lengths = norms.sum(axis=-1)
-        if not np.isfinite(lengths).all():
+        if not np.isfinite(lengths).all():  # else no chord's square overflowed
             big = np.isinf(norms)
             norms[big] = np.hypot.reduce(chords[big], axis=-1)
             lengths = norms.sum(axis=-1)
+    return norms, lengths
+
+
+def curve_length(curve):
+    """Piecewise-linear length, the sum of the chord lengths (_chord_norms): a
+    float for a DiscreteCurve, or for a (B, m+1, 3) stack of curve points the
+    (B,) lengths, each bit for bit that curve's own length."""
+    lengths = _chord_norms(curve.points if isinstance(curve, DiscreteCurve) else curve)[1]
     return float(lengths) if lengths.ndim == 0 else lengths
 
 
 def speed_profile(curve: DiscreteCurve):
-    """Forward-difference speeds |gamma_{i+1} - gamma_i| / dt, length m."""
-    return _row_norms(np.diff(curve.points, axis=0)) * curve.m
+    """Forward-difference speeds |gamma_{i+1} - gamma_i| / dt, length m (_chord_norms)."""
+    return _chord_norms(curve.points)[0] * curve.m
 
 
 def curve_to_json(curve: DiscreteCurve) -> str:

@@ -161,12 +161,12 @@ def _central_angle(p, q, radius: float) -> float:
     """Angle between p and q on the sphere of the given radius about the origin.
 
     p and q are scaled by the radius before their dot product, which keeps it
-    near 1 on a sphere of any radius.  nan if the scaled dot product is not
-    finite (points far off a tiny sphere).
+    near 1 on a sphere of any radius.  The callers pass sampled surface
+    points, or endpoints that ``_problem`` accepted: |phi| <= 1e-3 R on a
+    sphere whose R^2 is a normal float, so the scaled product stays finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cosang = float(np.dot(p / radius, q / radius))
-    return math.acos(max(-1.0, min(1.0, cosang))) if math.isfinite(cosang) else math.nan
+    cosang = float(np.dot(p / radius, q / radius))
+    return math.acos(max(-1.0, min(1.0, cosang)))
 
 
 def _check_seed(seed) -> int:
@@ -180,7 +180,8 @@ def _check_seed(seed) -> int:
 
 @dataclass
 class ExperimentSpec:
-    """Everything needed to execute one solver run and persist its artifacts."""
+    """Everything needed to execute one solver run and persist its artifacts.
+    Its seed, m, init and tau_r (recorded, used or not) are checked once, here."""
 
     surface: str = "sphere-sdf"
     points_path: str | None = None
@@ -197,6 +198,12 @@ class ExperimentSpec:
     def __post_init__(self):
         self.seed = _check_seed(self.seed)
         self.tau_r = float(self.tau_r)  # a Python float, as summary.json records it
+        if self.m < 2:
+            raise ConfigError(f"m must be at least 2, got {self.m}")
+        if self.init not in INIT_KINDS:
+            raise ConfigError(f"init must be one of {', '.join(INIT_KINDS)}, got {self.init!r}")
+        if not 0 <= self.tau_r < math.inf:
+            raise ConfigError(f"tau_r must be nonnegative and finite, got {self.tau_r}")
 
     def build(self):
         """Materialize (surface, reference_distance, init pair).
@@ -211,13 +218,8 @@ class ExperimentSpec:
         return (surface, *self._problem(surface, p, q, self.seed))
 
     def _problem(self, surface, p, q, seed: int):
-        """(reference_distance, init pair) for endpoints p, q on surface."""
-        if self.m < 2:
-            raise ConfigError(f"m must be at least 2, got {self.m}")
-        if self.init not in INIT_KINDS:
-            raise ConfigError(f"init must be one of {', '.join(INIT_KINDS)}, got {self.init!r}")
-        if not 0 <= self.tau_r < math.inf:  # summary.json records it, used or not
-            raise ConfigError(f"tau_r must be nonnegative and finite, got {self.tau_r}")
+        """(reference_distance, init pair) for endpoints p, q on surface: one
+        pair's work, a ConfigError for an endpoint off an analytic surface."""
         if not isinstance(surface, PointCloud):
             tol = ENDPOINT_SPEC_TOL * surface.scale()
             for name, pt in (("p", p), ("q", q)):
@@ -316,16 +318,18 @@ def cmd_run(spec) -> int:
     return EXIT_CODES[outcome.stop]
 
 
-def _report(label: str, outcome):
-    """Print one member's status line; return its final trace row, or None
-    after a singularity (whose CSV fields stay empty)."""
+def _report(label: str, outcome) -> list:
+    """Print one member's status line; return its CSV fields [absolute_error,
+    relative_error, surface_error, stopped], the errors None (empty fields)
+    after a singularity and `stopped` true for any early stop."""
+    stopped = outcome.error is not None
     if outcome.stop == "singularity":
         print(f"{label}: error: {outcome.error}")
-        return None
+        return [None, None, None, stopped]
     final = outcome.trace.final
-    print(f"{label}: {'done' if outcome.error is None else 'diverged'} "
+    print(f"{label}: {'diverged' if stopped else 'done'} "
           f"in {outcome.seconds:.3f}s {_errors(final)}")
-    return final
+    return [final.absolute_error, final.relative_error, final.surface_error, stopped]
 
 
 def _errors(final) -> str:
@@ -333,13 +337,6 @@ def _errors(final) -> str:
     abs_part = ("" if final.absolute_error is None
                 else f"absolute_error={final.absolute_error:.6g} ")
     return f"{abs_part}surface_error={final.surface_error:.6g}"
-
-
-def _first_positive_surface_error(trace) -> float:
-    for row in trace:
-        if row.surface_error > 0:
-            return row.surface_error
-    return 0.0
 
 
 def cmd_sweep(spec, parameter: str, values) -> int:
@@ -367,15 +364,11 @@ def cmd_sweep(spec, parameter: str, values) -> int:
         # repr, as in the value column: distinct values never share a directory
         label = f"{parameter}={value!r}"
         _write_run(dataclasses.replace(spec, solver=solver), outcome, out / label)
-        final = _report(label, outcome)
-        if final is None:
-            rows.append([value, None, None, None, True, True])
-            continue
-        diverged = outcome.error is not None
-        baseline = _first_positive_surface_error(outcome.trace)
-        unstable = diverged or (baseline > 0 and final.surface_error > baseline)
-        rows.append([value, final.absolute_error, final.relative_error,
-                     final.surface_error, diverged, unstable])
+        absolute, relative, surface_error, stopped = _report(label, outcome)
+        baseline = next((row.surface_error for row in outcome.trace
+                         if row.surface_error > 0), 0.0)
+        unstable = stopped or (baseline > 0 and surface_error > baseline)
+        rows.append([value, absolute, relative, surface_error, stopped, unstable])
 
     out.mkdir(parents=True, exist_ok=True)
     diagnostics.write_csv(out / "sweep_summary.csv", SWEEP_CSV_HEADER, rows)
@@ -435,10 +428,11 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
             rows.append([checkpoint, 0, None, None, None])
             print(f"checkpoint {checkpoint}: n=0")
             continue
-        avg_abs, avg_rel, avg_surf = (
-            float(np.mean([getattr(f, name) for f in finals]))
-            for name in ("absolute_error", "relative_error", "surface_error")
-        )
+        with np.errstate(over="ignore"):  # a sum past the largest float reads inf
+            avg_abs, avg_rel, avg_surf = (
+                float(np.mean([getattr(f, name) for f in finals]))
+                for name in ("absolute_error", "relative_error", "surface_error")
+            )
         rows.append([checkpoint, len(finals), avg_abs, avg_rel, avg_surf])
         print(
             f"checkpoint {checkpoint}: n={len(finals)} "
@@ -454,8 +448,9 @@ def cmd_benchmark(spec, n_pairs: int, checkpoints) -> int:
 def cmd_compare_schemes(spec, schemes) -> int:
     """Run each scheme on the identical problem and init; writes comparison.csv.
 
-    One run per scheme (a batch shares its scheme).  A scheme that met a
-    field singularity gets empty error columns.
+    One run per scheme (a batch shares its scheme), which takes its scheme
+    from `schemes` alone: spec.solver.scheme is not read.  A scheme that met
+    a field singularity gets empty error columns.
     """
     scheme_list = [Scheme(s) for s in schemes]
     if not scheme_list:
@@ -466,11 +461,7 @@ def cmd_compare_schemes(spec, schemes) -> int:
     for scheme in scheme_list:
         cfg = dataclasses.replace(spec.solver, scheme=scheme)
         _, (outcome,) = run([Problem(cfg, init, reference)], surface)
-        final = _report(scheme.value, outcome)
-        rows.append([scheme.value] + (
-            [None, None, None, True] if final is None else
-            [final.absolute_error, final.relative_error, final.surface_error,
-             outcome.error is not None]))
+        rows.append([scheme.value, *_report(scheme.value, outcome)])
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     diagnostics.write_csv(out / "comparison.csv", COMPARISON_CSV_HEADER, rows)

@@ -185,7 +185,8 @@ def test_a_chord_whose_square_overflows_has_a_finite_length():
     # the chord from node 2 to node 3, about 1.7e155 long, has a square that
     # overflows: hypot measures it, every other chord and every curve of the
     # stack without one keeps linalg.norm's bits, and no numpy warning is
-    # raised (the suite makes one an error)
+    # raised (the suite makes one an error); speed_profile measures its
+    # chords the same way
     ordinary = np.random.default_rng(0).normal(size=(6, 3))
     far = ordinary.copy()
     far[3:] += 1e155
@@ -198,6 +199,9 @@ def test_a_chord_whose_square_overflows_has_a_finite_length():
     assert lengths[0] == np.linalg.norm(np.diff(ordinary, axis=0), axis=1).sum()
     assert lengths[1] == norms.sum() == curve_length(DiscreteCurve(far))
     assert lengths[1] == pytest.approx(math.sqrt(3) * 1e155)
+    assert speed_profile(DiscreteCurve(far)).tobytes() == (norms * 5).tobytes()
+    still, _ = init_straight_line([-1e155, 0, 0], [1e155, 0, 0], 2)
+    assert speed_profile(still).tolist() == [2e155, 2e155]
     # beyond the float range a length is inf, and a nan node's is nan
     assert curve_length(DiscreteCurve([[-1e308, 0, 0], [0, 0, 0], [1e308, 0, 0]])) == np.inf
     assert curve_length(DiscreteCurve([[0, 0, 0], [np.inf, 0, 0], [-np.inf, 0, 0]])) == np.inf

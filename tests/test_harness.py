@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import levelgeo
@@ -206,10 +206,53 @@ def test_spec_build_defaults():
 
 
 def test_spec_build_validation():
+    # a spec checks itself once, at construction, not per pair in build
     with pytest.raises(ConfigError, match="m must be at least 2"):
-        ExperimentSpec(m=1).build()
+        ExperimentSpec(m=1)
     with pytest.raises(ConfigError, match="init must be"):
-        ExperimentSpec(init="zigzag").build()
+        ExperimentSpec(init="zigzag")
+    with pytest.raises(ConfigError, match="tau_r must be nonnegative and finite, got nan"):
+        ExperimentSpec(tau_r=float("nan"))
+
+
+#: the least sphere radius whose square is a normal float
+_LEAST_RADIUS = math.sqrt(np.finfo(float).tiny)
+while _LEAST_RADIUS * _LEAST_RADIUS < np.finfo(float).tiny:
+    _LEAST_RADIUS = math.nextafter(_LEAST_RADIUS, math.inf)
+_UNIT_BOX = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from([SphereSDF, SphereQuadratic]),
+       log_radius=st.one_of(st.just(math.log10(_LEAST_RADIUS)),
+                            st.floats(math.log10(_LEAST_RADIUS), 154.0)),
+       directions=st.tuples(*[st.tuples(_UNIT_BOX, _UNIT_BOX, _UNIT_BOX)] * 2),
+       offsets=st.tuples(_UNIT_BOX, _UNIT_BOX))
+def test_central_angle_scales_any_accepted_endpoints_to_a_finite_dot_product(
+        kind, log_radius, directions, offsets):
+    # endpoints anywhere the endpoint check accepts, |phi| <= 1e-3 R, on a
+    # sphere of any accepted radius: the worst case, far off sphere-quadratic
+    # at the least radius, is about 1.4e151
+    radius = max(_LEAST_RADIUS, 10.0 ** log_radius)
+    surface = kind(radius)
+    tol = harness.ENDPOINT_SPEC_TOL * surface.scale()
+    points = []
+    for direction, offset in zip(directions, offsets):
+        u = np.array(direction)
+        assume(np.linalg.norm(u) > 1e-3)
+        u /= np.linalg.norm(u)
+        if kind is SphereSDF:  # phi = R - |x| = offset tol
+            points.append((radius - offset * tol) * u)
+        else:  # phi = (|x|^2 - R^2) / 2 = offset tol
+            points.append(math.sqrt(max(0.0, radius**2 + 2.0 * offset * tol)) * u)
+    spec = ExperimentSpec(m=2, reference="sphere-exact")
+    try:
+        reference, _ = spec._problem(surface, *points, 0)
+    except ConfigError:  # rounded just past the tolerance
+        assume(False)
+    p, q = points
+    assert math.isfinite(float(np.dot(p / radius, q / radius)))
+    assert 0.0 <= reference <= math.pi * radius
 
 
 def test_spec_rejects_a_fractional_m():
@@ -1002,6 +1045,22 @@ def test_benchmark_reads_whole_checkpoints_written_as_floats(tmp_path):
     assert [row.split(",")[:2] for row in rows[1:]] == [["2", "2"], ["10", "2"]]
 
 
+def test_benchmark_averages_past_the_largest_float_read_inf_without_a_warning(
+        tmp_path, capsys):
+    # the surface errors' sum overflows in np.mean: the average is inf, with
+    # no numpy warning (the suite makes one an error)
+    out = tmp_path / "out"
+    rc = main(["benchmark", "--tau-gamma", "1e-320", "--tau-lambda", "1e308",
+               "--epsilon", "0", "--m", "17", "--pairs", "17", "--checkpoints", "2,1,17",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "warning:" not in captured.out
+    assert captured.err == ""
+    rows = (out / "benchmark.csv").read_text().splitlines()
+    assert [row.split(",")[4] for row in rows[1:3]] == ["inf", "inf"]
+
+
 # ---------------------------------------------------------------------------
 # compare command
 # ---------------------------------------------------------------------------
@@ -1049,6 +1108,81 @@ def test_compare_unknown_scheme(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: compare needs at least one scheme\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_reads_scheme_as_its_schemes(tmp_path, capsys):
+    # compare offers no --scheme: argparse reads the prefix as --schemes, and
+    # a config file's scheme is an unknown key
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--scheme", "var2", "--p", "1,0,0", "--q", "0,1,0",
+               "--m", "8", "--iters", "20", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "comparison.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in lines[1:]] == ["var2"]
+    conf = tmp_path / "cmp.conf"
+    conf.write_text("scheme = var2\n")
+    capsys.readouterr()
+    assert main(["compare", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {conf}: line 1: unknown key 'scheme' for command compare\n")
+    assert not (tmp_path / "x").exists()
+
+
+#: for each flag of compare and benchmark, by dest: a value other than its
+#: default, and the flags under which it acts.  A diverging run's last row is
+#: its last record, so --record-every and --iters act there.
+_DIVERGING = {"p": "1,0,0", "q": "0,1,0", "m": "8", "iters": "60", "tau_gamma": "0.01"}
+_ACTING = {
+    "scheme": ("var2", {}),
+    "seed": ("5", {"init": "randomized"}),
+    "surface": ("sphere-quadratic", {}),
+    "points": ("{tmp}/cloud.xyz", {"surface": "point-cloud"}),
+    "tau_gamma": ("0.001", {}),
+    "tau_lambda": ("0.5", {}),
+    "epsilon": ("0.1", {}),
+    "m": ("9", {}),
+    "omega": ("0.5", {}),
+    "alpha": ("2", {"scheme": "var2"}),
+    "init": ("randomized", {}),
+    "tau_r": ("2", {"init": "randomized"}),
+    "iters": ("7", _DIVERGING),
+    "record_every": ("7", _DIVERGING),
+    "p": ("0.6,0.8,0", {}),
+    "q": ("0.6,0.8,0", {}),
+    "reference": ("sphere-exact", {}),
+    "schemes": ("var2", {}),
+    "pairs": ("3", {}),
+    "checkpoints": ("5,7", {}),
+}
+_QUICK = {"compare": {"p": "1,0,0", "q": "0,1,0", "m": "8", "iters": "10"},
+          "benchmark": {"m": "8", "pairs": "2", "checkpoints": "5,10"}}
+
+
+def _acting_flags():
+    for name in ("compare", "benchmark"):
+        for dest, action in build_parser(name).commands[name].options.items():
+            if dest not in ("help", "config", "out"):
+                yield pytest.param(name, action, id=f"{name}-{dest}")
+
+
+@pytest.mark.parametrize("command,action", _acting_flags())
+def test_no_flag_is_ignored(tmp_path, capsys, command, action):
+    # the flag at its default and at another value, where it should act: the
+    # two runs differ in their CSV, their exit code or their stderr
+    write_cloud(tmp_path / "cloud.xyz", n=50)
+    value, context = _ACTING[action.dest]
+    options = build_parser(command).commands[command].options
+    flags = {**_QUICK[command], **{k: v for k, v in context.items() if k in options}}
+    ends = []
+    for run_index, text in enumerate((action.default, value)):
+        chosen = dict(flags, **{action.dest: text})
+        out = tmp_path / str(run_index)
+        code = main([command, "--out", str(out)] + [
+            f"{options[dest].option_strings[-1]}={str(arg).format(tmp=tmp_path)}"
+            for dest, arg in chosen.items() if arg is not None])
+        csv = next(out.glob("*.csv"), None) if out.exists() else None
+        ends.append((code, csv and csv.read_bytes(), capsys.readouterr().err))
+    assert ends[0] != ends[1]
 
 
 # ---------------------------------------------------------------------------
