@@ -42,7 +42,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .curve import DiscreteCurve, _row_norms, curve_length, second_difference
-from .levelset import SingularityError
 
 __all__ = [
     "TraceRow",
@@ -144,23 +143,13 @@ def tangency_defect(state, surface) -> float:
     return float((dots[mask] / speed[mask]).max())
 
 
-def _field(surface, x):
-    """(phi, grad, None) from surface.value_and_grad(x); where the gradient is
-    undefined at a node, (value(x), a nan gradient, the SingularityError)."""
-    try:
-        return (*surface.value_and_grad(x), None)
-    except SingularityError as error:
-        phi = surface.value(x)
-        return phi, np.full((len(phi), 3), math.nan), error
-
-
 def trace_row(state, cfg, surface, reference_distance: float | None = None,
               field=None) -> TraceRow:
     """Assemble one diagnostics row for the current state.
 
-    field, if given, is surface.value_and_grad(state.curve.interior) as the
-    caller already has it; the row is then made without a field call.
-    Where the field's gradient is undefined at a node (a SingularityError),
+    field, if given, is surface.value_and_grad(state.curve.interior,
+    check=False) as the caller already has it; the row is then made without
+    a field call.  Where the field's gradient is undefined at a node (nan),
     the gamma residual and J are nan and the other columns are as usual.
     Raises ValueError unless reference_distance is None or finite and > 0.
     """
@@ -175,7 +164,7 @@ def trace_row(state, cfg, surface, reference_distance: float | None = None,
         abs_err = rel_err = None
     # one field evaluation feeds the residuals, J and the surface error, and one
     # second difference the gamma residual and the geodesic defect
-    phi, grad = field or _field(surface, state.curve.interior)[:2]
+    phi, grad = field or surface.value_and_grad(state.curve.interior, check=False)
     sd = second_difference(state.curve)
     norm_l, norm_g, J = _residual_terms(state, cfg, phi, grad, sd)
     return TraceRow(

@@ -198,6 +198,9 @@ class ExperimentSpec:
     def __post_init__(self):
         self.seed = _check_seed(self.seed)
         self.tau_r = float(self.tau_r)  # a Python float, as summary.json records it
+        if not isinstance(self.m, (int, np.integer)):
+            raise ConfigError(f"m must be an integer, got {self.m!r}")
+        self.m = int(self.m)  # a Python int, as summary.json records it
         if self.m < 2:
             raise ConfigError(f"m must be at least 2, got {self.m}")
         if self.init not in INIT_KINDS:

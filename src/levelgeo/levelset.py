@@ -91,8 +91,13 @@ class LevelSet:
     The public methods take a (3,) point or (n, 3) rows and return a scalar,
     (3,) or (3, 3) per point for the one and (n,), (n, 3) or (n, 3, 3) for the
     other.  A field implements the hooks _value and _value_and_grad on (n, 3)
-    rows, and bounding_box; it may override _hessian.
+    rows, and bounding_box; it may override _hessian.  Where its gradient is
+    undefined, _value_and_grad returns nan, and value_and_grad raises
+    SingularityError(singular_message), or overflow_message where phi is inf.
     """
+
+    singular_message = "gradient undefined"
+    overflow_message = "gradient undefined where the value overflows"
 
     def value(self, x):
         """phi(x); vectorized over a leading point axis."""
@@ -104,11 +109,21 @@ class LevelSet:
         """grad phi(x); vectorized like value()."""
         return self.value_and_grad(x)[1]
 
-    def value_and_grad(self, x):
-        """(value(x), grad(x)) bit for bit, from one evaluation; raises where grad() does."""
+    def value_and_grad(self, x, check=True):
+        """(value(x), grad(x)) bit for bit, from one evaluation; with check, the
+        SingularityError of _singularity, and else a nan gradient, where singular."""
         pts, single = _as_points(x)
         phi, grad = self._value_and_grad(pts)
+        if check and (error := self._singularity(pts, phi, grad)):
+            raise error
         return (phi[0], grad[0]) if single else (phi, grad)
+
+    def _singularity(self, pts, phi, grad):
+        """The SingularityError of the rows of finite pts whose gradient is nan, or None."""
+        rows = np.isnan(grad).any(axis=1) & np.isfinite(pts).all(axis=1)
+        if rows.any():
+            return SingularityError(self.overflow_message if np.isinf(phi[rows]).any()
+                                    else self.singular_message)
 
     def hessian(self, x):
         """D^2 phi(x), (3, 3) per point; raises where grad(x) does."""
@@ -191,15 +206,16 @@ class SphereSDF(_Sphere):
     gradient singularity.  ||D^2 phi(x)|| = 1/|x|.
     """
 
+    singular_message = "gradient of R - |x| undefined at the origin"
+
     def _value(self, pts):
         return self.radius - _row_norms(pts)
 
     def _value_and_grad(self, pts):
         r = _row_norms(pts)
-        if np.count_nonzero(r) != len(r):
-            raise SingularityError("gradient of R - |x| undefined at the origin")
-        # -pts / r bit for bit; F order runs down the rows, into C-order rows
-        return self.radius - r, np.divide(pts, -r[:, None], np.empty(pts.shape), order="F")
+        divisor = r if np.count_nonzero(r) == len(r) else np.where(r == 0, np.nan, r)
+        # -pts / r bit for bit, nan where r is 0; F order runs down the rows
+        return self.radius - r, np.divide(pts, -divisor[:, None], np.empty(pts.shape), order="F")
 
 
 class Torus(LevelSet):
@@ -208,6 +224,8 @@ class Torus(LevelSet):
     Negative inside the tube.  Singular on the z-axis (rho = 0) and on the
     core circle (rho = R, z = 0).
     """
+
+    singular_message = "torus field gradient undefined on the axis or core circle"
 
     def __init__(self, major_radius: float = 2.0, minor_radius: float = 1.0):
         if not 0 < minor_radius < major_radius < np.inf:
@@ -226,13 +244,11 @@ class Torus(LevelSet):
 
     def _value_and_grad(self, pts):
         rho, u, w = self._parts(pts)
-        if np.count_nonzero(rho) + np.count_nonzero(w) != 2 * len(rho):
-            raise SingularityError("torus field gradient undefined on the axis or core circle")
         phi = w - self.minor_radius
-        gx = (u / w) * (pts[:, 0] / rho)
-        gy = (u / w) * (pts[:, 1] / rho)
-        gz = pts[:, 2] / w
-        return phi, np.stack([gx, gy, gz], axis=1)
+        if np.count_nonzero(rho) + np.count_nonzero(w) != 2 * len(rho):
+            rho[rho == 0], w[w == 0] = np.nan, np.nan  # a nan gradient, not 0/0
+        uw, (x, y, z) = u / w, pts.T
+        return phi, np.stack([uw * (x / rho), uw * (y / rho), z / w], axis=1)
 
     def bounding_box(self):
         R, r = self.major_radius, self.minor_radius
@@ -283,10 +299,13 @@ class PointCloud(LevelSet):
     1e-12 (1 + phi): phi is then |x - nearest| as the tree computes it, and
     each call equals a fresh cloud's bit for bit.
 
-    A node so far out (about 1e154 or more) that its distance overflows has
-    value inf; value_and_grad raises SingularityError there, and the hint
-    stays as it was.
+    The gradient is undefined at a sample, and at a node so far out (about
+    1e154 or more) that its distance overflows, which has value inf; the hook
+    returns nan there, and after a far node the hint stays as it was.
     """
+
+    singular_message = "distance gradient undefined at a cloud point"
+    overflow_message = "distance to the nearest cloud point overflows"
 
     def __init__(self, points):
         pts = np.array(points, dtype=float)  # the cloud's own copy, frozen below
@@ -319,11 +338,9 @@ class PointCloud(LevelSet):
         """(n, 2): the nearest sample's distance, a bound on the others'; its index."""
         d, idx = self._tree.query(pts, k=2)
         near, second = d[:, 0], d[:, 1]
-        if np.isinf(near).any():  # the tree found no sample: its squared distance overflowed
-            raise SingularityError("distance to the nearest cloud point overflows")
-        index = idx[:, 0].copy()
+        index = np.where(np.isinf(near), 0, idx[:, 0])  # inf: the tree found no sample
         # Exact ties are resolved toward the lowest sample index so the field
-        # stays deterministic regardless of tree layout.
+        # stays deterministic regardless of tree layout; inf - inf is no tie.
         ties = np.nonzero(second - near <= 1e-12 * (1.0 + near))[0]
         for row in ties:
             cands = self._tree.query_ball_point(pts[row], near[row] * (1.0 + 1e-12))
@@ -339,21 +356,22 @@ class PointCloud(LevelSet):
         # it: trace_row's dot product sums a strided vector in another order
         d = np.empty((len(pts), 2))
         near, diff = d[:, 0], pts - self.points[index]
-        with np.errstate(over="ignore"):  # a far node's norms are inf: _query raises for it
+        with np.errstate(over="ignore", invalid="ignore"):  # a far node: inf, inf - inf
             step, near[:] = _row_norms(pts - last), _row_norms(diff)
-        # every other sample is at least bound - step away (triangle inequality);
-        # 1e-14 (bound + step) covers the rounding of bound, step and near
-        kept = bound - step - near > 1e-12 * (1.0 + near) + 1e-14 * (bound + step)
-        miss = np.nonzero(~kept)[0]
-        if len(miss):
-            d[miss], found = self._query(pts[miss])
-            last, index, bound = last.copy(), index.copy(), np.where(kept, bound, d[:, 1])
-            last[miss], index[miss] = pts[miss], found
-            diff[miss] = pts[miss] - self.points[found]
-        if not near.all():
-            raise SingularityError("distance gradient undefined at a cloud point")
-        self._hint = last, index, bound
-        return near, np.divide(diff, near[:, None], diff, order="F")  # as SphereSDF's
+            # every other sample is at least bound - step away (triangle inequality);
+            # 1e-14 (bound + step) covers the rounding of bound, step and near
+            kept = bound - step - near > 1e-12 * (1.0 + near) + 1e-14 * (bound + step)
+            miss = np.nonzero(~kept)[0]
+            if len(miss):
+                d[miss], found = self._query(pts[miss])
+                last, index, bound = last.copy(), index.copy(), np.where(kept, bound, d[:, 1])
+                last[miss], index[miss] = pts[miss], found
+                diff[miss] = pts[miss] - self.points[found]
+                diff[np.isinf(near)] = np.nan
+                if np.isfinite(near).all():  # a far node keeps the hint as it was
+                    self._hint = last, index, bound
+        divisor = near if near.all() else np.where(near == 0, np.nan, near)  # nan on a sample
+        return near, np.divide(diff, divisor[:, None], diff, order="F")  # as SphereSDF's
 
     def bounding_box(self):
         return self.points.min(axis=0), self.points.max(axis=0)

@@ -28,12 +28,13 @@ SolverConfig alone says each scheme's omega and eps.
 
 One kernel serves every path: run_batch() stacks B >= 1 problems that
 share scheme and m and updates preallocated buffers in place, each member
-with its own step sizes.  It evaluates each state once, right after it
-exists: one field call (value_and_grad) on all the members' interior nodes,
-which feeds both the state's trace rows and the next step.  Only when that
-call raises are the members evaluated one by one.  The operations and their
-order do not depend on B, so every member's numbers are bit for bit those of
-its run alone.  run() is a batch of one.
+with its own step sizes, on one contiguous block of rows: the interior
+nodes and the endpoint rows between members, pinned again after each step.
+It evaluates each state once, right after it exists: one field call on the
+block (value_and_grad, unchecked: nan where singular), which feeds both the
+state's trace rows and the next step.  The operations and their order do
+not depend on B, so every member's numbers are bit for bit those of its run
+alone.  run() is a batch of one.
 A stack keeps its rows for its whole life and every view a step reads is
 built once, with it; each (n, 1) by (n, 3) row broadcast runs in F order
 into C-order rows, so numpy's loop runs down the rows, with the same bits.
@@ -105,16 +106,11 @@ class SolverConfig:
 
     def __post_init__(self):
         self.scheme = Scheme(self.scheme)
-        if not (np.isfinite(self.tau_gamma) and self.tau_gamma > 0):
-            raise ValueError("tau_gamma must be positive and finite")
-        if not (np.isfinite(self.tau_lambda) and self.tau_lambda > 0):
-            raise ValueError("tau_lambda must be positive and finite")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError("epsilon must be nonnegative and finite")
-        if not (np.isfinite(self.omega) and self.omega >= 0):
-            raise ValueError("omega must be nonnegative and finite")
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be nonnegative and finite")
+        for name in ("tau_gamma", "tau_lambda", "epsilon", "omega", "alpha"):
+            value, step = getattr(self, name), name.startswith("tau_")  # a step is > 0
+            if not (np.isfinite(value) and (value > 0 if step else value >= 0)):
+                raise ValueError(f"{name} must be {'positive' if step else 'nonnegative'} "
+                                 "and finite")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
             raise ValueError("max_iters must be a nonnegative integer")
         if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
@@ -178,26 +174,26 @@ class DivergenceError(RuntimeError):
 class _Workspace:
     """The stacked state of a batch whose members share scheme and m.
 
-    Its (B, m+1, 3) points and (B, m-1) multipliers, arrays of its own, are
-    the first of two buffers that swap after every iteration; only interior
-    rows are written, so the endpoints stay pinned.  The length caps come from
-    them, pts[:, ::m], under the caller's np.errstate.  Each step size holds
-    every member's own value at each of its nodes, a (B, 1) column spread to
-    the shape it multiplies: numpy's loop over two contiguous operands of one
-    shape is faster than a broadcast, at B = 1 too, and the products are the
-    same.  lam~ has one buffer of its own, for every scheme.  Its rows are
-    fixed for its life: advance() steps them all and reports those that stop.
-    Each state is evaluated once, by one stacked call or, only if that raises,
-    one call per member (evaluate()).
+    Its (B, m+1, 3) points, arrays of its own, are the first of two buffers
+    that swap after every iteration.  A step runs on one contiguous block,
+    rows 1 to B(m+1) - 2 of the flat points: the interior rows and the
+    2(B - 1) endpoint rows between members, which are pinned again after each
+    step, their multipliers 0 again (0 tau_l phi is nan where phi is inf).
+    Each step size holds every member's own value at each of its nodes, 0 at
+    the endpoint rows: numpy's loop over two contiguous operands of one shape
+    is faster than a broadcast, at B = 1 too, with the same products.  lam~
+    has one buffer of its own, for every scheme.  Its rows are fixed for its
+    life: advance() steps them all and reports those that stop.  Each state
+    is evaluated once, by one field call on the block (evaluate()).
     """
 
     def __init__(self, pts, lam, cfgs, surface):
         self.scheme, self.surface, self.m = cfgs[0].scheme, surface, pts.shape[1] - 1
-        self.buffers = [_buffer(pts, lam), _buffer(pts.copy(), np.empty_like(lam))]
+        rows, m = pts.shape[0], self.m
+        self.buffers = [_buffer(pts, lam), _buffer(pts.copy(), lam)]
 
-        def per_node(values, shape=lam.shape):
-            column = np.array(values, dtype=float).reshape(-1, *[1] * (len(shape) - 1))
-            return np.broadcast_to(column, shape).copy()
+        def per_node(values, width=()):
+            return _block(np.reshape(values, (-1, 1, *[1] * len(width))), m, width)
 
         self.tau_lambda = per_node([c.tau_lambda for c in cfgs])
         self.shrink = per_node([1.0 / (1.0 + c.effective_epsilon * c.tau_lambda)
@@ -206,64 +202,56 @@ class _Workspace:
         # var2's weight of lam+
         self.keep = per_node([1.0 - c.alpha * c.effective_epsilon for c in cfgs])
         self.alpha = per_node([c.alpha for c in cfgs])
-        self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (*lam.shape, 3))
+        self.tau_gamma = per_node([c.tau_gamma for c in cfgs], (3,))
+        # the endpoint rows between members: a (B - 1, 2, ...) view of each
+        # buffer's block of points and of multipliers, which swap with the buffers
+        self.joints = [[a[m - 1:].reshape(-1, m + 1, *a.shape[1:])[:, :2] for a in (b[1], b[-1])]
+                       for b in self.buffers] if rows > 1 else None
         # 0-d operands: numpy converts a Python number at every call
-        self.two, self.m_squared = np.array(2.0), np.array(float(self.m**2))
+        self.two, self.m_squared = np.array(2.0), np.array(float(m**2))
         # 1e3 max(|q - p|, 1e-6), at most the largest float: an inf length exceeds it
         self.length_cap = np.minimum(DIVERGENCE_LENGTH_FACTOR * np.maximum(
-            curve_length(pts[:, ::self.m]), 1e-6), np.finfo(float).max)
+            curve_length(pts[:, ::m]), 1e-6), np.finfo(float).max)
         # _within_caps's bound on sum |chord|^2: cap^2 (1 - margin) / m.  The
         # margin exceeds the (5m + 7) 2^-53 that rounding can take; a cap beyond
         # 1e150 counts as 1e150, so every sum that passes stays far from overflow
-        margin = 16 * (self.m + 1) * 2.0**-53
-        self.chord_bound = np.minimum(self.length_cap, 1e150) ** 2 * (1 - margin) / self.m
-        self.chords = np.empty((len(pts), 3 * self.m))  # flat, a row per member
-        self.sd, self.force = np.empty((*lam.shape, 3)), np.empty((*lam.shape, 3))
-        self.tilde, self.tmp = np.empty_like(lam), np.empty_like(lam)
-        # lam~ as a (B(m-1), 1) column and the force as (B(m-1), 3) rows
-        self.tilde_col, self.force_rows = self.tilde.reshape(-1, 1), self.force.reshape(-1, 3)
+        margin = 16 * (m + 1) * 2.0**-53
+        self.chord_bound = np.minimum(self.length_cap, 1e150) ** 2 * (1 - margin) / m
+        self.chords = np.empty((rows, 3 * m))  # flat, a row per member
+        self.sd, self.force = np.empty(self.tau_gamma.shape), np.empty(self.tau_gamma.shape)
+        self.tilde, self.tmp = np.empty(self.tau_lambda.shape), np.empty(self.tau_lambda.shape)
+        self.tilde_col = self.tilde.reshape(-1, 1)
+
+    def rows(self, block, row: int):
+        """A member's interior rows of a block array: an offset slice."""
+        return block[row * (self.m + 1):][:self.m - 1]
 
     def evaluate(self):
-        """(phi, grad, {row: SingularityError}) for the current state's interior
-        nodes: (B, m-1) and (B, m-1, 3) from one field call or, if it raises,
-        each member's own call as it returns them, uncopied, since trace_row
-        sums a strided phi in another order (nan gradient where singular)."""
-        interior = self.buffers[0][1]
-        try:
-            phi, grad = self.surface.value_and_grad(interior.reshape(-1, 3))
-        except SingularityError:
-            rows = [diagnostics._field(self.surface, x) for x in interior]
-            singular = {row: error for row, (_, _, error) in enumerate(rows) if error}
-            if not singular:
-                raise
-            phi, grad, _ = zip(*rows)
-            return phi, grad, singular
-        return phi.reshape(self.tilde.shape), grad.reshape(self.force.shape), {}
+        """(phi, grad) of the current state's block, from one unchecked field call."""
+        return self.surface.value_and_grad(self.buffers[0][1], check=False)
 
     def state(self, row: int, iteration: int) -> SolverState:
         pts, lam = self.buffers[0][0], self.buffers[0][-1]
-        return SolverState(DiscreteCurve(pts[row].copy()), MultiplierField(lam[row].copy()),
-                           iteration)
+        return SolverState(DiscreteCurve(pts[row].copy()),
+                           MultiplierField(self.rows(lam, row).copy()), iteration)
 
     def advance(self, iteration: int, field):
         """Step every row to `iteration` from `field`, the current state's evaluate().
 
         Returns the rows that stopped, as (row, state at iteration - 1,
-        reason).  The reason is the row's SingularityError, or the message of
-        a divergence: a non-finite update or a curve longer than its length
-        cap.  A stopped row is stepped like the others; the caller drops it.
-        The stops are decided in two tiers: _within_caps, which can only pass
-        the whole stack, and, when it fails or a row is singular, one pass per
-        row (finite points and multipliers, curve_length within length_cap)
-        that names the stopped rows and their messages.
+        reason).  The reason is the field's SingularityError where a row's
+        gradient is nan at its finite nodes, or the message of a divergence:
+        a non-finite update or a curve longer than its length cap.  A stopped
+        row is stepped like the others; the caller drops it.  The stops are
+        decided in two tiers: _within_caps, which can only pass the whole
+        stack, and, when it fails, one pass per row (finite points and
+        multipliers, curve_length within length_cap) that names the stopped
+        rows and their messages.
         """
-        phi, grad, singular = field
-        if singular:  # each member's own results, stacked; nan gradient where singular
-            phi, grad = np.stack(phi), np.stack(grad)
-        sd, force, force_rows, tilde, tmp = (self.sd, self.force, self.force_rows,
-                                             self.tilde, self.tmp)
-        (_, interior, ahead, behind, _, _, lam), new = self.buffers
-        new_pts, new_interior, _, _, new_after, new_before, new_lam = new
+        phi, grad = field
+        sd, force, tilde, tmp = self.sd, self.force, self.tilde, self.tmp
+        (pts, block, ahead, behind, _, _, lam), new = self.buffers
+        new_pts, new_block, _, _, new_after, new_before, new_lam = new
 
         # in place: one ufunc per operation, in the order of (lam + tau_l phi) * shrink
         np.multiply(phi, self.tau_lambda, new_lam)
@@ -282,26 +270,33 @@ class _Workspace:
                 np.add(tilde, new_lam, new_lam)
                 np.multiply(new_lam, self.shrink, new_lam)
 
-        np.multiply(interior, self.two, sd)  # second difference
+        np.multiply(block, self.two, sd)  # second difference
         np.subtract(ahead, sd, sd)
         np.add(sd, behind, sd)
         np.multiply(sd, self.m_squared, sd)
         # -sd + lam~ grad, formed as lam~ grad - sd: b - a is b + (-a) exactly
-        np.multiply(self.tilde_col, grad.reshape(force_rows.shape), force_rows, order="F")
+        np.multiply(self.tilde_col, grad, force, order="F")
         np.subtract(force, sd, force)
         np.multiply(force, self.tau_gamma, force)
-        np.subtract(interior, force, new_interior)
+        np.subtract(block, force, new_block)
+        if self.joints:  # pin the endpoint rows between members again, from pts
+            self.joints.reverse()
+            (joints, joint_lam), (pinned, _) = self.joints
+            joints[...], joint_lam[...] = pinned, 0.0
 
         # a singular row's nan gradient makes its update nan, so it stops here too
         stops = []
-        if singular or not self._within_caps(new_after, new_before, new_lam):
+        if not self._within_caps(new_after, new_before, new_lam):
             lengths = curve_length(new_pts)
-            finite = (np.isfinite(new_interior).all(axis=(1, 2))
-                      & np.isfinite(new_lam).all(axis=1))
-            stops = [(row, self.state(row, iteration - 1), singular.get(row) or (
-                f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
-                else "non-finite value in update"))
-                for row in np.flatnonzero(~finite | (lengths > self.length_cap))]
+            finite = np.logical_and.reduceat(  # each member's rows start at row (m + 1) b
+                np.isfinite(new_block).all(axis=1) & np.isfinite(new_lam),
+                np.arange(len(pts)) * (self.m + 1))
+            for row in np.flatnonzero(~finite | (lengths > self.length_cap)):
+                reason = self.surface._singularity(
+                    pts[row, 1:-1], self.rows(phi, row), self.rows(grad, row)) or (
+                    f"curve length exceeded {self.length_cap[row]:.3g}" if finite[row]
+                    else "non-finite value in update")
+                stops.append((row, self.state(row, iteration - 1), reason))
         self.buffers.reverse()
         return stops
 
@@ -326,11 +321,19 @@ class _Workspace:
 
 
 def _buffer(pts, lam):
-    """One buffer: (B, m+1, 3) points, their interior, each interior node's next
-    and previous neighbours, the chords' heads and tails as (B, 3m) rows and
-    the (B, m-1) multipliers."""
-    flat = pts.reshape(len(pts), 3 * pts.shape[1])
-    return pts, pts[:, 1:-1], pts[:, 2:], pts[:, :-2], flat[:, 3:], flat[:, :-3], lam
+    """One buffer: (B, m+1, 3) points, their block and its rows' next and previous
+    rows, the chords' heads and tails as (B, 3m) rows, and the block's multipliers."""
+    rows, m = len(pts), pts.shape[1] - 1
+    flat, chords = pts.reshape(-1, 3), pts.reshape(rows, 3 * (m + 1))
+    return (pts, flat[1:-1], flat[2:], flat[:-2], chords[:, 3:], chords[:, :-3],
+            _block(lam, m))
+
+
+def _block(interior, m, width=()):
+    """Rows 1 to B(m+1) - 2 of a flat (B, m+1, *width) array, 0 but for interior."""
+    full = np.zeros((len(interior), m + 1, *width))
+    full[:, 1:-1] = interior
+    return full.reshape(-1, *width)[1:-1]
 
 
 class Problem(NamedTuple):
@@ -402,13 +405,13 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
     members = list(range(len(problems)))  # the problem of each row of work
 
     def record(k, field):
-        phi, grad, _ = field
+        phi, grad = field
         for row, member in enumerate(members):
             out, problem = outcomes[member], problems[member]
             out.state = work.state(row, k)
-            out.trace.append(diagnostics.trace_row(out.state, problem.cfg, surface,
-                                                   problem.reference_distance,
-                                                   field=(phi[row], grad[row])))
+            out.trace.append(diagnostics.trace_row(
+                out.state, problem.cfg, surface, problem.reference_distance,
+                field=(work.rows(phi, row), work.rows(grad, row))))
 
     record_at, seconds = frozenset(record_at), {}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -435,7 +438,7 @@ def run_batch(problems, surface, record_at=(), *, _stacklevel=2):
                 if not members:
                     break
                 pts, *_, lam = work.buffers[0]
-                work = _Workspace(pts[going], lam[going],
+                work = _Workspace(pts[going], np.stack([work.rows(lam, row) for row in going]),
                                   [problems[member].cfg for member in members], surface)
             wanted = k in record_at
             if wanted:

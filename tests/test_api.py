@@ -144,3 +144,19 @@ def test_every_function_the_benchmark_traces_exists():
     missing = [(module, name) for module, name, *_ in tracing.WRAPPED_FUNCTIONS
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+def test_the_workflow_runs_the_tier_1_command_on_the_benchmarked_versions():
+    # the CI workflow's tier-1 step is ROADMAP's tier-1 verify command, and it
+    # pins numpy and scipy to the versions the newest BENCH_<n>.json ran on
+    root = README.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    verify = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$",
+                       (root / "ROADMAP.md").read_text(), flags=re.M).group(1)
+    steps = dict(re.findall(r"- name: (.+)\n +run: (.+)", workflow))
+    assert steps["Tier-1 tests"] == verify
+    newest = max(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    machine = json.loads(newest.read_text())["machine"]
+    for package in ("numpy", "scipy"):
+        pinned = re.search(rf"\b{package}==(\S+)", workflow).group(1)
+        assert re.search(rf"\b{package} (\d+(?:\.\d+)*)", machine).group(1) == pinned

@@ -63,9 +63,9 @@ def test_run_rejects_a_bad_reference_distance_before_stepping(d):
     field_calls = []
 
     class Counting(SphereQuadratic):
-        def value_and_grad(self, x):
+        def value_and_grad(self, x, check=True):
             field_calls.append(len(x))
-            return super().value_and_grad(x)
+            return super().value_and_grad(x, check)
 
     with pytest.raises(ValueError, match="reference distance"):
         run(SolverConfig(max_iters=10), Counting(), init, reference_distance=d)

@@ -260,6 +260,19 @@ def test_spec_rejects_a_fractional_m():
         ExperimentSpec(m=10.5).build()
 
 
+@pytest.mark.parametrize("m", [10.5, 8.0, "8"])
+def test_spec_rejects_an_m_that_is_not_an_integer_at_construction(m):
+    with pytest.raises(ConfigError, match=r"m must be an integer, got "):
+        ExperimentSpec(m=m)
+
+
+def test_spec_takes_a_numpy_integer_m_as_a_python_int():
+    spec = ExperimentSpec(m=np.int64(8))
+    assert spec.m == 8 and type(spec.m) is int
+    _, _, (curve, _) = spec.build()
+    assert curve.m == 8
+
+
 def test_run_rejects_a_non_finite_tau_r_even_with_the_straight_init(tmp_path, capsys):
     # summary.json records tau_r even where the straight init does not use it
     out = tmp_path / "out"

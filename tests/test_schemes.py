@@ -641,16 +641,17 @@ def test_batch_stops_only_a_singular_member():
     assert batch.iteration == 60
 
 
-def test_a_singular_state_costs_one_stacked_call_and_one_per_member():
-    # test_batch_stops_only_a_singular_member's problem: state 0 makes the
-    # stacked call, which raises, and one call per member; the 30 states
-    # after it one stacked call each
+def test_a_singular_state_costs_one_stacked_call():
+    # test_batch_stops_only_a_singular_member's problem: state 0 makes one
+    # call on the stacked block, 3 (m + 1) - 2 rows, whose nan gradient
+    # marks the singular member; the 30 states after it one call each on
+    # the block of the two that go on
     calls = []
 
     class CountingSDF(SphereSDF):
-        def value_and_grad(self, x):
+        def value_and_grad(self, x, check=True):
             calls.append(len(x))
-            return super().value_and_grad(x)
+            return super().value_and_grad(x, check)
 
     surface, m = CountingSDF(), 16
     pole, equator = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
@@ -659,7 +660,7 @@ def test_a_singular_state_costs_one_stacked_call_and_one_per_member():
     _, outcomes = run_batch([Problem(SolverConfig(max_iters=30, record_every=10), init)
                              for init in inits], surface)
     assert [outcome.stop for outcome in outcomes] == ["budget", "singularity", "budget"]
-    assert calls == [3 * (m - 1)] + [m - 1] * 3 + [2 * (m - 1)] * 30
+    assert calls == [3 * (m + 1) - 2] + [2 * (m + 1) - 2] * 30
 
 
 def test_a_singular_and_a_diverging_member_stop_at_the_same_iteration():
@@ -711,22 +712,28 @@ def test_cloud_batch_stops_only_the_member_on_a_sample(tmp_path):
         assert outcomes[i].state.curve.points.tobytes() == state.curve.points.tobytes()
 
 
-def test_a_single_member_workspace_hands_the_field_a_view_of_its_interior():
-    # at B = 1 the interior rows are contiguous: evaluate() copies nothing
-    # per iteration, from either buffer
+@pytest.mark.parametrize("members", [1, 3])
+def test_a_workspace_hands_the_field_a_view_of_its_block(members):
+    # the block, rows 1 to B(m+1) - 2 of the flat points, is contiguous at
+    # every B (at B = 1 it is the interior): evaluate() copies nothing per
+    # iteration, from either buffer
     seen = []
 
     class Recording(SphereQuadratic):
-        def value_and_grad(self, x):
+        def value_and_grad(self, x, check=True):
             seen.append(x)
-            return super().value_and_grad(x)
+            return super().value_and_grad(x, check)
 
-    init = init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
-                           20, SphereQuadratic(), tau_r=1.0, seed=0)
-    work = _workspace([init], [SolverConfig()], Recording())
+    m = 20
+    inits = [init_randomized(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                             m, SphereQuadratic(), tau_r=1.0, seed=seed)
+             for seed in range(members)]
+    work = _workspace(inits, [SolverConfig()] * members, Recording())
     for k in (1, 2, 3):
         field = work.evaluate()
-        assert np.shares_memory(seen[-1], work.buffers[0][1])
+        assert seen[-1] is work.buffers[0][1]
+        assert seen[-1].shape == (members * (m + 1) - 2, 3)
+        assert np.shares_memory(seen[-1], work.buffers[0][0])
         assert not work.advance(k, field)
 
 
@@ -737,9 +744,9 @@ class _CountingSphere(SphereQuadratic):
         super().__init__()
         self.calls = []
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, check=True):
         self.calls.append(len(x))
-        return super().value_and_grad(x)
+        return super().value_and_grad(x, check)
 
 
 def _count_lengths(monkeypatch, module):
@@ -760,7 +767,7 @@ def _count_lengths(monkeypatch, module):
 @pytest.mark.parametrize("record_at", [(), (3, 4, 11, 24)])
 def test_one_field_call_per_state(members, record_every, record_at, monkeypatch):
     # a record point's call feeds its rows and the next step: max_iters + 1
-    # calls on the stacked interior, whatever the schedule
+    # calls on the stacked block, B(m+1) - 2 rows, whatever the schedule
     surface, m = _CountingSphere(), 12
     problems = [Problem(SolverConfig(tau_gamma=0.2 / m**2, max_iters=25,
                                      record_every=record_every),
@@ -776,7 +783,7 @@ def test_one_field_call_per_state(members, record_every, record_at, monkeypatch)
     per_row = _count_lengths(monkeypatch, diagnostics)
     _, outcomes = run_batch(problems, surface, record_at=record_at)
     assert [outcome.stop for outcome in outcomes] == ["budget"] * members
-    assert surface.calls == [members * (m - 1)] * 26
+    assert surface.calls == [members * (m + 1) - 2] * 26
     assert stacked == [(members, 2, 3)]
     assert per_row == [(m + 1, 3)] * sum(len(outcome.trace) for outcome in outcomes)
     for problem, outcome in zip(problems, outcomes):  # and the rows are those of run()
@@ -826,9 +833,9 @@ class _UnhintedCloud(PointCloud):
         super().__init__(points)
         self._cleared = self._hint
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, check=True):
         self._hint = self._cleared
-        return super().value_and_grad(x)
+        return super().value_and_grad(x, check)
 
 
 def test_straight_cloud_run_queries_the_tree_once():
@@ -853,14 +860,104 @@ def test_straight_cloud_run_equals_the_run_that_queries_every_row(tmp_path):
     assert runs[0][0].curve.points.tobytes() == runs[1][0].curve.points.tobytes()
 
 
+def test_a_cloud_batch_whose_endpoints_are_samples_runs_as_its_members_alone(tmp_path):
+    # the cloud-run cloud with two chords whose four endpoints are samples: the
+    # step's block holds the two endpoint rows between the members, where the
+    # unsigned field's gradient is undefined (nan), and the batch still runs
+    # to its budget, each member bit for bit as its own run
+    points, cfg, (curve, mult) = _straight_cloud_problem()
+    other = init_straight_line(curve.q, points[11], curve.m)
+    inits = [(curve, mult), other]
+    cloud = PointCloud(points)
+    assert (cloud.value(np.array([curve.p, curve.q, points[11]])) == 0.0).all()
+    _, outcomes = run_batch([Problem(cfg, init, 0.3) for init in inits], cloud)
+    assert [outcome.stop for outcome in outcomes] == ["budget"] * 2
+    for i, init in enumerate(inits):
+        state, trace = run(cfg, PointCloud(points), init, 0.3)
+        write_trace_csv(outcomes[i].trace, tmp_path / "batch.csv")
+        write_trace_csv(trace, tmp_path / "alone.csv")
+        assert (tmp_path / "batch.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        assert outcomes[i].state.curve.points.tobytes() == state.curve.points.tobytes()
+        assert (outcomes[i].state.multiplier.values.tobytes()
+                == state.multiplier.values.tobytes())
+
+
+def test_endpoint_rows_between_members_stay_pinned_with_a_zero_multiplier():
+    # three var2 members of mixed step sizes on the cloud, their endpoints
+    # samples with a nan gradient: after every step each endpoint row inside
+    # the block is its init, bit for bit, and each multiplier there exactly 0
+    points, _, (curve, _) = _straight_cloud_problem()
+    m = curve.m
+    inits = [(curve, MultiplierField(np.random.default_rng(1).normal(size=m - 1))),
+             init_straight_line(curve.q, points[11], m),
+             init_straight_line(points[11], curve.p, m)]
+    cfgs = [SolverConfig(scheme="var2", tau_gamma=c / m**2, tau_lambda=t, alpha=a,
+                         epsilon=1e-3, max_iters=30)
+            for c, t, a in ((0.2, 0.7, 10.0), (0.05, 7.0, 1000.0), (0.3, 0.1, 1.0))]
+    work = _workspace(inits, cfgs, PointCloud(points))
+    ends = np.stack([init[0].points[::m] for init in inits])
+    pads = [b * (m + 1) + m - 1 + j for b in range(2) for j in (0, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 31):
+            field = work.evaluate()
+            assert np.isnan(field[1][pads]).all()  # the samples' nan gradient
+            assert not work.advance(k, field)
+            pts, *_, lam = work.buffers[0]
+            assert pts[:, ::m].tobytes() == ends.tobytes()
+            assert lam[pads].tobytes() == np.zeros(len(pads)).tobytes()
+
+
+class _UnboundedPastTwo(SphereQuadratic):
+    """The quadratic sphere with value inf at x >= 2, as if it overflowed there."""
+
+    def _value(self, pts):
+        phi = super()._value(pts)
+        phi[pts[:, 0] >= 2.0] = math.inf
+        return phi
+
+    def _value_and_grad(self, pts):
+        return self._value(pts), pts.copy()
+
+
+def test_an_endpoint_of_infinite_value_keeps_the_batch_in_the_cheap_tier(monkeypatch):
+    # the first member ends at (2, 0, 0), where phi is inf: it draws the
+    # off-surface warning, and its endpoint row inside the block would make
+    # the multiplier there 0 inf = nan, yet every step passes the cheap
+    # length test (curve_length runs only for the caps) and each member is
+    # bit for bit its run alone
+    surface, m = _UnboundedPastTwo(), 16
+    pole = np.array([0.0, 0.0, 1.0])
+    inits = [init_straight_line(pole, np.array([2.0, 0.0, 0.0]), m),
+             init_straight_line(pole, np.array([0.0, 1.0, 0.0]), m),
+             init_randomized(pole, np.array([0.0, -1.0, 0.0]), m, surface, tau_r=1.0, seed=4)]
+    problems = [Problem(SolverConfig(scheme="var2", tau_gamma=0.2 / m**2, alpha=10.0,
+                                     epsilon=1e-3, max_iters=40, record_every=1), init)
+                for init in inits]
+    lengths = _count_lengths(monkeypatch, schemes)
+    with pytest.warns(UserWarning, match="off-surface: max .phi. = inf") as caught:
+        _, outcomes = run_batch(problems, surface)
+    assert len(caught) == 1
+    assert lengths == [(3, 2, 3)]
+    assert [outcome.stop for outcome in outcomes] == ["budget"] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        alone = [run(problem.cfg, surface, problem.init) for problem in problems]
+    for outcome, (state, trace) in zip(outcomes, alone):
+        assert outcome.state.curve.points.tobytes() == state.curve.points.tobytes()
+        assert outcome.state.multiplier.values.tobytes() == state.multiplier.values.tobytes()
+        assert _rows(outcome.trace) == _rows(trace)
+
+
 class _SingularPastPlane(SphereQuadratic):
     """The quadratic sphere with its gradient undefined at any node past the
     plane x + z = 1.05."""
 
-    def value_and_grad(self, x):
-        if np.any(np.asarray(x)[..., 0] + np.asarray(x)[..., 2] > 1.05):
-            raise SingularityError("past the plane")
-        return super().value_and_grad(x)
+    singular_message = "past the plane"
+
+    def _value_and_grad(self, pts):
+        phi, grad = super()._value_and_grad(pts)
+        grad[pts[:, 0] + pts[:, 2] > 1.05] = math.nan
+        return phi, grad
 
 
 def test_batch_stops_a_member_that_turns_singular_at_a_record_point():
