@@ -28,8 +28,9 @@ SolverConfig alone says each scheme's omega and eps.
 
 One kernel serves every path: run_batch() stacks B >= 1 problems that
 share scheme and m and updates preallocated buffers in place, each member
-with its own step sizes, on one contiguous block of rows: the interior
-nodes and the endpoint rows between members, pinned again after each step.
+with its own step sizes (0-d operands where all members share one), on one
+contiguous block of rows: the interior nodes and the endpoint rows between
+members, pinned again after each step.
 It evaluates each state once, right after it exists: one field call on the
 block (value_and_grad, unchecked: nan where singular), which feeds both the
 state's trace rows and the next step.  The operations and their order do
@@ -178,13 +179,15 @@ class _Workspace:
     that swap after every iteration.  A step runs on one contiguous block,
     rows 1 to B(m+1) - 2 of the flat points: the interior rows and the
     2(B - 1) endpoint rows between members, which are pinned again after each
-    step, their multipliers 0 again (0 tau_l phi is nan where phi is inf).
-    Each step size holds every member's own value at each of its nodes, 0 at
-    the endpoint rows: numpy's loop over two contiguous operands of one shape
-    is faster than a broadcast, at B = 1 too, with the same products.  lam~
-    has one buffer of its own, for every scheme.  Its rows are fixed for its
-    life: advance() steps them all and reports those that stop.  Each state
-    is evaluated once, by one field call on the block (evaluate()).
+    step, their multipliers 0 again (tau_l phi is not finite where phi is inf).
+    A step size that every member shares bit for bit (0.0 and -0.0 differ) is
+    a 0-d operand, for the endpoint rows too; otherwise it holds each member's
+    value at each of its nodes, 0 at the endpoint rows: numpy's loop over two
+    contiguous operands of one shape is faster than a broadcast of members'
+    values, with the same products.  lam~ has one buffer of its own, for every
+    scheme.  Its rows are fixed for its life: advance() steps them all and
+    reports those that stop.  Each state is evaluated once, by one field call
+    on the block (evaluate()).
     """
 
     def __init__(self, pts, lam, cfgs, surface):
@@ -193,6 +196,8 @@ class _Workspace:
         self.buffers = [_buffer(pts, lam), _buffer(pts.copy(), lam)]
 
         def per_node(values, width=()):
+            if len({v.hex() for v in values}) == 1:  # bit for bit: 0.0 and -0.0 differ
+                return np.array(values[0])
             return _block(np.reshape(values, (-1, 1, *[1] * len(width))), m, width)
 
         self.tau_lambda = per_node([c.tau_lambda for c in cfgs])
@@ -217,9 +222,15 @@ class _Workspace:
         # 1e150 counts as 1e150, so every sum that passes stays far from overflow
         margin = 16 * (m + 1) * 2.0**-53
         self.chord_bound = np.minimum(self.length_cap, 1e150) ** 2 * (1 - margin) / m
-        self.chords = np.empty((rows, 3 * m))  # flat, a row per member
-        self.sd, self.force = np.empty(self.tau_gamma.shape), np.empty(self.tau_gamma.shape)
-        self.tilde, self.tmp = np.empty(self.tau_lambda.shape), np.empty(self.tau_lambda.shape)
+        self.stack_bound = self.chord_bound.min() * (1 - rows * margin)
+        # a row per member: its 3m chords, then the 3 entries where one subtract
+        # over the flat points puts the junction to the next p, set back to 0
+        self.chords = np.zeros((rows, 3 * (m + 1)))
+        self.chord_run = self.chords.reshape(-1)[:-3]
+        self.junctions = self.chords[:-1, 3 * m:] if rows > 1 else None
+        block, lam = self.buffers[0][1], self.buffers[0][-1]
+        self.sd, self.force = np.empty(block.shape), np.empty(block.shape)
+        self.tilde, self.tmp = np.empty(lam.shape), np.empty(lam.shape)
         self.tilde_col = self.tilde.reshape(-1, 1)
 
     def rows(self, block, row: int):
@@ -302,31 +313,41 @@ class _Workspace:
 
     def _within_caps(self, after, before, lam) -> bool:
         """True only if every member's curve_length is within its length_cap and
-        all of lam is finite, from one dot product S = sum |chord|^2 per member,
-        the chords after - before from a buffer's flat pts[:, 1:] and pts[:, :-1],
-        and one over lam.reshape(-1).
+        all of lam is finite, from the chords after - before of a buffer's flat
+        points, less the junctions from each q to the next member's p.  Its
+        tiers are dot products: the stack's S = sum |chord|^2 within
+        stack_bound; if that fails and B > 1, each member's S within its
+        chord_bound (the stack's is weak where caps differ widely); lam . lam.
 
         By Cauchy-Schwarz a length is at most sqrt(m S), and the margin in
         chord_bound covers the rounding of S and of curve_length in any
-        summation order.  A finite S implies finite points: nan, inf and
-        overflow all fail, and lam's sum of squares is finite only if every
-        multiplier is.  False says nothing: finite values whose squares
-        overflow fail too, and the exact test decides; count_nonzero is
-        numpy's cheapest reduction.
+        summation order.  Rounding moves a sum of k squares, in any order, by
+        at most k 2^-53 / (1 - k 2^-53) of itself (Higham, Accuracy and
+        Stability of Numerical Algorithms, 3.1), a 0 term by nothing: a
+        member's S and the stack's sum, 3m and 3B(m+1) terms, by less than
+        8 B(m+1) 2^-53 together, so a stack sum within stack_bound =
+        min(chord_bound) (1 - 16 B(m+1) 2^-53) puts each S within its
+        chord_bound.  A finite S implies finite points: nan, inf and overflow
+        all fail, and lam's sum of squares is finite only if every multiplier
+        is.  False says nothing: finite values whose squares overflow fail
+        too, and the exact test decides; count_nonzero is numpy's cheapest
+        reduction.
         """
-        chords = np.subtract(after, before, self.chords)
-        lam = lam.reshape(-1)
-        return (np.count_nonzero(np.vecdot(chords, chords) <= self.chord_bound)
-                == len(chords) and math.isfinite(lam.dot(lam)))
+        chords, run = self.chords, np.subtract(after, before, self.chord_run)
+        if self.junctions is not None:
+            self.junctions.fill(0.0)
+        return ((run.dot(run) <= self.stack_bound or len(chords) > 1 and np.count_nonzero(
+                    np.vecdot(chords, chords) <= self.chord_bound) == len(chords))
+                and math.isfinite(lam.dot(lam)))
 
 
 def _buffer(pts, lam):
     """One buffer: (B, m+1, 3) points, their block and its rows' next and previous
-    rows, the chords' heads and tails as (B, 3m) rows, and the block's multipliers."""
-    rows, m = len(pts), pts.shape[1] - 1
-    flat, chords = pts.reshape(-1, 3), pts.reshape(rows, 3 * (m + 1))
-    return (pts, flat[1:-1], flat[2:], flat[:-2], chords[:, 3:], chords[:, :-3],
-            _block(lam, m))
+    rows, the chords' heads and tails as 1-D views of the flat points, and the
+    block's multipliers."""
+    flat, coords = pts.reshape(-1, 3), pts.reshape(-1)
+    return (pts, flat[1:-1], flat[2:], flat[:-2], coords[3:], coords[:-3],
+            _block(lam, pts.shape[1] - 1))
 
 
 def _block(interior, m, width=()):

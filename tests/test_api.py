@@ -148,13 +148,19 @@ def test_every_function_the_benchmark_traces_exists():
 
 def test_the_workflow_runs_the_tier_1_command_on_the_benchmarked_versions():
     # the CI workflow's tier-1 step is ROADMAP's tier-1 verify command, and it
-    # pins numpy and scipy to the versions the newest BENCH_<n>.json ran on
+    # pins numpy and scipy to the versions the newest BENCH_<n>.json ran on;
+    # its benchmark smoke run, in bash (so with pipefail), fails unless every
+    # workload runs and the run's last line says correct
     root = README.parent
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
     verify = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$",
                        (root / "ROADMAP.md").read_text(), flags=re.M).group(1)
     steps = dict(re.findall(r"- name: (.+)\n +run: (.+)", workflow))
     assert steps["Tier-1 tests"] == verify
+    smoke = re.search(r"- name: Benchmark smoke run\n +shell: (.+)\n(?: +#.*\n)* +run: \|\n +(.+)\n",
+                      workflow)
+    assert smoke.groups() == ("bash", "python bench/run.py --workload all --seconds 1 --trace 0"
+                                      " | tail -n 1 | grep -F '\"correct\": true'")
     newest = max(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
     machine = json.loads(newest.read_text())["machine"]
     for package in ("numpy", "scipy"):

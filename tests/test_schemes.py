@@ -475,6 +475,7 @@ def _workspace(inits, cfgs, surface):
 
 
 _CLEAR = 2**40  # a cap 2^-12 above the length
+_TWICE = 2**52 + 2**40  # a cap of twice the length, 2^-12 above it
 
 
 @settings(max_examples=150, deadline=None)
@@ -483,7 +484,7 @@ _CLEAR = 2**40  # a cap 2^-12 above the length
     members=st.lists(st.tuples(
         st.sampled_from(["nodes", "equal chords"]),
         st.sampled_from([1e-3, 1.0, 1e154, 1e300]),  # of the nodes or chords
-        st.integers(-4500, 4500) | st.just(_CLEAR),  # cap = length (1 + k 2^-52)
+        st.integers(-4500, 4500) | st.sampled_from([_CLEAR, _TWICE]),  # cap = length (1 + k 2^-52)
         st.sampled_from([None, math.nan, math.inf, -math.inf]),  # at one coordinate
         st.sampled_from([None, math.nan, math.inf, 1e200])),  # at one multiplier
         min_size=1, max_size=4),
@@ -492,6 +493,17 @@ _CLEAR = 2**40  # a cap 2^-12 above the length
 @example(m=500, members=[("equal chords", 1.0, -1, None, None)], seed=14)  # needs the margin
 @example(m=1000, members=[("equal chords", 1.0, _CLEAR, None, None)] * 4, seed=0)
 @example(m=3, members=[("equal chords", 1.0, _CLEAR, None, math.inf)], seed=0)
+# shared scales: four members at the edge of the stack's test (sum S = 4 m,
+# each cap^2 / m just above it); two whose sum S is within the sum of their
+# chord_bounds, one cap 2^-52 below its length; and two such pairs
+@example(m=100, members=[("equal chords", 1.0, _TWICE, None, None)] * 4, seed=0)
+@example(m=100, members=[("equal chords", 1.0, _CLEAR, None, None),
+                         ("equal chords", 1.0, -1, None, None)], seed=0)
+@example(m=100, members=[("equal chords", 1e-3, _TWICE, None, None),
+                         ("equal chords", 1e-3, -1, None, None)] * 2, seed=1)
+# the smallest cap bounds the stack's sum, not the largest
+@example(m=100, members=[("equal chords", 1e-3, -1, None, None),
+                         ("equal chords", 1.0, _CLEAR, None, None)], seed=0)
 def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, seed):
     # hand-built (B, m+1, 3) stacks against the step's cheap test: when it
     # passes, every curve_length is within its cap and every multiplier finite
@@ -520,8 +532,8 @@ def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, se
     points, multipliers = np.stack(points), np.stack(multipliers)
     work = _workspace(inits, [SolverConfig()] * len(inits), SphereQuadratic())
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = points.reshape(len(points), -1)
-        cheap = work._within_caps(flat[:, 3:], flat[:, :-3], multipliers)
+        flat = points.reshape(-1)  # the operands of a buffer, as _buffer views them
+        cheap = work._within_caps(flat[3:], flat[:-3], schemes._block(multipliers, m))
         exact = (np.count_nonzero(curve_length(points) <= work.length_cap) == len(points)
                  and np.isfinite(multipliers).all())
     assert exact or not cheap
@@ -530,6 +542,39 @@ def test_cheap_length_test_passes_only_what_the_exact_test_passes(m, members, se
            and bad_node is None and bad_lam is None
            for kind, scale, k, bad_node, bad_lam in members):
         assert cheap
+
+
+def test_a_stack_whose_caps_differ_by_1e6_passes_by_each_members_bound(monkeypatch):
+    # two still members on the plane z = 0 with caps of 1 and 1e6: the long
+    # one's sum |chord|^2 is far beyond the short one's bound, so the stack's
+    # test fails, and each member passes its own, at every step of the run
+    inits = [init_straight_line(np.zeros(3), np.array([d, 0.0, 0.0]), 50) for d in (1e-3, 1e3)]
+    cfg = SolverConfig(max_iters=20)
+    work = _workspace(inits, [cfg] * 2, Plane())
+    assert work.length_cap[1] / work.length_cap[0] == pytest.approx(1e6)
+    assert work._within_caps(*work.buffers[0][4:])
+    assert work.chord_run @ work.chord_run > work.stack_bound
+    lengths = _count_lengths(monkeypatch, schemes)
+    _, outcomes = run_batch([Problem(cfg, init) for init in inits], Plane())
+    assert [outcome.stop for outcome in outcomes] == ["budget"] * 2
+    assert lengths == [(2, 2, 3)]  # the caps' call alone: no exact tier
+
+
+def test_far_apart_members_pass_the_stack_test_without_their_junctions(monkeypatch):
+    # three still members of length 1 on the plane z = 0, 1e4 apart: the
+    # chord from each one's q to the next one's p is beyond every cap (1e3),
+    # and the cheap test leaves it out, so the stack's test passes
+    inits = [init_straight_line(np.array([x, 0.0, 0.0]), np.array([x + 1.0, 0.0, 0.0]), 50)
+             for x in (0.0, 1e4, 2e4)]
+    cfg = SolverConfig(max_iters=20)
+    work = _workspace(inits, [cfg] * 3, Plane())
+    assert work._within_caps(*work.buffers[0][4:])
+    assert work.chord_run @ work.chord_run <= work.stack_bound
+    assert not work.chords[:, -3:].any()
+    lengths = _count_lengths(monkeypatch, schemes)
+    _, outcomes = run_batch([Problem(cfg, init) for init in inits], Plane())
+    assert [outcome.stop for outcome in outcomes] == ["budget"] * 3
+    assert lengths == [(3, 2, 3)]
 
 
 def test_a_diverging_run_raises_without_numpy_warnings():
@@ -883,28 +928,98 @@ def test_a_cloud_batch_whose_endpoints_are_samples_runs_as_its_members_alone(tmp
 
 
 def test_endpoint_rows_between_members_stay_pinned_with_a_zero_multiplier():
-    # three var2 members of mixed step sizes on the cloud, their endpoints
-    # samples with a nan gradient: after every step each endpoint row inside
-    # the block is its init, bit for bit, and each multiplier there exactly 0
+    # three var2 members of mixed, then shared, step sizes on the cloud, their
+    # endpoints samples with a nan gradient: after every step each endpoint
+    # row inside the block is its init, bit for bit, and each multiplier there
+    # exactly 0, also where shared step sizes are 0-d and so not 0 there
     points, _, (curve, _) = _straight_cloud_problem()
     m = curve.m
     inits = [(curve, MultiplierField(np.random.default_rng(1).normal(size=m - 1))),
              init_straight_line(curve.q, points[11], m),
              init_straight_line(points[11], curve.p, m)]
-    cfgs = [SolverConfig(scheme="var2", tau_gamma=c / m**2, tau_lambda=t, alpha=a,
-                         epsilon=1e-3, max_iters=30)
-            for c, t, a in ((0.2, 0.7, 10.0), (0.05, 7.0, 1000.0), (0.3, 0.1, 1.0))]
-    work = _workspace(inits, cfgs, PointCloud(points))
+    steps = ((0.2, 0.7, 10.0), (0.05, 7.0, 1000.0), (0.3, 0.1, 1.0))
     ends = np.stack([init[0].points[::m] for init in inits])
     pads = [b * (m + 1) + m - 1 + j for b in range(2) for j in (0, 1)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, 31):
-            field = work.evaluate()
-            assert np.isnan(field[1][pads]).all()  # the samples' nan gradient
-            assert not work.advance(k, field)
-            pts, *_, lam = work.buffers[0]
-            assert pts[:, ::m].tobytes() == ends.tobytes()
-            assert lam[pads].tobytes() == np.zeros(len(pads)).tobytes()
+    for shared in (False, True):
+        cfgs = [SolverConfig(scheme="var2", tau_gamma=c / m**2, tau_lambda=t, alpha=a,
+                             epsilon=1e-3, max_iters=30)
+                for c, t, a in (steps[:1] * 3 if shared else steps)]
+        work = _workspace(inits, cfgs, PointCloud(points))
+        assert work.tau_gamma.shape == (() if shared else (3 * (m + 1) - 2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, 31):
+                field = work.evaluate()
+                assert np.isnan(field[1][pads]).all()  # the samples' nan gradient
+                assert not work.advance(k, field)
+                pts, *_, lam = work.buffers[0]
+                assert pts[:, ::m].tobytes() == ends.tobytes()
+                assert lam[pads].tobytes() == np.zeros(len(pads)).tobytes()
+
+
+class _BelowPlane(Plane):
+    """phi = -z, so that phi is -0.0 exactly where z is 0.0."""
+
+    def __init__(self):
+        super().__init__((0.0, 0.0, -1.0))
+
+    def _value(self, pts):
+        return -pts[:, 2]
+
+    def _value_and_grad(self, pts):
+        return self._value(pts), super()._value_and_grad(pts)[1]
+
+
+def _shared_steps_stacks():
+    """(surface factory, problems, the operands that are 0-d) of four stacks:
+    var2 members sharing every step size on the sphere; members sharing every
+    one on the cloud, their endpoints samples, whose nan gradients fall at
+    the endpoint rows between members; var2 members sharing only some; and
+    var1 members whose omegas are 0.0 and -0.0 from multipliers of -0.0
+    where phi is -0.0, which keep the two signs apart."""
+    pole, operands = np.array([0.0, 0.0, 1.0]), ("tau_lambda", "shrink", "omega",
+                                                  "keep", "alpha", "tau_gamma")
+    m = 16
+    cfg = SolverConfig(scheme="var2", tau_gamma=0.2 / m**2, alpha=10.0, epsilon=1e-3,
+                       max_iters=40, record_every=3)
+    sphere = [Problem(cfg, init_randomized(pole, np.array([1.0, 0.0, 0.0]), m, SphereSDF(),
+                                           tau_r=1.0, seed=seed), math.pi / 2)
+              for seed in range(3)]
+    points, cloud_cfg, (curve, mult) = _straight_cloud_problem()
+    cloud = [Problem(cloud_cfg, init, 0.3)
+             for init in ((curve, mult), init_straight_line(curve.q, points[11], curve.m))]
+    some = [Problem(dataclasses.replace(cfg, tau_lambda=t, alpha=a), problem.init)
+            for problem, t, a in zip(sphere, (0.7, 7.0, 0.1), (10.0, 10.0, 1.0))]
+    line = init_straight_line(np.array([0.25, 0.5, 0.0]), np.array([1.0, 1.5, 0.0]), m)
+    signed = [Problem(SolverConfig(scheme="var1", omega=omega, tau_gamma=0.2 / m**2,
+                                   max_iters=20), (line[0], MultiplierField(np.full(m - 1, -0.0))))
+              for omega in (0.0, -0.0)]
+    return [(SphereSDF, sphere, operands), (lambda: PointCloud(points), cloud, operands),
+            (SphereSDF, some, ("omega", "tau_gamma")),
+            (_BelowPlane, signed, ("tau_lambda", "shrink", "keep", "alpha", "tau_gamma"))]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["shared", "shared-on-cloud", "some-shared",
+                                              "signed-zero-omegas"])
+def test_shared_step_sizes_are_0d_and_each_member_runs_as_alone(case):
+    # a step size that every member shares bit for bit is a 0-d operand; the
+    # others hold each member's value per node, and every member's numbers are
+    # its run alone, byte for byte (array_equal would take -0.0 for 0.0)
+    surface, problems, scalars = _shared_steps_stacks()[case]
+    work = _workspace([problem.init for problem in problems],
+                      [problem.cfg for problem in problems], surface())
+    for name in ("tau_lambda", "shrink", "omega", "keep", "alpha", "tau_gamma"):
+        assert (getattr(work, name).ndim == 0) == (name in scalars), name
+    _, outcomes = run_batch(problems, surface())
+    for problem, outcome in zip(problems, outcomes):
+        state, trace = run(problem.cfg, surface(), problem.init, problem.reference_distance)
+        assert outcome.stop == "budget"
+        assert outcome.state.curve.points.tobytes() == state.curve.points.tobytes()
+        assert outcome.state.multiplier.values.tobytes() == state.multiplier.values.tobytes()
+        assert _rows(outcome.trace) == _rows(trace)
+    if case == 3:  # the two omegas leave multipliers of -0.0 and 0.0 apart
+        first, second = (outcome.state.multiplier.values for outcome in outcomes)
+        assert first.tobytes() == np.zeros(len(first)).tobytes()
+        assert second.tobytes() == np.full(len(second), -0.0).tobytes()
 
 
 class _UnboundedPastTwo(SphereQuadratic):
