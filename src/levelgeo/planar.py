@@ -16,8 +16,9 @@ boundary is the kernel
 which serves as the analytic oracle for the discrete solver.  That solver
 is one direct call of LAPACK's tridiagonal gtsv; run_planar makes it once per
 iteration, and builds its buffers, views and step-size operands once per run.
-scipy, which wraps gtsv, is imported by the two solving functions, so
-importing this module does not load it.
+The two solving functions load gtsv through _dgtsv, from scipy's compiled
+LAPACK wrapper alone: importing this module does not load scipy, and a solve
+loads neither the scipy.linalg package nor logging.
 
 This scheme is an exact proximal primal-dual iteration for the discrete
 Lagrangian, so the classical ergodic rate applies: whenever
@@ -38,7 +39,11 @@ squares overflow runs on.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -65,13 +70,40 @@ def _tridiagonal(m: int, tau_gamma: float):
     return c, np.full(m - 2, -c), np.full(m - 1, 1.0 + 2.0 * c)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _dgtsv():
+    """LAPACK's dgtsv from scipy's compiled wrapper, scipy.linalg._flapack.
+
+    The same function object as scipy.linalg.lapack.dgtsv, loaded without
+    running scipy/linalg/__init__.py, whose array-API shim imports much of
+    numpy: the extension is found by the standard path finder in scipy's
+    linalg directory and registered under its own name, so a later import
+    of scipy.linalg reuses it.  ImportError names the module if no such
+    extension is found.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy  # its __init__ loads no subpackage
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
+        if spec is None:
+            raise ImportError(f"cannot find {_FLAPACK}", name=_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_FLAPACK] = module
+    return module.dgtsv
+
+
 def _gtsv(dgtsv, off, diag, b):
     """Solve (off, diag, off) x = b into the Fortran-ordered (n, k) b.
 
     scipy's solve_banded((1, 1), ...) without its argument checks: the same
-    LAPACK gtsv, passed in as scipy.linalg.lapack.dgtsv, or a division at
-    n = 1, where the gtsv wrapper rejects empty off-diagonals.  gtsv gets
-    copies of the bands, which it overwrites.
+    LAPACK gtsv, passed in as _dgtsv(), or a division at n = 1, where the
+    gtsv wrapper rejects empty off-diagonals.  gtsv gets copies of the
+    bands, which it overwrites.
     """
     if len(diag) == 1:
         b /= diag[0]
@@ -95,7 +127,7 @@ def implicit_gamma_solve(rhs, tau_gamma: float):
     """
     if not tau_gamma > 0:
         raise ValueError("tau_gamma must be positive")
-    from scipy.linalg.lapack import dgtsv
+    dgtsv = _dgtsv()
     b = np.asarray(rhs, dtype=float)
     squeeze = b.ndim == 1
     if squeeze:
@@ -267,7 +299,7 @@ def run_planar(problem: PlanarProblem, max_iters: int, init=None):
     # lam_new = (lam + tau_l (x @ a)) shrink and (I - tau_g D^2) x_new =
     # x - tau_g outer(2 lam_new - lam, a), in this operation order on operands
     # built once: x_new is bit for bit implicit_gamma_solve's solution
-    from scipy.linalg.lapack import dgtsv
+    dgtsv = _dgtsv()
     a = problem.a
     # 0-d operands: numpy converts a Python number at every call
     tau_lambda, tau_gamma = np.array(problem.tau_lambda), np.array(problem.tau_gamma)

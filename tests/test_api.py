@@ -103,8 +103,9 @@ def test_readme_library_examples_run(capsys):
 
 # Each snippet runs in a fresh interpreter (this one has scipy and logging
 # loaded already) and prints which of them it loaded: no sphere run or import
-# of the library may pay for either, and planar needs scipy.linalg (which
-# loads logging) but not scipy.spatial.
+# of the library may pay for either, and a planar run or solve loads scipy
+# and its compiled LAPACK wrapper alone, not the scipy.linalg package (which
+# loads logging) nor scipy.spatial.
 SCIPY_AFTER = {
     "import": ("import levelgeo.schemes, levelgeo.diagnostics, levelgeo.harness,"
                " levelgeo.cli", []),
@@ -118,7 +119,12 @@ SCIPY_AFTER = {
     "planar": (
         "from levelgeo.cli import main\n"
         "assert main(['planar', '--m', '8', '--iters', '4', '--out', 'planar']) == 0",
-        ["logging", "scipy", "scipy.linalg"]),
+        ["scipy"]),
+    "planar-solve": (
+        "import numpy as np\n"
+        "from levelgeo import planar\n"
+        "assert np.isfinite(planar.implicit_gamma_solve(np.ones(9), 0.01)).all()",
+        ["scipy"]),
 }
 
 

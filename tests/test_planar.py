@@ -9,8 +9,13 @@ errors and decay at second order:
 """
 
 import dataclasses
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 import warnings
 
 import numpy as np
@@ -21,10 +26,13 @@ import scipy.linalg
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv
 
+import levelgeo
 from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.diagnostics import read_records, write_records
 from levelgeo.harness import default_planar_perturbation
 from levelgeo.planar import (
+    _FLAPACK,
+    _dgtsv,
     _gtsv,
     ErgodicRecord,
     PlanarProblem,
@@ -110,6 +118,59 @@ def test_implicit_solve_equals_solve_banded_bit_for_bit(m, log_tau, columns, see
         got, want = implicit_gamma_solve(rhs, tau), _banded_solve(rhs, tau)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# _dgtsv's module is scipy.linalg's in either import order: loaded first by a
+# solve, scipy.linalg reuses it and solve_banded gives the solve's bits;
+# loaded first by scipy.linalg, _dgtsv returns its dgtsv and loads nothing
+ONE_FLAPACK = {
+    "planar-first": """
+import sys
+import numpy as np
+from levelgeo import planar
+m, tau = 32, 0.01
+rhs = np.random.default_rng(0).normal(size=(m + 1, 3))
+got = planar.implicit_gamma_solve(rhs, tau)
+assert "scipy.linalg" not in sys.modules
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg
+assert scipy.linalg.lapack._flapack is flapack
+assert scipy.linalg.lapack.dgtsv is planar._dgtsv()
+c = tau * m * m
+interior = rhs[1:-1].copy()
+interior[0] += c * rhs[0]
+interior[-1] += c * rhs[-1]
+bands = np.array([[-c] * (m - 1), [1.0 + 2.0 * c] * (m - 1), [-c] * (m - 1)])
+assert scipy.linalg.solve_banded((1, 1), bands, interior).tobytes() == got[1:-1].tobytes()
+""",
+    "scipy-linalg-first": """
+import sys
+import scipy.linalg
+from levelgeo import planar
+loaded = dict(sys.modules)
+assert planar._dgtsv() is scipy.linalg.lapack.dgtsv
+assert sys.modules == loaded
+""",
+}
+
+
+@pytest.mark.parametrize("snippet", ONE_FLAPACK.values(), ids=list(ONE_FLAPACK))
+def test_dgtsv_is_scipy_linalgs_in_either_import_order(tmp_path, snippet):
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dgtsv_names_the_module_it_cannot_find(monkeypatch):
+    monkeypatch.delitem(sys.modules, _FLAPACK, raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match=r"cannot find scipy\.linalg\._flapack") as exc:
+        _dgtsv()
+    assert exc.value.name == "scipy.linalg._flapack"
+    assert _FLAPACK not in sys.modules
 
 
 def test_gtsv_reports_a_singular_matrix_as_numpys_error():

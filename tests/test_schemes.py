@@ -577,6 +577,29 @@ def test_far_apart_members_pass_the_stack_test_without_their_junctions(monkeypat
     assert lengths == [(3, 2, 3)]
 
 
+def test_a_stack_sum_beyond_the_stacks_margin_goes_to_each_members_bound(monkeypatch):
+    # two members whose chords' sum of squares lies between stack_bound and
+    # the smallest chord_bound: each member is at half its own bound, yet
+    # the stack's test must fail, for its margin covers the sum's rounding,
+    # and the per-member tier passes them
+    m = 4
+    inits = [init_straight_line(np.zeros(3), np.array([1.0, 0.0, 0.0]), m)] * 2
+    work = _workspace(inits, [SolverConfig()] * 2, Plane())
+    bound = work.chord_bound.min()
+    # one chord per member, each of square about bound (1 - margin) / 2:
+    # the sum falls midway in the stack's margin, about 75 ulps from each end
+    margin = 16 * (m + 1) * 2.0**-53
+    points = np.zeros((2, m + 1, 3))
+    points[:, 1:, 0] = math.sqrt(bound * (1 - margin) / 2)
+    flat = points.reshape(-1)
+    calls = []
+    vecdot = np.vecdot
+    monkeypatch.setattr(np, "vecdot", lambda *args: calls.append(args) or vecdot(*args))
+    assert work._within_caps(flat[3:], flat[:-3], schemes._block(np.zeros((2, m - 1)), m))
+    assert work.stack_bound < work.chord_run @ work.chord_run <= bound
+    assert len(calls) == 1  # the per-member tier decided it
+
+
 def test_a_diverging_run_raises_without_numpy_warnings():
     # the member of test_batch_names_each_members_divergence that overflows,
     # alone; the suite turns a RuntimeWarning into an error, so record them
