@@ -34,6 +34,10 @@ leads to it, and ties go to the lowest sample index.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -289,6 +293,31 @@ class Plane(LevelSet):
         return v - (v @ a) / (a @ a) * a
 
 
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled extension scipy.<subpackage>.<name>, loaded alone.
+
+    The module that importing scipy.<subpackage> loads, without running the
+    package's __init__: it is found by the standard path finder in the
+    package's directory and registered under its own name, so a later import
+    of the package reuses it.  As import does, ImportError names the module
+    when none is found or sys.modules holds None for it.
+    """
+    full = f"scipy.{subpackage}.{name}"
+    if full not in sys.modules:
+        import scipy  # its __init__ loads no subpackage
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            full, [os.path.join(scipy.__path__[0], subpackage)])
+        if spec is None:
+            raise ImportError(f"cannot find {full}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    elif sys.modules[full] is None:
+        raise ImportError(f"import of {full} halted; None in sys.modules", name=full)
+    return sys.modules[full]
+
+
 class PointCloud(LevelSet):
     """Unsigned minimum distance to a finite sample set, with a k-d tree index.
 
@@ -325,10 +354,11 @@ class PointCloud(LevelSet):
             pts = pts[keep]
         self.points = pts
         self.points.setflags(write=False)
-        from scipy.spatial import cKDTree  # the one field that needs scipy
-        # midpoint splits build faster than median ones; a distance does not
-        # depend on the tree's shape, so neither does the field
-        self._tree = cKDTree(self.points, balanced_tree=False)
+        # the one field that needs scipy, for scipy.spatial's cKDTree, loaded
+        # without that package.  Midpoint splits build faster than median ones;
+        # a distance does not depend on the tree's shape, so neither does the field
+        self._tree = _scipy_extension("spatial", "_ckdtree").cKDTree(
+            self.points, balanced_tree=False)
         self._hint = np.empty((0, 3)), np.zeros(0, np.intp), np.zeros(0)
 
     def _value(self, pts):

@@ -17,8 +17,9 @@ which serves as the analytic oracle for the discrete solver.  That solver
 is one direct call of LAPACK's tridiagonal gtsv; run_planar makes it once per
 iteration, and builds its buffers, views and step-size operands once per run.
 The two solving functions load gtsv through _dgtsv, from scipy's compiled
-LAPACK wrapper alone: importing this module does not load scipy, and a solve
-loads neither the scipy.linalg package nor logging.
+LAPACK wrapper alone, by levelset._scipy_extension: importing this module
+does not load scipy, and a solve loads neither the scipy.linalg package nor
+logging.
 
 This scheme is an exact proximal primal-dual iteration for the discrete
 Lagrangian, so the classical ergodic rate applies: whenever
@@ -39,18 +40,14 @@ squares overflow runs on.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import DiscreteCurve, MultiplierField, init_straight_line
-from .levelset import Plane
+from .levelset import Plane, _scipy_extension
 from .schemes import SolverState, DivergenceError
 
 __all__ = [
@@ -70,31 +67,13 @@ def _tridiagonal(m: int, tau_gamma: float):
     return c, np.full(m - 2, -c), np.full(m - 1, 1.0 + 2.0 * c)
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
 def _dgtsv():
-    """LAPACK's dgtsv from scipy's compiled wrapper, scipy.linalg._flapack.
+    """scipy.linalg.lapack.dgtsv, from scipy's compiled LAPACK wrapper alone.
 
-    The same function object as scipy.linalg.lapack.dgtsv, loaded without
-    running scipy/linalg/__init__.py, whose array-API shim imports much of
-    numpy: the extension is found by the standard path finder in scipy's
-    linalg directory and registered under its own name, so a later import
-    of scipy.linalg reuses it.  ImportError names the module if no such
-    extension is found.
+    levelset._scipy_extension loads scipy.linalg._flapack without running
+    scipy/linalg/__init__.py, whose array-API shim imports much of numpy.
     """
-    module = sys.modules.get(_FLAPACK)
-    if module is None:
-        import scipy  # its __init__ loads no subpackage
-
-        spec = importlib.machinery.PathFinder.find_spec(
-            _FLAPACK, [os.path.join(scipy.__path__[0], "linalg")])
-        if spec is None:
-            raise ImportError(f"cannot find {_FLAPACK}", name=_FLAPACK)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_FLAPACK] = module
-    return module.dgtsv
+    return _scipy_extension("linalg", "_flapack").dgtsv
 
 
 def _gtsv(dgtsv, off, diag, b):

@@ -105,7 +105,9 @@ def test_readme_library_examples_run(capsys):
 # loaded already) and prints which of them it loaded: no sphere run or import
 # of the library may pay for either, and a planar run or solve loads scipy
 # and its compiled LAPACK wrapper alone, not the scipy.linalg package (which
-# loads logging) nor scipy.spatial.
+# loads logging) nor scipy.spatial.  A point cloud loads scipy's compiled k-d
+# tree alone, not scipy.spatial nor scipy.linalg; logging comes from the
+# scipy.sparse import that the tree's extension, scipy.spatial._ckdtree, makes.
 SCIPY_AFTER = {
     "import": ("import levelgeo.schemes, levelgeo.diagnostics, levelgeo.harness,"
                " levelgeo.cli", []),
@@ -125,6 +127,13 @@ SCIPY_AFTER = {
         "from levelgeo import planar\n"
         "assert np.isfinite(planar.implicit_gamma_solve(np.ones(9), 0.01)).all()",
         ["scipy"]),
+    "point-cloud": (
+        "import numpy as np\n"
+        "from levelgeo.levelset import PointCloud\n"
+        "rng = np.random.default_rng(0)\n"
+        "cloud = PointCloud(rng.normal(size=(50, 3)))\n"
+        "assert np.isfinite(cloud.value_and_grad(rng.normal(size=(8, 3)))[1]).all()",
+        ["logging", "scipy"]),
 }
 
 

@@ -1,6 +1,12 @@
 """Field values, gradients, Hessians and the band check for every surface kind."""
 
+import importlib.machinery
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import levelgeo
 from levelgeo.levelset import (
     LevelSet,
     Plane,
@@ -21,6 +28,7 @@ from levelgeo.levelset import (
     check_assumption_a,
     load_point_cloud,
 )
+from levelgeo.planar import _dgtsv
 
 
 def fd_grad(surface, x, h=1e-5):
@@ -906,3 +914,73 @@ def test_point_cloud_node_whose_distance_overflows_is_a_singularity():
             cloud.value_and_grad(far)
     assert cloud._hint is hint
     assert field_call(cloud, near) == field_call(PointCloud(cloud.points), near)
+
+
+# PointCloud's tree class is scipy.spatial's in either import order: loaded
+# first by a cloud, scipy.spatial reuses its module and a median-split tree
+# gives the same field; loaded first by scipy.spatial, _scipy_extension
+# returns its module and loads nothing
+ONE_CKDTREE = {
+    "cloud-first": """
+import sys
+import numpy as np
+from levelgeo.levelset import PointCloud
+rng = np.random.default_rng(0)
+cloud = PointCloud(rng.normal(size=(200, 3)))
+x = rng.normal(size=(16, 3))
+phi, grad = cloud.value_and_grad(x)
+assert "scipy.spatial" not in sys.modules and "scipy.linalg" not in sys.modules
+ckdtree = sys.modules["scipy.spatial._ckdtree"]
+import scipy.spatial
+from scipy.spatial import _ckdtree
+assert _ckdtree is ckdtree
+assert scipy.spatial.cKDTree is type(cloud._tree)
+median = PointCloud(cloud.points)
+median._tree = scipy.spatial.cKDTree(median.points)  # median splits, scipy's default
+median_phi, median_grad = median.value_and_grad(x)
+assert median_phi.tobytes() == phi.tobytes() and median_grad.tobytes() == grad.tobytes()
+""",
+    "scipy-spatial-first": """
+import sys
+import scipy.spatial
+from levelgeo import levelset
+loaded = dict(sys.modules)
+assert levelset._scipy_extension("spatial", "_ckdtree").cKDTree is scipy.spatial.cKDTree
+assert sys.modules == loaded
+""",
+}
+
+
+@pytest.mark.parametrize("snippet", ONE_CKDTREE.values(), ids=list(ONE_CKDTREE))
+def test_point_cloud_tree_is_scipy_spatials_in_either_import_order(tmp_path, snippet):
+    src = Path(levelgeo.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# each extension that _scipy_extension loads, with a call that loads it
+SCIPY_EXTENSIONS = {"scipy.linalg._flapack": _dgtsv,
+                    "scipy.spatial._ckdtree": lambda: PointCloud(np.zeros((1, 3)))}
+
+
+@pytest.mark.parametrize("module", SCIPY_EXTENSIONS)
+def test_scipy_extension_names_the_module_it_cannot_find(monkeypatch, module):
+    monkeypatch.delitem(sys.modules, module, raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match=f"cannot find {re.escape(module)}") as exc:
+        SCIPY_EXTENSIONS[module]()
+    assert exc.value.name == module
+    assert module not in sys.modules
+
+
+@pytest.mark.parametrize("module", SCIPY_EXTENSIONS)
+def test_scipy_extension_honours_an_import_block(monkeypatch, module):
+    # as import does, a None entry in sys.modules stops the load
+    monkeypatch.setitem(sys.modules, module, None)
+    with pytest.raises(ImportError, match=rf"import of {re.escape(module)} halted") as exc:
+        SCIPY_EXTENSIONS[module]()
+    assert exc.value.name == module
+    assert sys.modules[module] is None

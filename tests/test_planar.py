@@ -9,7 +9,6 @@ errors and decay at second order:
 """
 
 import dataclasses
-import importlib.machinery
 import math
 import os
 import subprocess
@@ -31,7 +30,6 @@ from levelgeo.curve import DiscreteCurve, MultiplierField, init_straight_line
 from levelgeo.diagnostics import read_records, write_records
 from levelgeo.harness import default_planar_perturbation
 from levelgeo.planar import (
-    _FLAPACK,
     _dgtsv,
     _gtsv,
     ErgodicRecord,
@@ -161,16 +159,6 @@ def test_dgtsv_is_scipy_linalgs_in_either_import_order(tmp_path, snippet):
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_dgtsv_names_the_module_it_cannot_find(monkeypatch):
-    monkeypatch.delitem(sys.modules, _FLAPACK, raising=False)
-    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                        classmethod(lambda cls, name, path=None, target=None: None))
-    with pytest.raises(ImportError, match=r"cannot find scipy\.linalg\._flapack") as exc:
-        _dgtsv()
-    assert exc.value.name == "scipy.linalg._flapack"
-    assert _FLAPACK not in sys.modules
 
 
 def test_gtsv_reports_a_singular_matrix_as_numpys_error():
