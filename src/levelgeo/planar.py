@@ -17,9 +17,8 @@ which serves as the analytic oracle for the discrete solver.  That solver
 is one direct call of LAPACK's tridiagonal gtsv; run_planar makes it once per
 iteration, and builds its buffers, views and step-size operands once per run.
 The two solving functions load gtsv through _dgtsv, from scipy's compiled
-LAPACK wrapper alone, by levelset._scipy_extension: importing this module
-does not load scipy, and a solve loads neither the scipy.linalg package nor
-logging.
+LAPACK wrapper alone: importing this module does not load scipy, and a solve
+loads neither the scipy.linalg package nor logging.
 
 This scheme is an exact proximal primal-dual iteration for the discrete
 Lagrangian, so the classical ergodic rate applies: whenever
@@ -40,14 +39,18 @@ squares overflow runs on.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import DiscreteCurve, MultiplierField, init_straight_line
-from .levelset import Plane, _scipy_extension
+from .levelset import Plane
 from .schemes import SolverState, DivergenceError
 
 __all__ = [
@@ -67,12 +70,30 @@ def _tridiagonal(m: int, tau_gamma: float):
     return c, np.full(m - 2, -c), np.full(m - 1, 1.0 + 2.0 * c)
 
 
-def _dgtsv():
-    """scipy.linalg.lapack.dgtsv, from scipy's compiled LAPACK wrapper alone.
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled extension scipy.<subpackage>.<name>, loaded without
+    the package's __init__ and registered under its own name, so a later
+    import of the package reuses it.  As import does, ImportError names the
+    module when none is found or sys.modules holds None for it."""
+    full = f"scipy.{subpackage}.{name}"
+    if full not in sys.modules:
+        import scipy  # its __init__ loads no subpackage
 
-    levelset._scipy_extension loads scipy.linalg._flapack without running
-    scipy/linalg/__init__.py, whose array-API shim imports much of numpy.
-    """
+        spec = importlib.machinery.PathFinder.find_spec(
+            full, [os.path.join(scipy.__path__[0], subpackage)])
+        if spec is None:
+            raise ImportError(f"cannot find {full}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    elif sys.modules[full] is None:
+        raise ImportError(f"import of {full} halted; None in sys.modules", name=full)
+    return sys.modules[full]
+
+
+def _dgtsv():
+    """scipy.linalg.lapack.dgtsv, from scipy.linalg._flapack alone: the
+    package's __init__ imports much of numpy through its array-API shim."""
     return _scipy_extension("linalg", "_flapack").dgtsv
 
 

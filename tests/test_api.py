@@ -102,12 +102,11 @@ def test_readme_library_examples_run(capsys):
 
 
 # Each snippet runs in a fresh interpreter (this one has scipy and logging
-# loaded already) and prints which of them it loaded: no sphere run or import
-# of the library may pay for either, and a planar run or solve loads scipy
+# loaded already) and prints which of them it loaded: no sphere run, point
+# cloud or import of the library may pay for either (a cloud finds its
+# nearest samples with numpy alone), and a planar run or solve loads scipy
 # and its compiled LAPACK wrapper alone, not the scipy.linalg package (which
-# loads logging) nor scipy.spatial.  A point cloud loads scipy's compiled k-d
-# tree alone, not scipy.spatial nor scipy.linalg; logging comes from the
-# scipy.sparse import that the tree's extension, scipy.spatial._ckdtree, makes.
+# loads logging) nor scipy.spatial.
 SCIPY_AFTER = {
     "import": ("import levelgeo.schemes, levelgeo.diagnostics, levelgeo.harness,"
                " levelgeo.cli", []),
@@ -133,7 +132,7 @@ SCIPY_AFTER = {
         "rng = np.random.default_rng(0)\n"
         "cloud = PointCloud(rng.normal(size=(50, 3)))\n"
         "assert np.isfinite(cloud.value_and_grad(rng.normal(size=(8, 3)))[1]).all()",
-        ["logging", "scipy"]),
+        []),
 }
 
 

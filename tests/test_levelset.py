@@ -1,12 +1,6 @@
 """Field values, gradients, Hessians and the band check for every surface kind."""
 
-import importlib.machinery
-import os
-import re
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import levelgeo
 from levelgeo.levelset import (
     LevelSet,
     Plane,
@@ -28,7 +21,6 @@ from levelgeo.levelset import (
     check_assumption_a,
     load_point_cloud,
 )
-from levelgeo.planar import _dgtsv
 
 
 def fd_grad(surface, x, h=1e-5):
@@ -675,6 +667,27 @@ def outcome(method, x):
         return str(exc)
 
 
+def tree_query(points, x, balanced=False):
+    """The nearest-sample query of scipy's k-d tree, the oracle of the point
+    cloud's index: the (n, 2) distances of the nearest and second samples and
+    the nearest's index.  A second distance within 1e-12 (1 + near) is a tie:
+    the index is then the lowest of the samples within near (1 + 1e-12), and
+    the second distance becomes near.  A far row reads inf, inf and index 0.
+    The tree splits at the sliding midpoint, or at the median if balanced."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(points, balanced_tree=balanced)
+    d, idx = tree.query(x, k=2)
+    near, second = d[:, 0], d[:, 1]
+    index = np.where(np.isinf(near), 0, idx[:, 0])  # inf: the tree found no sample
+    with np.errstate(invalid="ignore"):  # inf - inf is no tie
+        ties = np.nonzero(second - near <= 1e-12 * (1.0 + near))[0]
+    for row in ties:
+        index[row] = min(tree.query_ball_point(x[row], near[row] * (1.0 + 1e-12)))
+    second[ties] = near[ties]
+    return d, index
+
+
 def reference_value_and_grad(field, x):
     """phi and grad phi by the formulas value() and grad() used before the two
     were fused, one field query each (SingularityError where grad raised)."""
@@ -702,16 +715,11 @@ def reference_value_and_grad(field, x):
         phi = pts @ field.normal
         grad = np.broadcast_to(field.normal, (len(pts), 3)).copy()
     else:
-        phi, _ = field._tree.query(pts)
-        d, idx = field._tree.query(pts, k=2)
-        near, second = d[:, 0], d[:, 1]
-        if np.any(near == 0.0):
+        d, index = tree_query(field.points, pts)
+        phi = d[:, 0].copy()
+        if np.any(phi == 0.0):
             raise SingularityError("distance gradient undefined at a cloud point")
-        index = idx[:, 0].copy()
-        for row in np.nonzero(second - near <= 1e-12 * (1.0 + near))[0]:
-            index[row] = min(field._tree.query_ball_point(
-                pts[row], near[row] * (1.0 + 1e-12)))
-        grad = (pts - field.points[index]) / field._tree.query(pts)[0][:, None]
+        grad = (pts - field.points[index]) / phi[:, None]
     return (phi[0], grad[0]) if np.ndim(x) == 1 else (phi, grad)
 
 
@@ -781,8 +789,8 @@ def test_point_cloud_value_and_grad_breaks_exact_ties_to_lowest_index(first):
 
 def field_call(cloud, x):
     """cloud.value_and_grad(x) as bytes, with phi's strides, or the class and
-    message of the ValueError (a SingularityError, or the tree's complaint
-    about a non-finite row) it raised."""
+    message of the ValueError (a SingularityError, or the rejection of a
+    non-finite row) it raised."""
     try:
         phi, grad = cloud.value_and_grad(x)
     except ValueError as exc:
@@ -845,9 +853,10 @@ def test_point_cloud_field_along_a_walk_equals_a_fresh_cloud(scale, lattice, see
     walk=st.lists(st.tuples(st.floats(-12.0, 0.0), st.booleans()), min_size=1, max_size=8),
 )
 def test_point_cloud_field_does_not_see_the_tree_shape(kind, scale, seed, nodes, walk):
-    # the tree splits at the midpoint; each distance is computed the same way
-    # whatever the tree's shape, and ties go to the lowest index, so the field
-    # equals a median-split tree's bit for bit, fresh and along a walk
+    # the field equals scipy's k-d tree's bit for bit, fresh and along a walk,
+    # whether the tree splits at the midpoint or the median: each distance is
+    # computed the same way whatever the search's path, and ties go to the
+    # lowest index
     rng = np.random.default_rng(seed)
     if kind == "lattice":  # nodes at centres of edges, faces and cells: exact ties
         grid = np.arange(3.0) * scale
@@ -861,17 +870,88 @@ def test_point_cloud_field_does_not_see_the_tree_shape(kind, scale, seed, nodes,
             samples[:, 0] = rng.integers(-2, 2, size=60) * scale
             samples[40:] = samples[rng.integers(0, 40, size=20)]
         x = rng.normal(size=(nodes, 3)) * scale
-    from scipy.spatial import cKDTree
-    cloud, median = PointCloud(samples), PointCloud(samples)
-    median._tree = cKDTree(median.points)  # median splits, scipy's default
-    assert cloud.points.tobytes() == median.points.tobytes()
-    assert cloud.value(x).tobytes() == median.value(x).tobytes()
-    assert field_call(cloud, x) == field_call(median, x)
+    cloud = PointCloud(samples)
+    assert field_call(cloud, x) == tree_field_call(cloud, x, False)
+    assert field_call(cloud, x) == tree_field_call(cloud, x, True)
     heading = rng.normal(size=x.shape)
     for exponent, drift in walk:  # in place, as the solver moves its nodes
         x += (heading if drift else rng.normal(size=x.shape)) * (10.0**exponent * scale)
-        assert cloud.value(x).tobytes() == median.value(x).tobytes()
-        assert field_call(cloud, x) == field_call(median, x)
+        for balanced in (False, True):
+            d, _ = tree_query(cloud.points, x, balanced)
+            assert cloud.value(x).tobytes() == d[:, 0].tobytes()
+            assert field_call(cloud, x) == tree_field_call(cloud, x, balanced)
+
+
+def tree_field_call(cloud, x, balanced):
+    """field_call(cloud, x) as a fresh cloud's field would give it, from
+    tree_query: phi as column 0 of the (n, 2) distances, and (x - nearest) / phi."""
+    d, index = tree_query(cloud.points, x, balanced)
+    phi = d[:, 0]
+    if (phi == 0.0).any():
+        return SingularityError, cloud.singular_message
+    return phi.tobytes(), phi.strides, ((x - cloud.points[index]) / phi[:, None]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["surface", "volume", "lattice"]),
+    scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_cloud_index_equals_the_tree_bit_for_bit(kind, scale, n, seed):
+    # the nearest distance and index equal the k-d tree's bit for bit, and the
+    # bound never exceeds the tree's second distance, on rows near the cloud,
+    # in its box, far out (1e200 overflows), on samples and at exact ties
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":  # a power-of-two spacing, so half-steps tie exactly
+        scale = 2.0 ** np.round(np.log2(scale))
+        samples = rng.integers(0, 4, size=(n, 3)) * scale
+        ties = rng.integers(0, 7, size=(20, 3)) * (0.5 * scale)
+    else:
+        samples = rng.normal(size=(n, 3)) if kind == "surface" else rng.uniform(-1, 1, (n, 3))
+        if kind == "surface":
+            samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+        samples *= scale
+        ties = np.zeros((1, 3))
+    cloud = PointCloud(samples)
+    lo, hi = cloud.bounding_box()
+    width = np.max(hi - lo) + scale
+    x = np.concatenate([
+        cloud.points[rng.integers(len(cloud.points), size=20)]
+        + rng.normal(size=(20, 3)) * (10.0 ** rng.uniform(-12, 0, size=(20, 1)) * scale),
+        rng.uniform(lo - 0.2 * width, hi + 0.2 * width, size=(40, 3)),
+        rng.normal(size=(10, 3)) * (10.0 ** rng.uniform(1, 8, size=(10, 1)) * width),
+        [[1e200, 0.0, 0.0], [0.0, -1e200, 1e200]],
+        cloud.points[rng.integers(len(cloud.points), size=5)],
+        ties,
+    ])
+    d, index = tree_query(cloud.points, x)
+    near, second, found = cloud._index.query(x)
+    assert near.tobytes() == d[:, 0].tobytes()
+    assert np.array_equal(found, index)
+    assert (second <= d[:, 1]).all()
+    assert (second >= near).all()
+
+
+def test_point_cloud_index_equals_the_tree_on_a_clustered_cloud():
+    # a tight cluster and one far sample put the cluster in one cell, so the
+    # rows near it pass the cap on candidates and go in halves, as do the far
+    # rows in the descent; a query of over 1024 rows goes in blocks
+    rng = np.random.default_rng(5)
+    samples = rng.normal(size=(1000, 3)) * 1e-3
+    samples[0] = [40.0, -3.0, 2.0]
+    cloud = PointCloud(samples)
+    sizes, settle = [], cloud._index._settle
+    cloud._index._settle = lambda x, samples, *rest: (sizes.append(len(samples))
+                                                      or settle(x, samples, *rest))
+    x = np.concatenate([rng.normal(size=(1800, 3)) * 2e-3, rng.normal(size=(600, 3)) * 5.0])
+    d, index = tree_query(cloud.points, x)
+    near, second, found = cloud._index.query(x)
+    assert near.tobytes() == d[:, 0].tobytes()
+    assert np.array_equal(found, index)
+    assert (near <= second).all() and (second <= d[:, 1]).all()
+    assert len(sizes) > 8 and max(sizes) <= 1 << 18
 
 
 def test_point_cloud_node_walking_into_the_tie_band_is_queried():
@@ -900,8 +980,8 @@ def test_point_cloud_call_that_raises_leaves_later_calls_exact():
 
 
 def test_point_cloud_node_whose_distance_overflows_is_a_singularity():
-    # the tree's squared distance to a node 1e200 away overflows: value is
-    # inf, value_and_grad raises without a warning and keeps its hint
+    # the squared distance to a node 1e200 away overflows: value is inf,
+    # value_and_grad raises without a warning and keeps its hint
     cloud = PointCloud(np.random.default_rng(0).normal(size=(20, 3)))
     near = np.array([[0.3, 0.0, 0.0], [0.5, 0.0, 0.0]])
     far = np.array([[1e200, 0.0, 0.0], [0.5, 0.0, 0.0]])
@@ -916,71 +996,19 @@ def test_point_cloud_node_whose_distance_overflows_is_a_singularity():
     assert field_call(cloud, near) == field_call(PointCloud(cloud.points), near)
 
 
-# PointCloud's tree class is scipy.spatial's in either import order: loaded
-# first by a cloud, scipy.spatial reuses its module and a median-split tree
-# gives the same field; loaded first by scipy.spatial, _scipy_extension
-# returns its module and loads nothing
-ONE_CKDTREE = {
-    "cloud-first": """
-import sys
-import numpy as np
-from levelgeo.levelset import PointCloud
-rng = np.random.default_rng(0)
-cloud = PointCloud(rng.normal(size=(200, 3)))
-x = rng.normal(size=(16, 3))
-phi, grad = cloud.value_and_grad(x)
-assert "scipy.spatial" not in sys.modules and "scipy.linalg" not in sys.modules
-ckdtree = sys.modules["scipy.spatial._ckdtree"]
-import scipy.spatial
-from scipy.spatial import _ckdtree
-assert _ckdtree is ckdtree
-assert scipy.spatial.cKDTree is type(cloud._tree)
-median = PointCloud(cloud.points)
-median._tree = scipy.spatial.cKDTree(median.points)  # median splits, scipy's default
-median_phi, median_grad = median.value_and_grad(x)
-assert median_phi.tobytes() == phi.tobytes() and median_grad.tobytes() == grad.tobytes()
-""",
-    "scipy-spatial-first": """
-import sys
-import scipy.spatial
-from levelgeo import levelset
-loaded = dict(sys.modules)
-assert levelset._scipy_extension("spatial", "_ckdtree").cKDTree is scipy.spatial.cKDTree
-assert sys.modules == loaded
-""",
-}
-
-
-@pytest.mark.parametrize("snippet", ONE_CKDTREE.values(), ids=list(ONE_CKDTREE))
-def test_point_cloud_tree_is_scipy_spatials_in_either_import_order(tmp_path, snippet):
-    src = Path(levelgeo.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-# each extension that _scipy_extension loads, with a call that loads it
-SCIPY_EXTENSIONS = {"scipy.linalg._flapack": _dgtsv,
-                    "scipy.spatial._ckdtree": lambda: PointCloud(np.zeros((1, 3)))}
-
-
-@pytest.mark.parametrize("module", SCIPY_EXTENSIONS)
-def test_scipy_extension_names_the_module_it_cannot_find(monkeypatch, module):
-    monkeypatch.delitem(sys.modules, module, raising=False)
-    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                        classmethod(lambda cls, name, path=None, target=None: None))
-    with pytest.raises(ImportError, match=f"cannot find {re.escape(module)}") as exc:
-        SCIPY_EXTENSIONS[module]()
-    assert exc.value.name == module
-    assert module not in sys.modules
-
-
-@pytest.mark.parametrize("module", SCIPY_EXTENSIONS)
-def test_scipy_extension_honours_an_import_block(monkeypatch, module):
-    # as import does, a None entry in sys.modules stops the load
-    monkeypatch.setitem(sys.modules, module, None)
-    with pytest.raises(ImportError, match=rf"import of {re.escape(module)} halted") as exc:
-        SCIPY_EXTENSIONS[module]()
-    assert exc.value.name == module
-    assert sys.modules[module] is None
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_query_point_that_is_not_finite_is_a_value_error(bad):
+    # levelgeo's own ValueError, from value, grad and value_and_grad, fresh
+    # or after a call whose hint would serve the finite rows, with no warning
+    cloud = PointCloud(np.random.default_rng(1).normal(size=(30, 3)))
+    for x in (np.array([bad, 0.0, 0.0]), np.array([[0.3, 0.1, -0.2], [0.0, bad, 1.0]])):
+        for method in (cloud.value, cloud.grad, cloud.value_and_grad):
+            for before in (None, np.full(x.shape, 0.25)):
+                if before is not None:
+                    cloud.value_and_grad(before)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError) as exc:
+                        method(x)
+                assert type(exc.value) is ValueError
+                assert str(exc.value) == "a point-cloud query point is not finite"

@@ -9,8 +9,10 @@ errors and decay at second order:
 """
 
 import dataclasses
+import importlib.machinery
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -159,6 +161,28 @@ def test_dgtsv_is_scipy_linalgs_in_either_import_order(tmp_path, snippet):
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+FLAPACK = "scipy.linalg._flapack"
+
+
+def test_scipy_extension_names_the_module_it_cannot_find(monkeypatch):
+    monkeypatch.delitem(sys.modules, FLAPACK, raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    with pytest.raises(ImportError, match=f"cannot find {re.escape(FLAPACK)}") as exc:
+        _dgtsv()
+    assert exc.value.name == FLAPACK
+    assert FLAPACK not in sys.modules
+
+
+def test_scipy_extension_honours_an_import_block(monkeypatch):
+    # as import does, a None entry in sys.modules stops the load
+    monkeypatch.setitem(sys.modules, FLAPACK, None)
+    with pytest.raises(ImportError, match=rf"import of {re.escape(FLAPACK)} halted") as exc:
+        _dgtsv()
+    assert exc.value.name == FLAPACK
+    assert sys.modules[FLAPACK] is None
 
 
 def test_gtsv_reports_a_singular_matrix_as_numpys_error():

@@ -881,17 +881,17 @@ def _straight_cloud_problem(n=500, m=100, seed=0):
 
 
 class _QueryLog:
-    """A k-d tree that logs the (rows, k) of each query."""
+    """A point cloud's index that logs the rows of each query."""
 
-    def __init__(self, tree):
-        self.tree, self.queries = tree, []
+    def __init__(self, index):
+        self.index, self.queries = index, []
 
-    def query(self, x, k=1):
-        self.queries.append((len(x), k))
-        return self.tree.query(x, k=k)
+    def __getattr__(self, name):
+        return getattr(self.index, name)
 
-    def query_ball_point(self, x, r):
-        return self.tree.query_ball_point(x, r)
+    def query(self, x):
+        self.queries.append(len(x))
+        return self.index.query(x)
 
 
 class _UnhintedCloud(PointCloud):
@@ -909,12 +909,12 @@ class _UnhintedCloud(PointCloud):
 def test_straight_cloud_run_queries_the_tree_once():
     # the explicit step moves each node far less than its distance to the
     # nearest bisector of two samples, so the first field call's nearest
-    # samples serve the other 50 (the k = 1 queries are the endpoint checks)
+    # samples serve the other 50 (the 2-row query is the endpoint check)
     points, cfg, init = _straight_cloud_problem()
     cloud = PointCloud(points)
-    cloud._tree = _QueryLog(cloud._tree)
+    cloud._index = _QueryLog(cloud._index)
     run(cfg, cloud, init)
-    assert [q for q in cloud._tree.queries if q[1] == 2] == [(init[1].m - 1, 2)]
+    assert cloud._index.queries == [2, init[1].m - 1]
 
 
 def test_straight_cloud_run_equals_the_run_that_queries_every_row(tmp_path):
