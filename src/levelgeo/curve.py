@@ -156,8 +156,10 @@ def curve_length(curve):
 
 
 def speed_profile(curve: DiscreteCurve):
-    """Forward-difference speeds |gamma_{i+1} - gamma_i| / dt, length m (_chord_norms)."""
-    return _chord_norms(curve.points)[0] * curve.m
+    """Forward-difference speeds |gamma_{i+1} - gamma_i| / dt, length m (_chord_norms);
+    a speed past the float range reads inf, with no numpy warning."""
+    with np.errstate(over="ignore"):
+        return _chord_norms(curve.points)[0] * curve.m
 
 
 def curve_to_json(curve: DiscreteCurve) -> str:

@@ -2,14 +2,15 @@
 
 A surface is the zero set {x in R^3 : phi(x) = 0} of a scalar field phi.
 LevelSet's value, value_and_grad, grad and hessian take a (3,) point or (n, 3)
-rows; they alone handle the two shapes, and a field implements only row
-hooks: _value, and _value_and_grad, which returns phi and grad phi from one
-evaluation that shares their intermediate results.  LevelSet derives grad
-from it and a finite-difference Hessian, scaled to the bounding box, from
-grad (the hook _hessian, which a field may override).  The curve solvers
-need only phi and grad phi (the constraint force is lambda * grad(phi)); the
-convergence theory constrains |grad phi|^2 and ||D^2 phi|| on a band around
-the surface, which check_assumption_a samples.
+rows; they alone handle the two shapes, and a field implements one row hook,
+_value_and_grad, which returns phi and grad phi from one evaluation that
+shares their intermediate results.  LevelSet derives value and grad from it,
+so value is value_and_grad's phi bit for bit, and a finite-difference
+Hessian, scaled to the bounding box, from grad (the hook _hessian, which a
+field may override).  The curve solvers need only phi and grad phi (the
+constraint force is lambda * grad(phi)); the convergence theory constrains
+|grad phi|^2 and ||D^2 phi|| on a band around the surface, which
+check_assumption_a samples.
 
 Analytic kinds
 --------------
@@ -28,7 +29,7 @@ runs only when some x value repeats, since equal rows share x.  It finds
 nearest samples with numpy alone, in a grid of cells: the 3 x 3 x 3 cells
 around a row prove its nearest sample when that lies nearer than the block's
 outer faces, any other row descends a hierarchy of coarser cells whose boxes
-bound their samples' distances, and value_and_grad skips the query for nodes
+bound their samples' distances, and an evaluation skips the query for nodes
 whose nearest sample provably did not change (PointCloud).
 """
 
@@ -90,9 +91,9 @@ class LevelSet:
 
     The public methods take a (3,) point or (n, 3) rows and return a scalar,
     (3,) or (3, 3) per point for the one and (n,), (n, 3) or (n, 3, 3) for the
-    other.  A field implements the hooks _value and _value_and_grad on (n, 3)
-    rows, and bounding_box; it may override _hessian.  Where its gradient is
-    undefined, _value_and_grad returns nan, and value_and_grad raises
+    other.  A field implements the hook _value_and_grad on (n, 3) rows, and
+    bounding_box; it may override _hessian.  Where its gradient is undefined,
+    _value_and_grad returns nan, and value_and_grad raises
     SingularityError(singular_message), or overflow_message where phi is inf.
     """
 
@@ -100,9 +101,9 @@ class LevelSet:
     overflow_message = "gradient undefined where the value overflows"
 
     def value(self, x):
-        """phi(x); vectorized over a leading point axis."""
+        """phi(x), the row hook's phi, unchecked; vectorized over a leading point axis."""
         pts, single = _as_points(x)
-        out = self._value(pts)
+        out = self._value_and_grad(pts)[0]
         return out[0] if single else out
 
     def grad(self, x):
@@ -130,10 +131,6 @@ class LevelSet:
         pts, single = _as_points(x)
         out = self._hessian(pts)
         return out[0] if single else out
-
-    def _value(self, pts):
-        """phi at (n, 3) rows, as an (n,) array."""
-        raise NotImplementedError
 
     def _value_and_grad(self, pts):
         """(phi, grad phi) at (n, 3) rows, as (n,) and (n, 3) arrays."""
@@ -188,11 +185,8 @@ class _Sphere(LevelSet):
 class SphereQuadratic(_Sphere):
     """phi(x) = (|x|^2 - R^2)/2; smooth everywhere, grad = x, Hessian = I."""
 
-    def _value(self, pts):
-        return 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2)
-
     def _value_and_grad(self, pts):
-        return self._value(pts), pts.copy()
+        return 0.5 * (np.einsum("ij,ij->i", pts, pts) - self.radius**2), pts.copy()
 
     def _hessian(self, pts):
         """Exactly I, where central differences read 1 + 7e-12."""
@@ -207,9 +201,6 @@ class SphereSDF(_Sphere):
     """
 
     singular_message = "gradient of R - |x| undefined at the origin"
-
-    def _value(self, pts):
-        return self.radius - _row_norms(pts)
 
     def _value_and_grad(self, pts):
         r = _row_norms(pts)
@@ -233,17 +224,10 @@ class Torus(LevelSet):
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)
 
-    def _parts(self, pts):
+    def _value_and_grad(self, pts):
         rho = np.hypot(pts[:, 0], pts[:, 1])
         u = rho - self.major_radius
         w = np.hypot(u, pts[:, 2])
-        return rho, u, w
-
-    def _value(self, pts):
-        return self._parts(pts)[2] - self.minor_radius
-
-    def _value_and_grad(self, pts):
-        rho, u, w = self._parts(pts)
         phi = w - self.minor_radius
         if np.count_nonzero(rho) + np.count_nonzero(w) != 2 * len(rho):
             rho[rho == 0], w[w == 0] = np.nan, np.nan  # a nan gradient, not 0/0
@@ -271,9 +255,6 @@ class Plane(LevelSet):
             if a.shape != (3,) or not 0 < float(a @ a) < np.inf:
                 raise ValueError("plane normal must be a 3-vector with a.a finite and nonzero")
         self.normal = a
-
-    def _value(self, pts):
-        return pts @ self.normal
 
     def _value_and_grad(self, pts):
         return pts @ self.normal, np.broadcast_to(self.normal, (len(pts), 3)).copy()
@@ -419,12 +400,13 @@ class PointCloud(LevelSet):
     distances inside.  Every distance is _row_norms(x - p), and ties go to the
     lowest sample index.
 
-    value_and_grad keeps, per row, the point of its last query, the sample
-    resolved as nearest and that query's bound on every other sample's
-    distance.  On a call of the same shape a row skips the query when the
-    triangle inequality proves no other sample within the tie band
-    1e-12 (1 + phi): phi is then |x - nearest| as the query computes it, and
-    each call equals a fresh cloud's bit for bit.
+    Every evaluation (value, value_and_grad, grad) keeps, per row, the point
+    of its last query, the sample resolved as nearest and that query's bound
+    on every other sample's distance.  On a call of the same shape, of any of
+    the three, a row skips the query when the triangle inequality proves no
+    other sample within the tie band 1e-12 (1 + phi): phi is then
+    |x - nearest| as the query computes it, and each call equals a fresh
+    cloud's bit for bit.
 
     The gradient is undefined at a sample, and at a node so far out (about
     1e154 or more) that its distance overflows, which has value inf; the hook
@@ -455,9 +437,6 @@ class PointCloud(LevelSet):
         self.points.setflags(write=False)
         self._index = _CellIndex(self.points)
         self._hint = np.empty((0, 3)), np.zeros(0, np.intp), np.zeros(0)
-
-    def _value(self, pts):
-        return self._index.query(pts)[0]
 
     def _value_and_grad(self, pts):
         last, index, bound = self._hint

@@ -70,17 +70,18 @@ def _tridiagonal(m: int, tau_gamma: float):
     return c, np.full(m - 2, -c), np.full(m - 1, 1.0 + 2.0 * c)
 
 
-def _scipy_extension(subpackage: str, name: str):
-    """scipy's compiled extension scipy.<subpackage>.<name>, loaded without
-    the package's __init__ and registered under its own name, so a later
-    import of the package reuses it.  As import does, ImportError names the
-    module when none is found or sys.modules holds None for it."""
-    full = f"scipy.{subpackage}.{name}"
+def _dgtsv():
+    """scipy.linalg.lapack.dgtsv, from scipy.linalg._flapack alone: the
+    package's __init__ imports much of numpy through its array-API shim.  The
+    extension is registered under its own name, so a later import of
+    scipy.linalg reuses it.  As import does, ImportError names the module when
+    none is found or sys.modules holds None for it."""
+    full = "scipy.linalg._flapack"
     if full not in sys.modules:
         import scipy  # its __init__ loads no subpackage
 
         spec = importlib.machinery.PathFinder.find_spec(
-            full, [os.path.join(scipy.__path__[0], subpackage)])
+            full, [os.path.join(scipy.__path__[0], "linalg")])
         if spec is None:
             raise ImportError(f"cannot find {full}", name=full)
         module = importlib.util.module_from_spec(spec)
@@ -88,13 +89,7 @@ def _scipy_extension(subpackage: str, name: str):
         sys.modules[full] = module
     elif sys.modules[full] is None:
         raise ImportError(f"import of {full} halted; None in sys.modules", name=full)
-    return sys.modules[full]
-
-
-def _dgtsv():
-    """scipy.linalg.lapack.dgtsv, from scipy.linalg._flapack alone: the
-    package's __init__ imports much of numpy through its array-API shim."""
-    return _scipy_extension("linalg", "_flapack").dgtsv
+    return sys.modules[full].dgtsv
 
 
 def _gtsv(dgtsv, off, diag, b):

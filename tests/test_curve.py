@@ -202,6 +202,9 @@ def test_a_chord_whose_square_overflows_has_a_finite_length():
     assert speed_profile(DiscreteCurve(far)).tobytes() == (norms * 5).tobytes()
     still, _ = init_straight_line([-1e155, 0, 0], [1e155, 0, 0], 2)
     assert speed_profile(still).tolist() == [2e155, 2e155]
+    # each chord's length is finite, but over dt = 1/2 its speed overflows
+    wide = DiscreteCurve([[-1e308, 0, 0], [0, 0, 0], [1e308, 0, 0]])
+    assert speed_profile(wide).tolist() == [np.inf, np.inf]
     # beyond the float range a length is inf, and a nan node's is nan
     assert curve_length(DiscreteCurve([[-1e308, 0, 0], [0, 0, 0], [1e308, 0, 0]])) == np.inf
     assert curve_length(DiscreteCurve([[0, 0, 0], [np.inf, 0, 0], [-np.inf, 0, 0]])) == np.inf

@@ -1326,7 +1326,7 @@ def test_check_surface_rejects_a_band_below_the_resolution_up_front(tmp_path, ca
                                                                    monkeypatch):
     # a point cloud's million proposals took about a second before the error
     write_cloud(tmp_path / "cloud.xyz")
-    monkeypatch.setattr(PointCloud, "_value", None)  # no proposal evaluated
+    monkeypatch.setattr(PointCloud, "_value_and_grad", None)  # no proposal evaluated
     rc = main(["check-surface", "--surface", "point-cloud", "--points",
                str(tmp_path / "cloud.xyz"), "--band", "1e-320", "--samples", "100"])
     captured = capsys.readouterr()

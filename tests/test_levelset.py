@@ -210,7 +210,7 @@ def test_scale_is_half_the_smallest_nonzero_extent():
 
 def test_a_band_below_the_resolution_is_rejected_before_any_proposal():
     class NoValues(_RowHooks):
-        def _value(self, pts):
+        def _value_and_grad(self, pts):
             raise AssertionError("a proposal was evaluated")
 
     with pytest.raises(ValueError, match="below the surface's resolution 2.22045e-16"):
@@ -229,13 +229,10 @@ def test_plane_normal_needs_a_finite_nonzero_square(normal):
 
 
 class _RowHooks(LevelSet):
-    """The unit quadratic sphere from the row hooks alone, with no Hessian hook."""
-
-    def _value(self, pts):
-        return 0.5 * (np.einsum("ij,ij->i", pts, pts) - 1.0)
+    """The unit quadratic sphere from the row hook alone, with no Hessian hook."""
 
     def _value_and_grad(self, pts):
-        return self._value(pts), pts.copy()
+        return 0.5 * (np.einsum("ij,ij->i", pts, pts) - 1.0), pts.copy()
 
     def bounding_box(self):
         return -np.ones(3), np.ones(3)
@@ -774,6 +771,22 @@ def test_value_and_grad_raises_where_grad_does(field, x):
         assert str(fused.value) == str(by_grad.value)
 
 
+def test_value_is_the_phi_of_the_one_row_hook_on_every_field():
+    # a field implements _value_and_grad alone, so value is its phi bit for
+    # bit, also on rows where the gradient is undefined: the origin, the
+    # torus axis and core circle, and cloud samples
+    from levelgeo import levelset
+
+    assert [name for name, cls in vars(levelset).items()
+            if isinstance(cls, type) and "_value" in vars(cls)] == []
+    rows = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [2.0, 0.0, 0.0], [0.3, -1.1, 0.4]])
+    for field in FIELDS:
+        x = np.vstack([rows, field.points[:2]]) if isinstance(field, PointCloud) else rows
+        assert same_bits(field.value(x), field.value_and_grad(x, check=False)[0])
+        for point in x:
+            assert same_bits(field.value(point), field.value_and_grad(point, check=False)[0])
+
+
 @pytest.mark.parametrize("first", [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 def test_point_cloud_value_and_grad_breaks_exact_ties_to_lowest_index(first):
     # the query is equidistant from samples 0 and 3, in either order
@@ -994,6 +1007,22 @@ def test_point_cloud_node_whose_distance_overflows_is_a_singularity():
             cloud.value_and_grad(far)
     assert cloud._hint is hint
     assert field_call(cloud, near) == field_call(PointCloud(cloud.points), near)
+
+
+def test_point_cloud_value_shares_the_hint_of_value_and_grad():
+    # a value call of the same shape as the last field call reaches the index
+    # only for rows its hint cannot prove, as value_and_grad does, and the
+    # other way round; each equals a fresh cloud's bit for bit
+    samples = np.random.default_rng(6).normal(size=(200, 3))
+    cloud, queries = PointCloud(samples), []
+    query = cloud._index.query
+    cloud._index.query = lambda x: queries.append(len(x)) or query(x)
+    x = np.random.default_rng(7).normal(size=(10, 3))
+    cloud.value_and_grad(x)
+    for moved in (x + 1e-9, x - 1e-9):
+        assert cloud.value(moved).tobytes() == PointCloud(samples).value(moved).tobytes()
+        assert field_call(cloud, moved) == field_call(PointCloud(samples), moved)
+    assert queries == [10]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

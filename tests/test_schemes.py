@@ -985,11 +985,8 @@ class _BelowPlane(Plane):
     def __init__(self):
         super().__init__((0.0, 0.0, -1.0))
 
-    def _value(self, pts):
-        return -pts[:, 2]
-
     def _value_and_grad(self, pts):
-        return self._value(pts), super()._value_and_grad(pts)[1]
+        return -pts[:, 2], super()._value_and_grad(pts)[1]
 
 
 def _shared_steps_stacks():
@@ -1048,13 +1045,10 @@ def test_shared_step_sizes_are_0d_and_each_member_runs_as_alone(case):
 class _UnboundedPastTwo(SphereQuadratic):
     """The quadratic sphere with value inf at x >= 2, as if it overflowed there."""
 
-    def _value(self, pts):
-        phi = super()._value(pts)
-        phi[pts[:, 0] >= 2.0] = math.inf
-        return phi
-
     def _value_and_grad(self, pts):
-        return self._value(pts), pts.copy()
+        phi, grad = super()._value_and_grad(pts)
+        phi[pts[:, 0] >= 2.0] = math.inf
+        return phi, grad
 
 
 def test_an_endpoint_of_infinite_value_keeps_the_batch_in_the_cheap_tier(monkeypatch):
