@@ -9,6 +9,7 @@ extrapolation step (omega) accelerates the multiplier ascent.
 Layout:
 
 * :mod:`levelgeo.levelset`    surface catalogue and band sampling checks
+* :mod:`levelgeo.cells`       the point cloud's nearest-sample index
 * :mod:`levelgeo.curve`       discrete curves, inits, stencils
 * :mod:`levelgeo.schemes`     the five iteration rules and the run loop
 * :mod:`levelgeo.diagnostics` a state's numbers (trace_row), record CSV files
@@ -16,6 +17,9 @@ Layout:
   ergodic convergence-rate check
 * :mod:`levelgeo.harness`     experiment orchestration and artifact files
 * :mod:`levelgeo.cli`         the ``levelgeo`` command
+
+A command imports only the modules it runs: ``planar`` alone loads
+:mod:`levelgeo.planar`, and a point cloud alone :mod:`levelgeo.cells`.
 """
 
 __version__ = "0.1.0"

@@ -20,7 +20,9 @@ A flat ``key = value`` config file (--config, '#' comments) can set any flag
 of the chosen subcommand: each value goes through the action of the flag it
 names and becomes that flag's default, so explicit flags still win.
 parse_args gives flags to the invoked command's parser alone, since building
-every command's costs each cold start about a millisecond.
+every command's costs each cold start about a millisecond.  Only the planar
+command imports levelgeo.planar: where no bytecode is cached, as in a fresh
+checkout, each cold start compiles every module it imports.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import warnings
 from . import __version__, harness
 from .harness import INIT_KINDS, SWEEPABLE_PARAMETERS, ConfigError, ExperimentSpec
 from .levelset import SamplingError
-from .planar import PlanarProblem
 from .schemes import Scheme, SolverConfig
 
 __all__ = ["main", "build_parser", "parse_args"]
@@ -135,6 +136,8 @@ def _add_compare_flags(p):
 
 
 def _add_planar_flags(p):
+    from .planar import PlanarProblem
+
     p.add_argument("--out", default=ExperimentSpec.out_dir, help="output directory")
     p.add_argument("--a", default="1,0,0", help="plane normal ax,ay,az")
     p.add_argument("--p", default="0,0,0", help="start point x,y,z in the plane")
@@ -296,6 +299,8 @@ def _run_command(argv) -> int:
             schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
             return harness.cmd_compare_schemes(_experiment_spec(args), schemes)
         if args.command == "planar":
+            from .planar import PlanarProblem
+
             vectors = {k: _float_list(getattr(args, k), f"--{k}") for k in ("a", "p", "q")}
             problem = PlanarProblem(**{**_fields(PlanarProblem, args), **vectors})
             return harness.cmd_planar(problem, args.iters, args.out)

@@ -13,6 +13,8 @@ per value, pair or scheme and exit 0.
 Every solve goes through ``run`` (schemes.run_batch), looked up at call
 time: a sweep runs all its values and a benchmark all its pairs as one
 stack; a comparison runs one scheme at a time, as a stack shares its scheme.
+A planar solve goes through ``run_planar``, likewise, which imports
+levelgeo.planar, so that only ``planar`` compiles it.
 
 Determinism contract: every CSV/JSON artifact is byte-identical across
 re-runs with the same inputs.  Wall-clock times therefore never enter those
@@ -44,7 +46,6 @@ from .levelset import (
     check_assumption_a,
     load_point_cloud,
 )
-from .planar import ErgodicRecord, PlanarProblem, _dgtsv, run_planar
 from .schemes import DivergenceError, Problem, Scheme, SolverConfig
 from .schemes import run_batch as run
 
@@ -471,8 +472,9 @@ def cmd_compare_schemes(spec, schemes) -> int:
     return 0
 
 
-def default_planar_perturbation(problem: PlanarProblem):
-    """Deterministic off-saddle init: a sine bump on the curve, a sine multiplier."""
+def default_planar_perturbation(problem):
+    """Deterministic off-saddle init of a planar.PlanarProblem: a sine bump on
+    the curve, a sine multiplier."""
     curve, mult = init_straight_line(problem.p, problem.q, problem.m)
     t = np.arange(problem.m + 1) / problem.m
     bump = np.array([0.3, -0.2, 0.5])
@@ -481,13 +483,25 @@ def default_planar_perturbation(problem: PlanarProblem):
     return curve, mult
 
 
-def cmd_planar(problem: PlanarProblem, max_iters: int, out_dir) -> int:
-    """Run the planar scheme from default_planar_perturbation, write
-    planar_ergodic.csv, report the rate check.
+def run_planar(problem, max_iters: int, init=None):
+    """planar.run_planar, with levelgeo.planar imported at the first call, so
+    that no other command compiles it.  cmd_planar calls the solve by this
+    name, which the benchmark's tracer wraps and its set-up probe replaces."""
+    from .planar import run_planar
+
+    return run_planar(problem, max_iters, init=init)
+
+
+def cmd_planar(problem, max_iters: int, out_dir) -> int:
+    """Run the planar scheme on a planar.PlanarProblem from
+    default_planar_perturbation, write planar_ergodic.csv, report the rate
+    check.
 
     Returns EXIT_CODES["diverged"] if the iteration diverged (the records up
     to then are written).
     """
+    from .planar import ErgodicRecord, _dgtsv
+
     out = Path(out_dir)
     init = default_planar_perturbation(problem)
     _dgtsv()  # load run_planar's gtsv before the clock starts

@@ -1,7 +1,9 @@
 """The public surface: every exported name exists, the README's library
 examples run as written, the modules import one another without a cycle,
 one owner each decides a scheme's parameters and how a warning is shown,
-and scipy and logging load only where they are used."""
+scipy, logging and levelgeo's own planar and cells modules load only where
+they are used, and each benchmarked command reaches its solve through
+harness before it writes anything."""
 
 import ast
 import graphlib
@@ -18,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import levelgeo
+from levelgeo import harness
+from levelgeo.cli import main
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(levelgeo.__path__))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -136,17 +140,82 @@ SCIPY_AFTER = {
 }
 
 
-@pytest.mark.parametrize("snippet,loaded", SCIPY_AFTER.values(), ids=list(SCIPY_AFTER))
-def test_scipy_is_imported_only_where_it_is_used(tmp_path, snippet, loaded):
+def _loaded_after(tmp_path, snippet, names):
+    """Those of the modules names that snippet, run in a fresh interpreter
+    in tmp_path, leaves in sys.modules."""
     code = (snippet + "\nimport json, sys\nprint(json.dumps(["
-            "name for name in ('logging', 'scipy', 'scipy.linalg', 'scipy.spatial')"
-            " if name in sys.modules]))")
+            f"name for name in {tuple(names)!r} if name in sys.modules]))")
     src = Path(levelgeo.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("snippet,loaded", SCIPY_AFTER.values(), ids=list(SCIPY_AFTER))
+def test_scipy_is_imported_only_where_it_is_used(tmp_path, snippet, loaded):
+    names = ("logging", "scipy", "scipy.linalg", "scipy.spatial")
+    assert _loaded_after(tmp_path, snippet, names) == loaded
+
+
+#: writes cloud.txt, 200 samples of the unit sphere with (0, 0, 1) and (1, 0, 0)
+CLOUD_FILE = (
+    "import numpy as np\n"
+    "pts = np.random.default_rng(0).normal(size=(200, 3))\n"
+    "pts[:2] = [[0, 0, 1], [1, 0, 0]]\n"
+    "np.savetxt('cloud.txt', pts / np.linalg.norm(pts, axis=1)[:, None])\n"
+)
+CLOUD_RUN = ["run", "--surface", "point-cloud", "--points", "cloud.txt",
+             "--p", "0,0,1", "--q", "1,0,0", "--m", "16", "--iters", "5"]
+
+# With no bytecode cached (a fresh checkout), a cold start compiles every
+# module it imports, so each command imports only the levelgeo modules it
+# runs: levelgeo.planar for the planar command alone, and the point cloud's
+# index, levelgeo.cells, for a point cloud alone.
+LEVELGEO_AFTER = {
+    "import-levelset": ("import levelgeo.levelset", []),
+    "sphere-run-and-benchmark": (SCIPY_AFTER["sphere-run-and-benchmark"][0], []),
+    "planar": (SCIPY_AFTER["planar"][0], ["levelgeo.planar"]),
+    "point-cloud-run": (
+        CLOUD_FILE + "from levelgeo.cli import main\n"
+        f"assert main({CLOUD_RUN + ['--out', 'cloud']!r}) == 0",
+        ["levelgeo.cells"]),
+}
+
+
+@pytest.mark.parametrize("snippet,loaded", LEVELGEO_AFTER.values(), ids=list(LEVELGEO_AFTER))
+def test_each_command_imports_only_the_levelgeo_modules_it_runs(tmp_path, snippet, loaded):
+    assert _loaded_after(tmp_path, snippet, ("levelgeo.planar", "levelgeo.cells")) == loaded
+
+
+class _FirstSolve(BaseException):
+    """Raised by the solve stub; a BaseException, as the set-up probe's, so
+    that no handler of levelgeo's catches it."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--init", "randomized", "--m", "16", "--iters", "5"],
+    ["benchmark", "--m", "16", "--pairs", "2", "--checkpoints", "5"],
+    ["planar", "--m", "8", "--iters", "4"],
+    CLOUD_RUN,
+], ids=["run", "benchmark", "planar", "point-cloud-run"])
+def test_each_benchmarked_command_calls_its_solve_through_harness_before_writing(
+        tmp_path, monkeypatch, argv):
+    # bench/setup_probe.py times a command's set-up by replacing harness.run
+    # and harness.run_planar with a stub that stops it: each command must
+    # reach one of them before it iterates, and write nothing before
+    monkeypatch.chdir(tmp_path)
+    exec(CLOUD_FILE, {})
+
+    def stop(*args, **kwargs):
+        raise _FirstSolve
+
+    monkeypatch.setattr(harness, "run", stop)
+    monkeypatch.setattr(harness, "run_planar", stop)
+    with pytest.raises(_FirstSolve):
+        main(argv + ["--out", "out"])
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_function_the_benchmark_traces_exists():
@@ -163,18 +232,21 @@ def test_every_function_the_benchmark_traces_exists():
 def test_the_workflow_runs_the_tier_1_command_on_the_benchmarked_versions():
     # the CI workflow's tier-1 step is ROADMAP's tier-1 verify command, and it
     # pins numpy and scipy to the versions the newest BENCH_<n>.json ran on;
-    # its benchmark smoke run, in bash (so with pipefail), fails unless every
-    # workload runs and the run's last line says correct
+    # its benchmark smoke runs, untraced and traced, in bash (so with
+    # pipefail), fail unless every workload runs and the run's last line says
+    # correct
     root = README.parent
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
     verify = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$",
                        (root / "ROADMAP.md").read_text(), flags=re.M).group(1)
     steps = dict(re.findall(r"- name: (.+)\n +run: (.+)", workflow))
     assert steps["Tier-1 tests"] == verify
-    smoke = re.search(r"- name: Benchmark smoke run\n +shell: (.+)\n(?: +#.*\n)* +run: \|\n +(.+)\n",
-                      workflow)
-    assert smoke.groups() == ("bash", "python bench/run.py --workload all --seconds 1 --trace 0"
-                                      " | tail -n 1 | grep -F '\"correct\": true'")
+    smoke = re.findall(r"- name: (.+ smoke run)\n +shell: (.+)\n(?: +#.*\n)* +run: \|\n +(.+)\n",
+                       workflow)
+    assert smoke == [(f"{name} smoke run", "bash",
+                      f"python bench/run.py --workload all --seconds 1 --trace {trace}"
+                      " | tail -n 1 | grep -F '\"correct\": true'")
+                     for name, trace in (("Benchmark", 0), ("Traced benchmark", 1))]
     newest = max(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
     machine = json.loads(newest.read_text())["machine"]
     for package in ("numpy", "scipy"):
