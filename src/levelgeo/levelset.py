@@ -29,12 +29,12 @@ runs only when some x value repeats, since equal rows share x.  It finds
 nearest samples with numpy alone, in the grid of cells of levelgeo.cells,
 which a cloud imports when it is built, so a run on an analytic surface never
 compiles it; an evaluation skips the query for nodes whose nearest sample
-provably did not change (PointCloud).
+provably did not change (PointCloud).  load_point_cloud hands numpy.loadtxt
+only a file with a data line, so loadtxt never warns that a file has none.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,8 +220,11 @@ class Torus(LevelSet):
     def __init__(self, major_radius: float = 2.0, minor_radius: float = 1.0):
         if not 0 < minor_radius < major_radius < np.inf:
             raise ValueError("torus requires finite radii with 0 < minor < major")
+        r = float(minor_radius)  # a float product: no warning
+        if r * r < np.finfo(float).tiny:  # as a sphere radius: a length squares it
+            raise ValueError(f"torus minor radius {r:g} is too small: its square underflows")
         self.major_radius = float(major_radius)
-        self.minor_radius = float(minor_radius)
+        self.minor_radius = r
 
     def _value_and_grad(self, pts):
         rho = np.hypot(pts[:, 0], pts[:, 1])
@@ -316,6 +319,10 @@ class PointCloud(LevelSet):
         self.points = pts
         self.points.setflags(write=False)
         self._index = _CellIndex(self.points)
+        half = float((self._index.hi / 2 - self._index.lo / 2).max())  # as the index has it
+        if len(pts) > 1 and half * half < np.finfo(float).tiny:  # distances square x - p
+            raise ValueError(f"point cloud half-extent {half:g} is too small: "
+                             "its square underflows")
         self._hint = np.empty((0, 3)), np.zeros(0, np.intp), np.zeros(0)
 
     def _value_and_grad(self, pts):
@@ -351,28 +358,27 @@ class PointCloud(LevelSet):
 def load_point_cloud(path) -> PointCloud:
     """Read a point cloud from plain text: three reals per line, '#' comments.
 
-    numpy.loadtxt parses it: blank lines are skipped, fields are apart by
-    whitespace, lines end in LF, CRLF or CR, and a real is what float()
-    reads except for underscores between digits and non-ASCII digits.
-    Raises PointCloudFormatError (with the offending line number) on malformed
-    lines and ValueError when fewer than 4 distinct points remain.
+    numpy.loadtxt parses a file with a data line: blank lines are skipped,
+    fields are apart by whitespace, lines end in LF, CRLF or CR, and a real is
+    what float() reads except for underscores between digits and non-ASCII
+    digits.  Raises PointCloudFormatError (with the offending line number) on
+    malformed lines and ValueError when fewer than 4 distinct points remain.
     """
-    with open(path) as fh, warnings.catch_warnings():
-        # a file without data is reported below, as 0 distinct points
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            pts = np.loadtxt(fh, comments="#", ndmin=2)
-        except ValueError:
-            _raise_at_bad_line(fh)
-            raise
-        if pts.shape[1] != 3:
-            _raise_at_bad_line(fh)
-            pts = pts.reshape(0, 3)  # no data
-    cloud = PointCloud(pts) if len(pts) else None
-    distinct = 0 if cloud is None else len(cloud.points)
-    if distinct < 4:
-        raise ValueError(f"point cloud needs at least 4 distinct points, got {distinct}")
-    return cloud
+    distinct = 0  # a file without data, on which numpy.loadtxt warns, is not parsed
+    with open(path) as fh:
+        if any(raw.split("#", 1)[0].split() for raw in fh):  # reads up to the first data line
+            fh.seek(0)
+            try:
+                pts = np.loadtxt(fh, comments="#", ndmin=2)
+            except ValueError:
+                _raise_at_bad_line(fh)
+                raise
+            if pts.shape[1] != 3:
+                _raise_at_bad_line(fh)
+            cloud = PointCloud(pts)
+            if (distinct := len(cloud.points)) >= 4:
+                return cloud
+    raise ValueError(f"point cloud needs at least 4 distinct points, got {distinct}")
 
 
 def _raise_at_bad_line(fh):

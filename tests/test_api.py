@@ -69,13 +69,13 @@ def test_only_solver_config_names_gda_and_regularized():
 
 
 #: the functions that may change how a warning is filtered or shown
-WARNING_OWNERS = {("cli.py", "main"), ("levelset.py", "load_point_cloud")}
+WARNING_OWNERS = {("cli.py", "main")}
 WARNING_CONTROLS = {"catch_warnings", "simplefilter", "filterwarnings", "showwarning"}
 
 
-def test_only_the_cli_and_the_cloud_loader_control_warnings():
-    # cli.main reports every library warning; load_point_cloud hides
-    # numpy.loadtxt's no-data warning, whose case it reports as an error
+def test_only_the_cli_controls_warnings():
+    # cli.main reports every library warning; load_point_cloud hands
+    # numpy.loadtxt only a file with a data line, so loadtxt has none to hide
     found = []
     for path in sorted(Path(levelgeo.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -234,7 +234,8 @@ def test_the_workflow_runs_the_tier_1_command_on_the_benchmarked_versions():
     # pins numpy and scipy to the versions the newest BENCH_<n>.json ran on;
     # its benchmark smoke runs, untraced and traced, in bash (so with
     # pipefail), fail unless every workload runs and the run's last line says
-    # correct
+    # correct; its token only reads, and its last step fails unless the runs
+    # left the checkout clean
     root = README.parent
     workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
     verify = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$",
@@ -247,6 +248,9 @@ def test_the_workflow_runs_the_tier_1_command_on_the_benchmarked_versions():
                       f"python bench/run.py --workload all --seconds 1 --trace {trace}"
                       " | tail -n 1 | grep -F '\"correct\": true'")
                      for name, trace in (("Benchmark", 0), ("Traced benchmark", 1))]
+    assert re.search(r"^permissions:\n +contents: read\n(?!  )", workflow, flags=re.M)
+    assert list(steps)[-1] == "Clean checkout"
+    assert steps["Clean checkout"].startswith('test -z "$(git status --porcelain)"')
     newest = max(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
     machine = json.loads(newest.read_text())["machine"]
     for package in ("numpy", "scipy"):

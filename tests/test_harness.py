@@ -571,8 +571,13 @@ def test_cli_process_reports_a_bad_config_on_stderr(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", ["", "# a header\n\n   # and nothing else\n"],
-                         ids=["empty", "comments-only"])
+@pytest.mark.parametrize("text", [
+    "", "# a header\n\n   # and nothing else\n",
+    # blank to str.split as to numpy.loadtxt: the loader's data-line check and
+    # loadtxt must agree, or loadtxt warns of no data or the check reads a row
+    "\t\n", "\x0b\n", "\x0c\n", "\xa0\n", "\r",
+], ids=["empty", "comments-only", "tab", "vertical-tab", "form-feed", "no-break-space",
+        "lone-cr"])
 def test_cli_process_reports_an_empty_cloud_on_stderr_alone(tmp_path, text):
     # numpy.loadtxt warns on a file without data; the one stderr line is the error
     (tmp_path / "cloud.xyz").write_text(text)
@@ -1414,6 +1419,27 @@ def test_a_sphere_radius_whose_square_underflows_is_one_error_line(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("surface,scale,message", [
+    # ran and read length=4.23796e-160, where torus:2,1 reads 4.24264
+    ("torus:2e-160,1e-160", "3e-160", "torus minor radius 1e-160 is too small"),
+    # ran and read length=1.42257e-160, where the unit cloud reads 1.41421
+    ("point-cloud", "1e-160", "point cloud half-extent 1e-160 is too small"),
+], ids=["torus", "point-cloud"])
+def test_a_surface_size_whose_square_underflows_is_one_error_line(tmp_path, capsys,
+                                                                  surface, scale, message):
+    cloud = tmp_path / "cloud.xyz"
+    np.savetxt(cloud, 1e-160 * np.vstack([np.eye(3), -np.eye(3)]))  # an octahedron's vertices
+    rc = main(["run", "--surface", surface, "--points", str(cloud), "--p", f"{scale},0,0",
+               "--q", f"0,{scale},0", "--m", "16", "--iters", "5",
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: bad surface descriptor '{surface}': {message}: "
+                            "its square underflows\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("radius,message", [
     # a tolerance of 1e-3, absolute, passed both endpoints, 1e97 radii off
     ("1e-100", "endpoint p is off the surface: |phi| = 0.001 > 1e-103"),
@@ -1483,7 +1509,8 @@ _TEXTS = {
     "surface": ("sphere-sdf", "sphere-sdf:1e-300", "sphere-sdf:1e-320", "sphere-sdf:1e200",
                 "sphere-sdf:1e-100", "sphere-quadratic:1e-100",
                 "sphere-quadratic:1e-170", "sphere-quadratic", "torus:2,1",
-                "torus:1e200,1", "torus:1e154,1", "torus:1,2", "plane", "plane:0,0,1", "plane:0,0,0",
+                "torus:1e200,1", "torus:1e154,1", "torus:1,2", "torus:2e-170,1e-170",
+                "plane", "plane:0,0,1", "plane:0,0,0",
                 "plane:1e200,0,0", "point-cloud", "sphere-sdf:nan", "sphere-sdf:-1",
                 "moebius"),
     "points": ("{tmp}/cloud.xyz", "{tmp}/bad.xyz", "{tmp}/missing.xyz"),

@@ -200,6 +200,31 @@ def test_a_sphere_radius_whose_square_underflows_is_rejected(cls):
             cls(radius)
 
 
+def test_a_torus_minor_radius_whose_square_underflows_is_rejected():
+    # lengths square it: torus:2e-160,1e-160 ran and read 4.23796e-160 for 4.24264e-160
+    assert Torus(3e-154, 1.5e-154).minor_radius == 1.5e-154
+    for minor in (1.4e-154, 1e-160, 1e-300):
+        with pytest.raises(ValueError, match=f"torus minor radius {minor:g} is too small: "
+                                             "its square underflows"):
+            Torus(2.0 * minor, minor)
+
+
+def test_a_point_cloud_whose_half_extent_squares_below_tiny_is_rejected():
+    # every distance squares x - p: a unit-sphere cloud scaled by 1e-160 ran and
+    # read 1.42257e-160 for 1.41421e-160, and check-surface met a singularity
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    assert len(PointCloud(1.5e-154 * octahedron).points) == 6
+    for scale in (1.4e-154, 1e-160, 1e-300):
+        with pytest.raises(ValueError, match=f"point cloud half-extent {scale:g} is too "
+                                             "small: its square underflows"):
+            PointCloud(scale * octahedron)
+    # a cloud of one point, repeated or not, has no extent: it stays accepted
+    assert PointCloud([[1e-160, 0.0, 0.0]] * 2).points.tolist() == [[1e-160, 0.0, 0.0]]
+    # two subnormal rows apart: half their extent rounds to 0, yet they are distinct
+    with pytest.raises(ValueError, match="point cloud half-extent 0 is too small"):
+        PointCloud([[0.0, 0.0, 0.0], [5e-324, 0.0, 0.0]])
+
+
 def test_scale_is_half_the_smallest_nonzero_extent():
     assert SphereSDF(1e-100).scale() == 1e-100
     assert Torus(3.0, 0.5).scale() == 0.5
@@ -368,8 +393,22 @@ def test_point_cloud_dedupe_equals_numpy_unique(rows):
     assert len(cloud.points) == len(set(rows))
 
 
+def _underflow_message(pts):
+    """PointCloud's error for distinct rows, two or more, whose largest
+    half-extent has a square that underflows, or None."""
+    half = float((pts.max(axis=0) / 2 - pts.min(axis=0) / 2).max())
+    if len(pts) > 1 and half * half < np.finfo(float).tiny:
+        return f"point cloud half-extent {half:g} is too small: its square underflows"
+    return None
+
+
 def _keeps_every_row(pts):
-    """PointCloud(pts).points equals pts bit for bit, in a copy of its own."""
+    """PointCloud(pts).points equals pts bit for bit, in a copy of its own, or
+    pts spans so little that PointCloud rejects it."""
+    if (message := _underflow_message(pts)) is not None:  # x values of 1e-207, say
+        with pytest.raises(ValueError) as got:
+            PointCloud(pts)
+        return str(got.value) == message
     cloud = PointCloud(pts)
     return cloud.points.tobytes() == pts.tobytes() and not np.shares_memory(cloud.points, pts)
 
@@ -476,6 +515,8 @@ def _lines_loaded(path):
                     line_number, f"could not parse {line!r} as three reals"
                 ) from None
     pts = _unique_rows(np.asarray(rows, dtype=float).reshape(-1, 3))
+    if len(pts) and (message := _underflow_message(pts)) is not None:
+        raise ValueError(message)
     if len(pts) < 4:
         raise ValueError(f"point cloud needs at least 4 distinct points, got {len(pts)}")
     return pts
@@ -513,7 +554,7 @@ def test_load_point_cloud_equals_the_line_parser(text, tmp_path_factory):
     path.write_bytes(text.encode())
     try:
         expected = _lines_loaded(path)
-    except ValueError as exc:  # fewer than 4 distinct points
+    except ValueError as exc:  # fewer than 4 distinct points, or a tiny extent
         with pytest.raises(ValueError) as got:
             load_point_cloud(path)
         assert str(got.value) == str(exc)
